@@ -8,9 +8,8 @@ pipelines use the prescription and cross-check it numerically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Sequence
 
 import numpy as np
 
@@ -67,7 +66,6 @@ class SolutionBundle:
 
     series: List[CanonicalSeries]
     constants: List[GammaFactor]                  # symbolic prescription
-    numeric_constants: Optional[List[float]] = None
 
     def constant_values(self, assignment: Mapping[str, float]) -> List[float]:
         return [k.evaluate(assignment) for k in self.constants]

@@ -14,7 +14,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (DeformationFailed, InconsistentPair, NonGenericWeight,
                      UnderdeterminedPair)
@@ -44,15 +44,9 @@ class AMatrix:
             raise ValueError("(1,...,1) not in the row span of A")
 
     def _ones_in_row_span(self) -> bool:
-        # rational solve: does some combination of rows give all ones?
-        matrix = [[Fraction(self.rows[i][j]) for i in range(self.nrows)]
-                  for j in range(self.ncols)]
-        rhs = [Fraction(1)] * self.ncols
-        try:
-            solve_fraction_system(matrix, [ParamLinear.const(1)] * self.ncols)
-        except (InconsistentPair, UnderdeterminedPair) as err:
-            return not isinstance(err, InconsistentPair)
-        return True
+        # over Q: appending (1,...,1) leaves the rank unchanged
+        return (integer_rank(self.rows)
+                == integer_rank(self.rows + [[1] * self.ncols]))
 
     @property
     def nrows(self) -> int:
@@ -64,9 +58,6 @@ class AMatrix:
 
     def codim(self) -> int:
         return self.ncols - integer_rank(self.rows)
-
-    def column(self, j: int) -> Tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
 
 
 def toric_matrix(g: KPoly) -> Tuple[AMatrix, List[Mono]]:
@@ -180,10 +171,6 @@ def minimal_monomial_generators(monos: Sequence[Mono]) -> List[Mono]:
         if not any(mono_divides(g, m) for g in out):
             out.append(m)
     return out
-
-
-def monomial_ideal_contains(gens: Sequence[Mono], mono: Mono) -> bool:
-    return any(mono_divides(g, mono) for g in gens)
 
 
 # -- standard pairs --------------------------------------------------------

@@ -13,10 +13,9 @@ expanded over a user-supplied table of invariant symbols.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping
+from typing import List, Mapping
 
 from .errors import DimensionMismatch, SingularM
 from .gammafn import GammaFactor
@@ -71,10 +70,6 @@ class GraphSpec:
         return cls(L=data["L"], E=E, propagators=props,
                    invariants=list(data.get("invariants", [])),
                    momentum_products=mp)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GraphSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def assemble_mqj(spec: GraphSpec):

@@ -8,10 +8,8 @@ a ResultReport whose ``to_dict`` is JSON-ready.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import gkz, graphs
 from .constants import SolutionBundle, gamma_constant
@@ -71,10 +69,6 @@ class ProblemSpec:
         spec.order = int(data.get("order", 40))
         spec.tolerance = float(data.get("tolerance", 1e-6))
         return spec
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProblemSpec":
-        return cls.from_dict(json.loads(text))
 
     # -- derived quantities ------------------------------------------------
 

@@ -22,27 +22,30 @@ from .params import ParamLinear
 Factor = Tuple[ParamLinear, int]
 
 
-def poch_numeric(a: float, m: int) -> float:
-    """(a)_m for integer m of either sign."""
-    if m == 0:
-        return 1.0
+def log_poch(a: float, m: int) -> Tuple[float, float]:
+    """(log|(a)_m|, sign of (a)_m) for integer m of either sign; a vanishing
+    product gives (-inf, 0.0)."""
     if m < 0:
-        denom = poch_numeric(a + m, -m)
-        if denom == 0.0:
+        log_denom, sign = log_poch(a + m, -m)
+        if sign == 0.0:
             raise PoleError(f"({a})_{m} hits a pole")
-        return 1.0 / denom
+        return -log_denom, sign
     k = as_nonpositive_int(a)
     if k is not None:
         # base on a nonpositive integer: the product terminates or vanishes
         if m >= 1 - k:
-            return 0.0
-        value = 1.0
-        for j in range(m):
-            value *= k + j
-        return value
+            return -math.inf, 0.0
+        # |k (k+1) ... (k+m-1)| = (-k)! / (-k-m)!
+        return math.lgamma(1 - k) - math.lgamma(1 - k - m), (-1.0) ** m
     lg_top, s_top = log_gamma_signed(a + m)
     lg_bot, s_bot = log_gamma_signed(a)
-    return s_top * s_bot * math.exp(lg_top - lg_bot)
+    return lg_top - lg_bot, s_top * s_bot
+
+
+def poch_numeric(a: float, m: int) -> float:
+    """(a)_m for integer m of either sign."""
+    log_size, sign = log_poch(a, m)
+    return sign * math.exp(log_size)
 
 
 def _factor_is_zero(base: ParamLinear, length: int) -> bool:
@@ -51,19 +54,6 @@ def _factor_is_zero(base: ParamLinear, length: int) -> bool:
         return False
     c = base.constant
     return c.denominator == 1 and 1 - length <= c <= 0
-
-
-def _canonical(factors: List[Factor]) -> Tuple[Factor, ...]:
-    merged: dict = {}
-    for base, length in factors:
-        if length == 0:
-            continue
-        merged[(base, length)] = merged.get((base, length), 0) + 1
-    out: List[Factor] = []
-    for (base, length), count in merged.items():
-        out.extend([(base, length)] * count)
-    out.sort(key=lambda f: (str(f[0]), f[1]))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -77,12 +67,14 @@ class PochhammerProduct:
     @classmethod
     def make(cls, sign: int, numerator: List[Factor],
              denominator: List[Factor]) -> "PochhammerProduct":
+        # a vanishing numerator drops the term before a pole can raise,
+        # as in CanonicalSeries.evaluate
+        if sign == 0 or any(_factor_is_zero(b, m) for b, m in numerator):
+            return cls(0, (), ())
         for base, length in denominator:
             if _factor_is_zero(base, length):
                 raise PoleError(f"vanishing denominator factor ({base})_{length}")
-        if sign == 0 or any(_factor_is_zero(b, m) for b, m in numerator):
-            return cls(0, (), ())
-        return cls(sign, _canonical(numerator), _canonical(denominator))
+        return cls(sign, tuple(numerator), tuple(denominator))
 
     @classmethod
     def one(cls) -> "PochhammerProduct":
@@ -120,17 +112,22 @@ class PochhammerProduct:
             list(self.denominator) + list(other.denominator))
 
     def evaluate(self, assignment: Mapping[str, float]) -> float:
-        if self.sign == 0:
-            return 0.0
-        value = float(self.sign)
+        """Sums the factors' logs and exponentiates once, so a ratio of
+        products that each overflow a float stays finite."""
+        log_total, sign = 0.0, float(self.sign)
         for base, length in self.numerator:
-            value *= poch_numeric(base.evaluate(assignment), length)
+            log_size, factor_sign = log_poch(base.evaluate(assignment), length)
+            log_total += log_size
+            sign *= factor_sign
+        if sign == 0.0:
+            return 0.0
         for base, length in self.denominator:
-            d = poch_numeric(base.evaluate(assignment), length)
-            if d == 0.0:
+            log_size, factor_sign = log_poch(base.evaluate(assignment), length)
+            if factor_sign == 0.0:
                 raise PoleError(f"({base})_{length} vanishes numerically")
-            value /= d
-        return value
+            log_total -= log_size
+            sign *= factor_sign
+        return sign * math.exp(log_total)
 
     def __str__(self) -> str:
         if self.sign == 0:

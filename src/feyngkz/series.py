@@ -16,29 +16,36 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DivergentArgument
+from .gammafn import as_nonpositive_int
 from .gkz import FakeExponent
 from .params import ParamLinear
-from .pochhammer import PochhammerProduct
+from .pochhammer import PochhammerProduct, log_poch
 
 
 def term_coefficient(gamma: Sequence[ParamLinear], u: Sequence[int],
                      weight: Sequence[int]) -> PochhammerProduct:
-    """[gamma]_{u-} / [gamma+u]_{u+}, or exact zero off the support."""
+    """[gamma]_{u-} / [gamma+u]_{u+}, or exact zero off the support.  The
+    falling factorial [g]_m is written as (-1)^m (-g)_m."""
     if sum(w * x for w, x in zip(weight, u)) < 0:
         return PochhammerProduct.zero()
-    coeff = PochhammerProduct.one()
-    for g, x in zip(gamma, u):
-        if x < 0:
-            coeff = coeff * PochhammerProduct.falling(g, -x)
-        elif x > 0:
-            coeff = coeff * PochhammerProduct.make(
-                1, [], [(g + ParamLinear.const(1), x)])
-        if coeff.is_zero():
-            return coeff
-    return coeff
+    return PochhammerProduct.make(
+        (-1) ** sum(-x for x in u if x < 0),
+        [(-g, -x) for g, x in zip(gamma, u) if x < 0],
+        [(g + 1, x) for g, x in zip(gamma, u) if x > 0])
+
+
+def _factor_table(g: float, c: float, lo: int,
+                  hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """log|f(x)| and sign f(x) for x = lo..hi, where f(x) = c^x [g]_{-x} for
+    x <= 0 and c^x / (g+1)_x for x > 0; both are c^x (g+1+x)_{-x}."""
+    table = [log_poch(g + 1 + x, -x) for x in range(lo, hi + 1)]
+    logs, signs = np.array(table).T
+    return logs + np.arange(lo, hi + 1) * math.log(c), signs
 
 
 @dataclass
@@ -101,18 +108,28 @@ class CanonicalSeries:
 
     # -- term enumeration --------------------------------------------------
 
+    def _box(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Lattice coordinates in [-order, order] and their points u, kept
+        where w.u >= 0."""
+        indices = np.array(
+            list(itertools.product(range(-order, order + 1), repeat=self.rank)),
+            dtype=np.int64).reshape((2 * order + 1) ** self.rank, self.rank)
+        basis = np.array(self.lattice, dtype=np.int64).reshape(self.rank,
+                                                               self.nvars)
+        shifts = indices @ basis
+        keep = shifts @ np.array(self.weight, dtype=np.int64) >= 0
+        return indices[keep], shifts[keep]
+
     def enumerate_terms(self, order: int) -> List[SeriesTerm]:
         """All nonzero terms with lattice coordinates in [-order, order],
-        sorted by max-norm shell."""
+        sorted by max-norm shell: the exact symbolic reference for
+        ``evaluate``."""
         terms = []
-        for indices in itertools.product(range(-order, order + 1),
-                                         repeat=self.rank):
-            u = tuple(sum(k * v[i] for k, v in zip(indices, self.lattice))
-                      for i in range(self.nvars))
+        indices, shifts = self._box(order)
+        for k, u in zip(indices.tolist(), shifts.tolist()):
             coeff = term_coefficient(self.gamma.components, u, self.weight)
-            if coeff.is_zero():
-                continue
-            terms.append(SeriesTerm(u, indices, coeff))
+            if not coeff.is_zero():
+                terms.append(SeriesTerm(tuple(u), tuple(k), coeff))
         terms.sort(key=lambda t: (max((abs(k) for k in t.indices), default=0),
                                   t.indices))
         return terms
@@ -208,7 +225,9 @@ class CanonicalSeries:
                  coeffs: Sequence[float], order: int) -> Tuple[float, float]:
         """(value, tail_estimate) of the truncated series at positive
         coefficients; raises DivergentArgument outside the convergence
-        region implied by the lattice arguments."""
+        region implied by the lattice arguments.  Each term is a product of
+        one tabulated factor per component, summed in log space with a
+        single exp."""
         args = self.argument_values(coeffs)
         if self.rank == 1:
             if abs(args[0]) >= 1:
@@ -217,17 +236,25 @@ class CanonicalSeries:
             x, y = args
             if math.sqrt(abs(x)) + math.sqrt(abs(y)) >= 1:
                 raise DivergentArgument("sqrt|x| + sqrt|y| >= 1")
-        gamma_num = [g.evaluate(assignment) for g in self.gamma.components]
-        prefactor = 1.0
-        for c, g in zip(coeffs, gamma_num):
-            prefactor *= c ** g
-        total = 0.0
-        tail = 0.0
-        for term in self.enumerate_terms(order):
-            value = term.coefficient.evaluate(assignment)
-            for c, e in zip(coeffs, term.shift):
-                value *= c ** e
-            total += value
-            if max((abs(k) for k in term.indices), default=0) == order:
-                tail += abs(value)
-        return prefactor * total, prefactor * tail
+        gamma = [g.evaluate(assignment) for g in self.gamma.components]
+        prefactor = math.prod(c ** g for c, g in zip(coeffs, gamma))
+        indices, shifts = self._box(order)
+        # the falling factorial [g]_{-x} passes through 0 once x < -g
+        keep = np.ones(len(shifts), dtype=bool)
+        for i, g in enumerate(gamma):
+            k = as_nonpositive_int(-g)
+            if k is not None:
+                keep &= shifts[:, i] >= k
+        indices, shifts = indices[keep], shifts[keep]
+        logs = np.zeros(len(shifts))
+        signs = np.ones(len(shifts))
+        for i, (g, c) in enumerate(zip(gamma, coeffs)):
+            column = shifts[:, i]
+            lo = int(column.min())
+            log_row, sign_row = _factor_table(g, c, lo, int(column.max()))
+            logs += log_row[column - lo]
+            signs *= sign_row[column - lo]
+        values = signs * np.exp(logs)
+        shell = np.abs(indices).max(axis=1, initial=0) == order
+        return (prefactor * float(values.sum()),
+                prefactor * float(np.abs(values[shell]).sum()))

@@ -159,3 +159,11 @@ def test_no_deformation_when_codim_positive():
     deformed, info = deform(g)
     assert not info.applied
     assert deformed.terms == g.terms
+
+
+def test_amatrix_rejects_ones_outside_row_span():
+    AMatrix([[1, 1, 1], [0, 1, 2]])
+    with pytest.raises(ValueError):
+        AMatrix([[1, 0, -1]])
+    with pytest.raises(ValueError):
+        AMatrix([[1, 1, 1], [0, 1]])

@@ -2,12 +2,13 @@
 
 import math
 import random
+import sys
 
 import pytest
 
 from feyngkz.errors import PoleError
 from feyngkz.params import ParamLinear
-from feyngkz.pochhammer import PochhammerProduct, poch_numeric
+from feyngkz.pochhammer import PochhammerProduct, log_poch, poch_numeric
 
 
 def _direct_rising(a, m):
@@ -109,3 +110,17 @@ def test_product_merge_and_multiply():
     value = p.evaluate({"a1": 0.7})
     single = q.evaluate({"a1": 0.7})
     assert close(value, single * single)
+
+
+def test_log_poch_ratio_of_overflowing_products():
+    """(0.5)_300 and (0.75)_300 each overflow a float; their ratio does not."""
+    a1, a2 = ParamLinear.param("a1"), ParamLinear.param("a2")
+    assert log_poch(0.5, 300)[0] > math.log(sys.float_info.max)
+    with pytest.raises(OverflowError):
+        poch_numeric(0.5, 300)
+    ratio = PochhammerProduct.make(1, [(a1, 300)], [(a2, 300)])
+    direct = 1.0
+    for k in range(300):
+        direct *= (0.5 + k) / (0.75 + k)
+    assert ratio.evaluate({"a1": 0.5, "a2": 0.75}) == pytest.approx(
+        direct, rel=1e-12)

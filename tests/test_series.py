@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from feyngkz import pipeline
-from feyngkz.errors import DivergentArgument
+from feyngkz.errors import DivergentArgument, PoleError
 from feyngkz.fixtures import fixtures
 from feyngkz.params import ParamLinear
 from feyngkz.series import term_coefficient
@@ -148,3 +148,58 @@ def test_truncation_tail_reported():
     v40, t40 = rep.series[0].evaluate(spec.assignment(), coeffs, 40)
     assert abs(v40 - v20) <= 10 * t20
     assert t40 < t20
+
+
+def _convergent_coeffs(series, t=0.25):
+    """c = exp(-t * sum of the lattice generators): every lattice argument
+    of the fixtures' series is then well inside its convergence region."""
+    total = [sum(v[i] for v in series.lattice) for i in range(series.nvars)]
+    return [math.exp(-t * x) for x in total]
+
+
+def _reference_sum(series, assignment, coeffs, order):
+    """sum over the symbolic terms of coefficient * c^shift, times c^gamma."""
+    total = 0.0
+    for term in series.enumerate_terms(order):
+        value = term.coefficient.evaluate(assignment)
+        for c, e in zip(coeffs, term.shift):
+            value *= c ** e
+        total += value
+    for c, g in zip(coeffs, series.gamma.components):
+        total *= c ** g.evaluate(assignment)
+    return total
+
+
+def test_evaluate_matches_symbolic_reference_on_every_fixture():
+    for name, spec in fixtures().items():
+        rep = pipeline.run(spec)
+        assignment = spec.assignment()
+        for series in rep.series:
+            coeffs = _convergent_coeffs(series)
+            value, _ = series.evaluate(assignment, coeffs, spec.order)
+            reference = _reference_sum(series, assignment, coeffs, spec.order)
+            assert value == pytest.approx(reference, rel=1e-12), name
+
+
+def test_box_interior_order_80_is_finite_and_converged():
+    spec = fixtures()["box"]
+    spec.alpha = [0.7, 0.6, 0.65, 0.75]
+    rep = pipeline.run(spec)
+    coeffs = pipeline.coefficient_values(spec, rep.column_exponents,
+                                         rep.polynomial)
+    v80 = rep.bundle.evaluate(spec.assignment(), coeffs, 80)
+    v60 = rep.bundle.evaluate(spec.assignment(), coeffs, 60)
+    assert math.isfinite(v80)
+    assert v80 == pytest.approx(v60, rel=1e-12)
+
+
+def test_vanishing_denominator_raises_pole_error():
+    # gamma_2 = -a1 + a2 = -1, so (gamma_2 + 1)_x = (0)_x for every x > 0
+    spec = fixtures()["2f1-double"]
+    rep = pipeline.run(spec)
+    assignment = dict(spec.assignment(), a1=1.5, a2=0.5)
+    series = rep.series[0]
+    with pytest.raises(PoleError):
+        series.evaluate(assignment, [1.0, 1.0, 1.0, 2.0], 10)
+    with pytest.raises(PoleError):
+        _reference_sum(series, assignment, [1.0, 1.0, 1.0, 2.0], 10)
