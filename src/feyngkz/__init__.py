@@ -5,8 +5,9 @@ from .constants import (SolutionBundle, deformation_limit_probe,
                         gamma_constant, numeric_constants)
 from .errors import (DeformationFailed, DimensionMismatch, DivergentArgument,
                      FeynGKZError, IllConditioned, InconsistentPair,
-                     NoZeroComponent, NonConvergent, NonGenericWeight,
-                     PoleError, SingularM, UnderdeterminedPair)
+                     NoZeroComponent, NonConvergent, NonFiniteValue,
+                     NonGenericWeight, PoleError, SingularM,
+                     UnderdeterminedPair)
 from .gammafn import GammaFactor, gamma_signed, log_gamma_signed
 from .gkz import (AMatrix, FakeExponent, StandardPair, deform, fake_exponents,
                   initial_ideal, kernel_lattice, standard_kappa,

@@ -30,6 +30,10 @@ EXIT_NONCONVERGENT = 5
 EXIT_DIVERGENT = 6
 EXIT_VERIFY_FAILED = 7
 EXIT_ENGINE = 1
+_EXIT_CODES = [(NonGenericWeight, EXIT_NONGENERIC),
+               (UnderdeterminedPair, EXIT_UNDERDETERMINED),
+               (NonConvergent, EXIT_NONCONVERGENT),
+               (DivergentArgument, EXIT_DIVERGENT), (FeynGKZError, EXIT_ENGINE)]
 
 
 def _load_spec(args) -> pipeline.ProblemSpec:
@@ -110,7 +114,7 @@ def cmd_verify(args) -> int:
     data = report.to_dict()
     payload = {key: data.get(key) for key in
                ("series_value", "oracle", "relative_deviation")}
-    ok = bool(report.relative_deviation is not None
+    ok = bool(report.oracle is not None and report.oracle.target_met
               and report.relative_deviation < spec.tolerance)
     payload["tolerance"] = spec.tolerance
     payload["verified"] = ok
@@ -166,21 +170,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except NonGenericWeight as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NONGENERIC
-    except UnderdeterminedPair as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNDERDETERMINED
-    except NonConvergent as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NONCONVERGENT
-    except DivergentArgument as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGENT
     except FeynGKZError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_ENGINE
+        return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
 
 
 if __name__ == "__main__":

@@ -49,3 +49,7 @@ class IllConditioned(FeynGKZError):
 
 class DivergentArgument(FeynGKZError):
     """A series was evaluated outside its region of convergence."""
+
+
+class NonFiniteValue(FeynGKZError):
+    """A series or oracle value came out as inf or nan."""

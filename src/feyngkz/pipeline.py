@@ -8,12 +8,13 @@ a ResultReport whose ``to_dict`` is JSON-ready.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import gkz, graphs
 from .constants import SolutionBundle, gamma_constant
-from .errors import NoZeroComponent
+from .errors import DimensionMismatch, NonFiniteValue, NoZeroComponent
 from .gammafn import GammaFactor
 from .gkz import AMatrix, Deformation, FakeExponent, StandardPair
 from .graphs import GraphSpec
@@ -164,10 +165,12 @@ def default_weight(ncols: int, deformed: bool) -> Tuple[int, ...]:
 def coefficient_values(spec: ProblemSpec, report_columns, poly: KPoly) -> List[float]:
     if spec.coefficients is not None:
         return list(spec.coefficients)
-    values = []
-    for expo in report_columns:
-        values.append(coeff_evaluate(poly.terms[expo], spec.kinematics))
-    return values
+    if report_columns is None:
+        raise DimensionMismatch(
+            f"spec {spec.name!r} has no polynomial to read coefficients from; "
+            "give 'coefficients', one per column of A")
+    return [coeff_evaluate(poly.terms[expo], spec.kinematics)
+            for expo in report_columns]
 
 
 def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
@@ -221,16 +224,17 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
         assignment = spec.assignment()
         coeffs = coefficient_values(spec, columns, poly)
         report.coefficient_values = coeffs
-        report.series_value = report.bundle.evaluate(
-            assignment, coeffs, spec.order)
+        report.series_value = float(report.bundle.evaluate(
+            assignment, coeffs, spec.order))
         beta = assignment["beta"] if "beta" in assignment else spec.d / 2.0
         alpha = [assignment[f"a{i + 1}"] for i in range(poly.nvars)]
         qspec = QuadratureSpec(exponents=list(columns),
                                coefficients=coeffs, alpha=alpha, beta=beta,
                                target_tolerance=spec.tolerance * 1e-2)
         report.oracle = quadrature(qspec)
-        report.series_value = float(report.series_value)
-        report.relative_deviation = float(abs(report.series_value -
-                                              report.oracle.value)
-                                          / abs(report.oracle.value))
+        if not all(map(math.isfinite, (report.series_value, report.oracle.value))):
+            raise NonFiniteValue(f"series value {report.series_value}, "
+                                 f"oracle value {report.oracle.value}")
+        report.relative_deviation = float(
+            abs(report.series_value - report.oracle.value) / abs(report.oracle.value))
     return report

@@ -1,28 +1,31 @@
 """Direct numeric evaluation of  I = int_{R_+^N} z^alpha g(z)^-beta dz/z.
 
-The exponential chart z = e^x turns the integrand into a smooth function on
-R^N that decays exponentially in every direction whenever alpha/beta lies in
-the interior of the Newton polytope of g.  A sinh substitution per axis makes
-the decay doubly exponential, so the trapezoid rule converges geometrically;
-for N <= 3 a tensor product of such rules is used, for N = 4 a scrambled
-Sobol rule on the sinh-transformed box.
+A linear program first decides exactly whether I converges (alpha/beta in
+the interior of the Newton polytope of g).  The oracle then works on one
+integrand, exp(c) z^alpha prod_k g_k^-beta_k, and integrates out in closed
+form each variable that appears in one factor only, with degree 1 there:
+int_0^inf x^a (x P + Q)^-b dx/x = B(a, b - a) P^-a Q^(a-b).  What is left
+is integrated on the chart z = e^x with a sinh substitution per axis (doubly
+exponential decay): a tensor trapezoid rule for up to 3 variables, a
+scrambled Sobol rule for 4, nothing for 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.special import logsumexp
 from scipy.stats import qmc
 
 from .errors import DimensionMismatch, NonConvergent
 
 _DECAY_DROP = 45.0          # required drop of log f along each axis
 _PROBE_LIMIT = 2000.0       # how far out to look for the drop
+_NODE_BUDGET = 1 << 17      # tensor nodes summed per vectorised chunk
 
 
 @dataclass
@@ -49,19 +52,81 @@ class QuadratureResult:
     error: float
     method: str
     nodes: int
+    target_met: bool        # error <= target_tolerance * |value|
+    dims: int               # variables integrated numerically
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "error": self.error,
-                "method": self.method, "nodes": self.nodes}
+        return dict(vars(self))
 
 
-def _log_integrand(spec: QuadratureSpec, points: np.ndarray) -> np.ndarray:
-    """log f at an (..., N) array of chart points x (z = e^x)."""
-    expmat = np.asarray(spec.exponents, dtype=float)
-    logc = np.log(np.asarray(spec.coefficients, dtype=float))
-    alpha = np.asarray(spec.alpha, dtype=float)
-    logg = logsumexp(points @ expmat.T + logc, axis=-1)
-    return points @ alpha - spec.beta * logg
+class Factor(NamedTuple):
+    """sum_t exp(logc_t) z^expmat_t, raised to the power -beta."""
+    expmat: np.ndarray
+    logc: np.ndarray
+    beta: float
+
+
+@dataclass
+class Integrand:
+    """exp(log_prefactor) z^alpha prod_k g_k^-beta_k."""
+    alpha: np.ndarray
+    factors: List[Factor]
+    log_prefactor: float = 0.0
+
+    @classmethod
+    def from_spec(cls, spec: QuadratureSpec) -> "Integrand":
+        return cls(np.asarray(spec.alpha, dtype=float), []).times(
+            np.reshape(spec.exponents, (-1, spec.ndim)),
+            np.log(spec.coefficients), spec.beta)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.alpha)
+
+    def log(self, points: np.ndarray) -> np.ndarray:
+        """log f at an (..., N) array of chart points x (z = e^x)."""
+        out = points @ self.alpha + self.log_prefactor
+        for expmat, logc, beta in self.factors:
+            terms = points @ expmat.T + logc
+            top = terms.max(axis=-1)
+            out = out - beta * (top + np.log(
+                np.exp(terms - top[..., None]).sum(axis=-1)))
+        return out
+
+    def times(self, expmat: np.ndarray, logc: np.ndarray,
+              beta: float) -> "Integrand":
+        """This integrand times g^-beta, g divided by its monomial content;
+        a single-term g only moves alpha and the prefactor."""
+        content = expmat.min(axis=0)
+        alpha = self.alpha - beta * content
+        if len(logc) == 1:
+            return Integrand(alpha, self.factors,
+                             self.log_prefactor - beta * float(logc[0]))
+        return Integrand(alpha, self.factors + [
+            Factor(expmat - content, logc, beta)], self.log_prefactor)
+
+
+def reduce_linear(f: Integrand) -> Integrand:
+    """Integrate out a variable that appears in exactly one factor g, with
+    degree 1 there, and repeat until there is none."""
+    for i in range(f.ndim):
+        holders = [g for g in f.factors if g.expmat[:, i].any()]
+        if len(holders) != 1 or holders[0].expmat[:, i].max() > 1:
+            continue
+        g, a = holders[0], float(f.alpha[i])
+        if not 0.0 < a < g.beta:
+            raise NonConvergent(f"the Beta integral B({a:.6g}, "
+                                f"{g.beta - a:.6g}) over z{i + 1} diverges")
+        keep, x = np.arange(f.ndim) != i, g.expmat[:, i] == 1
+        rest = Integrand(f.alpha[keep],
+                         [Factor(h.expmat[:, keep], h.logc, h.beta)
+                          for h in f.factors if h is not g],
+                         f.log_prefactor + math.lgamma(a)
+                         + math.lgamma(g.beta - a) - math.lgamma(g.beta))
+        return reduce_linear(
+            rest.times(g.expmat[x][:, keep], g.logc[x], a).times(
+                g.expmat[~x][:, keep], g.logc[~x], g.beta - a))
+    return f
 
 
 def convergence_margin(spec: QuadratureSpec) -> float:
@@ -94,107 +159,93 @@ def _check_convergent(spec: QuadratureSpec):
             f"of g (margin {margin:.3g}); the integral diverges")
 
 
-def _axis_truncations(spec: QuadratureSpec) -> List[float]:
-    """Radius per axis at which log f has dropped _DECAY_DROP below log f(0);
-    raises NonConvergent when the integrand fails to decay."""
-    _check_convergent(spec)
-    log_f0 = float(_log_integrand(spec, np.zeros((1, spec.ndim)))[0])
-    radii = []
-    for axis in range(spec.ndim):
-        worst = 0.0
-        for direction in (+1.0, -1.0):
-            r = 1.0
-            previous = log_f0
-            while True:
-                point = np.zeros((1, spec.ndim))
-                point[0, axis] = direction * r
-                value = float(_log_integrand(spec, point)[0])
-                if value <= log_f0 - _DECAY_DROP:
-                    break
-                if r >= _PROBE_LIMIT:
-                    raise NonConvergent(
-                        f"integrand does not decay along axis {axis + 1} "
-                        f"(direction {direction:+.0f})")
-                if value > previous + 1e-12 and r > 32:
-                    raise NonConvergent(
-                        f"integrand grows along axis {axis + 1}")
-                previous = value
-                r *= 1.5
-            worst = max(worst, r)
-        radii.append(worst)
+def _axis_truncations(f: Integrand) -> List[float]:
+    """Radius per axis at which log f has dropped _DECAY_DROP below log f(0)
+    both ways; raises NonConvergent when the integrand fails to decay."""
+    log_f0 = float(f.log(np.zeros(f.ndim)))
+    radii = [0.0] * f.ndim
+    for axis, direction in itertools.product(range(f.ndim), (1.0, -1.0)):
+        r, previous = 1.0, log_f0
+        while True:
+            value = float(f.log(direction * r * np.eye(f.ndim)[axis]))
+            if value <= log_f0 - _DECAY_DROP:
+                break
+            if r >= _PROBE_LIMIT:
+                raise NonConvergent(
+                    f"integrand does not decay along axis {axis + 1} "
+                    f"(direction {direction:+.0f})")
+            if value > previous + 1e-12 and r > 32:
+                raise NonConvergent(f"integrand grows along axis {axis + 1}")
+            previous, r = value, r * 1.5
+        radii[axis] = max(radii[axis], r)
     return radii
 
 
-def _de_axis(vmax: float, step: float):
-    u = np.arange(-vmax, vmax + 0.5 * step, step)
-    return np.sinh(u), step * np.cosh(u)
-
-
-def _tensor_pass(spec: QuadratureSpec, vmaxes: Sequence[float],
+def _tensor_pass(f: Integrand, vmaxes: Sequence[float],
                  step: float) -> Tuple[float, int]:
-    axes = [_de_axis(v, step) for v in vmaxes]
-    nodes = [len(x) for x, _ in axes]
+    """Trapezoid sum over the whole grid, in chunks of whole first-axis
+    slices: about _NODE_BUDGET nodes, and never less than one slice."""
+    axes = [(np.sinh(u), step * np.cosh(u))
+            for u in (np.arange(-v, v + 0.5 * step, step) for v in vmaxes)]
+    rest = np.stack(np.meshgrid(np.zeros(1), *[x for x, _ in axes[1:]],
+                                indexing="ij"), axis=-1).reshape(-1, f.ndim)
+    rest_w = np.prod(np.meshgrid(np.ones(1), *[w for _, w in axes[1:]],
+                                 indexing="ij"), axis=0).ravel()
+    (x0, w0), rows = axes[0], max(1, _NODE_BUDGET // len(rest_w))
     total = 0.0
-    if spec.ndim == 1:
-        x, w = axes[0]
-        total = float(np.sum(np.exp(_log_integrand(spec, x[:, None])) * w))
-        return total, nodes[0]
-    rest = np.meshgrid(*[x for x, _ in axes[1:]], indexing="ij")
-    rest_w = np.ones_like(rest[0])
-    for wg in np.meshgrid(*[w for _, w in axes[1:]], indexing="ij"):
-        rest_w = rest_w * wg
-    x0, w0 = axes[0]
-    for xv, wv in zip(x0, w0):
-        stack = np.stack([np.full_like(rest[0], xv)] + list(rest), axis=-1)
-        values = np.exp(_log_integrand(spec, stack))
-        total += wv * float(np.sum(values * rest_w))
-    return total, int(np.prod(nodes))
+    for start in range(0, len(x0), rows):
+        points = np.repeat(rest[None], len(x0[start:start + rows]), axis=0)
+        points[..., 0] = x0[start:start + rows, None]
+        total += float(w0[start:start + rows] @ np.exp(f.log(points)) @ rest_w)
+    return total, len(x0) * len(rest_w)
 
 
-def tanh_sinh_tensor(spec: QuadratureSpec) -> QuadratureResult:
-    """Tensor-product double-exponential rule for N <= 3."""
-    radii = _axis_truncations(spec)
-    vmaxes = [math.asinh(r) + 0.4 for r in radii]
-    step = 0.2
-    value, nodes = _tensor_pass(spec, vmaxes, step)
+def tanh_sinh_tensor(f: Integrand, target: float) -> QuadratureResult:
+    """Tensor-product double-exponential rule, halving the step until two
+    passes agree to the relative target or the step falls below 0.02."""
+    vmaxes = [math.asinh(r) + 0.4 for r in _axis_truncations(f)]
+    value, step = _tensor_pass(f, vmaxes, 0.2)[0], 0.1
     while True:
+        refined, nodes = _tensor_pass(f, vmaxes, step)
+        error, value = abs(refined - value), refined
+        if error <= target * max(abs(refined), 1e-300) or step < 0.02:
+            break
         step /= 2.0
-        refined, nodes = _tensor_pass(spec, vmaxes, step)
-        error = abs(refined - value)
-        value = refined
-        if error <= spec.target_tolerance * max(abs(refined), 1e-300):
-            break
-        if step < 0.02:
-            break
-    return QuadratureResult(value, error, "tanh-sinh-tensor", nodes)
+    return QuadratureResult(value, error, "tanh-sinh-tensor", nodes,
+                            error <= target * abs(value), f.ndim)
 
 
 def qmc_sobol(spec: QuadratureSpec, log2_points: int = 18,
               replicates: int = 8, seed: int = 20240) -> QuadratureResult:
-    """Scrambled Sobol rule on the sinh-transformed box (used for N = 4)."""
-    radii = _axis_truncations(spec)
-    vmaxes = np.array([math.asinh(r) + 0.4 for r in radii])
+    """Scrambled Sobol rule on the sinh-transformed box of the reduced
+    integrand (quadrature uses it when 4 variables remain)."""
+    _check_convergent(spec)
+    f = reduce_linear(Integrand.from_spec(spec))
+    vmaxes = np.array([math.asinh(r) + 0.4 for r in _axis_truncations(f)])
     estimates = []
     for rep in range(replicates):
-        sampler = qmc.Sobol(d=spec.ndim, scramble=True, seed=seed + rep)
-        u = sampler.random_base2(m=log2_points)
-        v = (2.0 * u - 1.0) * vmaxes
-        x = np.sinh(v)
+        sampler = qmc.Sobol(d=f.ndim, scramble=True, seed=seed + rep)
+        v = (2.0 * sampler.random_base2(m=log2_points) - 1.0) * vmaxes
         logw = np.sum(np.log(2.0 * vmaxes) + np.log(np.cosh(v)), axis=1)
-        values = np.exp(_log_integrand(spec, x) + logw)
-        estimates.append(float(np.mean(values)))
+        estimates.append(float(np.mean(np.exp(f.log(np.sinh(v)) + logw))))
     value = float(np.mean(estimates))
-    spread = float(np.std(estimates, ddof=1)) / math.sqrt(replicates)
-    return QuadratureResult(value, 2.0 * spread, "qmc-sobol",
-                            replicates * 2 ** log2_points)
+    error = 2.0 * float(np.std(estimates, ddof=1)) / math.sqrt(replicates)
+    return QuadratureResult(value, error, "qmc-sobol",
+                            replicates * 2 ** log2_points,
+                            error <= spec.target_tolerance * abs(value), f.ndim)
 
 
 def quadrature(spec: QuadratureSpec) -> QuadratureResult:
-    if spec.ndim <= 3:
-        return tanh_sinh_tensor(spec)
-    if spec.ndim == 4:
-        result = qmc_sobol(spec)
-        if result.error > spec.target_tolerance * abs(result.value):
-            result = qmc_sobol(spec, log2_points=20)
-        return result
-    raise DimensionMismatch("quadrature oracle supports up to 4 variables")
+    if spec.ndim > 4:
+        raise DimensionMismatch("quadrature oracle supports up to 4 variables")
+    _check_convergent(spec)         # exact, on the original g
+    f = reduce_linear(Integrand.from_spec(spec))
+    if f.ndim == 0:
+        return QuadratureResult(math.exp(f.log(np.zeros(0))), 0.0,
+                                "closed-form", 0, True, 0)
+    if f.ndim <= 3:
+        return tanh_sinh_tensor(f, spec.target_tolerance)
+    result = qmc_sobol(spec)
+    if not result.target_met:
+        result = qmc_sobol(spec, log2_points=20)
+    return result

@@ -50,6 +50,25 @@ def test_verify_verb_success(capsys):
     assert data["relative_deviation"] < 1e-6
 
 
+def test_verify_fails_when_oracle_misses_target(capsys, monkeypatch):
+    from feyngkz import pipeline
+    real = pipeline.quadrature
+
+    def missed(spec):
+        result = real(spec)
+        result.target_met = False
+        return result
+
+    monkeypatch.setattr(pipeline, "quadrature", missed)
+    code, out, _ = _run(capsys, "verify", "--fixture", "2f1-double", "--json")
+    assert code == cli.EXIT_VERIFY_FAILED
+    data = json.loads(out)
+    assert data["verified"] is False
+    assert data["oracle"]["target_met"] is False
+    assert data["oracle"]["dims"] == 1
+    assert data["relative_deviation"] < 1e-6
+
+
 def test_verify_divergent_argument_exit_code(capsys):
     # the default weight orientation puts the bubble argument outside |x| < 1
     code, _, err = _run(capsys, "verify", "--fixture", "one-mass-bubble")

@@ -1,0 +1,46 @@
+"""pipeline.run(verify=True): live oracle checks and typed failures."""
+
+import math
+
+import pytest
+
+from feyngkz import pipeline
+from feyngkz.constants import SolutionBundle
+from feyngkz.errors import DimensionMismatch, NonFiniteValue
+from feyngkz.fixtures import fixtures
+
+
+def test_sunset_interior_verify():
+    """Criterion 6's interior point, now reduced to one dimension."""
+    spec = fixtures()["sunset-1mass"]
+    spec.alpha = [1.23, 2.11, 1.37]
+    spec.coefficients = [1.6, 1.0, 1.0, 1.0, 1.0]
+    report = pipeline.run(spec, verify=True)
+    assert report.relative_deviation <= 1e-8
+    frozen = 10.242082356613563
+    assert abs(report.oracle.value - frozen) / frozen <= 1e-6
+    assert report.oracle.target_met
+
+
+def test_box_interior_verify_meets_target():
+    spec = fixtures()["box"]
+    spec.alpha = [0.7, 0.6, 0.65, 0.75]
+    report = pipeline.run(spec, verify=True)
+    assert report.oracle.target_met
+    assert report.oracle.dims == 2
+    assert report.to_dict()["oracle"]["target_met"] is True
+
+
+def test_missing_coefficients_is_typed():
+    spec = fixtures()["2f1-single"]
+    report = pipeline.run(spec)
+    with pytest.raises(DimensionMismatch, match="'coefficients'"):
+        pipeline.coefficient_values(spec, report.column_exponents,
+                                    report.polynomial)
+
+
+def test_non_finite_series_value_raises(monkeypatch):
+    monkeypatch.setattr(SolutionBundle, "evaluate",
+                        lambda self, *args: math.nan)
+    with pytest.raises(NonFiniteValue, match="series"):
+        pipeline.run(fixtures()["2f1-double"], verify=True)

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from feyngkz import pipeline
 from feyngkz.errors import DimensionMismatch, NonConvergent
-from feyngkz.quadrature import (QuadratureSpec, convergence_margin,
-                                qmc_sobol, quadrature)
+from feyngkz.fixtures import fixtures
+from feyngkz.quadrature import (Integrand, QuadratureSpec, convergence_margin,
+                                qmc_sobol, quadrature, reduce_linear)
 
 
 def _spec(exponents, coefficients, alpha, beta, tol=1e-10):
@@ -99,3 +101,48 @@ def test_dimension_limit():
     spec = _spec(exponents, [1.0] * 5, [0.2] * 5, 1.5)
     with pytest.raises(DimensionMismatch):
         quadrature(spec)
+
+
+def _reduced_dims(exponents):
+    """Dimension left after the linear reduction, at alpha/beta = the
+    centroid of the support (interior whenever the integral can converge)."""
+    ndim = len(exponents[0])
+    alpha = [sum(e[i] for e in exponents) / len(exponents)
+             for i in range(ndim)]
+    spec = _spec(list(exponents), [1.0] * len(exponents), alpha, 1.0)
+    return reduce_linear(Integrand.from_spec(spec)).ndim
+
+
+def test_reduced_dimension_per_fixture():
+    expected = {"2f1-double": (2, 1), "cantaloupe-2": (3, 1),
+                "sunset-1mass": (3, 1), "box": (4, 2), "party-hat": (4, 2),
+                "triangle-3scale": (3, 2)}
+    for name, (before, after) in expected.items():
+        columns = pipeline.run(fixtures()[name]).column_exponents
+        assert (len(columns[0]), _reduced_dims(columns)) == (before, after), name
+
+
+def test_no_linear_variable_keeps_four_dimensions():
+    """Every variable has degree 2, so nothing reduces and the oracle
+    would fall back to the Sobol rule."""
+    exponents = [(0, 0, 0, 0)] + [tuple(2 * int(i == j) for j in range(4))
+                                  for i in range(4)]
+    assert _reduced_dims(exponents) == 4
+
+
+def test_one_dimensional_beta_integral_is_closed_form():
+    a, b, c1, c2 = 0.7, 1.9, 1.3, 0.6
+    res = quadrature(_spec([(0,), (1,)], [c1, c2], [a], b))
+    exact = (c1 ** (a - b) * c2 ** (-a)
+             * math.gamma(a) * math.gamma(b - a) / math.gamma(b))
+    assert (res.dims, res.nodes, res.method) == (0, 0, "closed-form")
+    assert res.target_met
+    assert abs(res.value - exact) / exact < 1e-13
+
+
+def test_reduction_rejects_divergent_beta_integral():
+    """alpha_1 >= beta: the integral over the linear variable z1 diverges."""
+    f = Integrand.from_spec(_spec([(0, 0), (1, 0), (0, 1), (0, 2)],
+                                  [1.0] * 4, [2.0, 0.5], 1.5))
+    with pytest.raises(NonConvergent):
+        reduce_linear(f)
