@@ -166,9 +166,8 @@ def coefficient_values(spec: ProblemSpec, report_columns, poly: KPoly) -> List[f
     if spec.coefficients is not None:
         return list(spec.coefficients)
     if report_columns is None:
-        raise DimensionMismatch(
-            f"spec {spec.name!r} has no polynomial to read coefficients from; "
-            "give 'coefficients', one per column of A")
+        raise DimensionMismatch(f"spec {spec.name!r} has no polynomial: give "
+                                "'coefficients', one per column of A")
     return [coeff_evaluate(poly.terms[expo], spec.kinematics)
             for expo in report_columns]
 
