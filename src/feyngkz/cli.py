@@ -14,7 +14,6 @@ Distinct exit codes flag the structured failure modes so scripts can react.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -128,15 +127,7 @@ def cmd_fixtures(args) -> int:
         spec = table.get(args.name)
         if spec is None:
             raise SystemExit(f"unknown fixture {args.name!r}")
-        payload = {"name": spec.name, "weight": list(spec.weight or ()),
-                   "alpha": spec.alpha, "d": spec.d,
-                   "kinematics": spec.kinematics, "order": spec.order}
-        if spec.graph is not None:
-            payload["graph"] = dataclasses.asdict(spec.graph)
-        if spec.terms is not None:
-            payload["polynomial"] = [{"exponents": list(e), "coeff": c}
-                                     for e, c in spec.terms]
-        _emit(args, payload)
+        _emit(args, spec.to_dict())
     else:
         _emit(args, {"fixtures": sorted(table)})
     return 0

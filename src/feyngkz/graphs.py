@@ -19,7 +19,8 @@ from typing import List, Mapping
 
 from .errors import DimensionMismatch, SingularM
 from .gammafn import GammaFactor
-from .kpoly import (Coeff, KPoly, adjugate, coeff_const, coeff_from, det)
+from .kpoly import (Coeff, KPoly, adjugate, coeff_const, coeff_from,
+                    coeff_to_dict, det, rational_json)
 from .params import ParamLinear
 
 
@@ -70,6 +71,21 @@ class GraphSpec:
         return cls(L=data["L"], E=E, propagators=props,
                    invariants=list(data.get("invariants", [])),
                    momentum_products=mp)
+
+    def to_dict(self) -> dict:
+        """Inverse of from_dict."""
+        def rows(block):
+            return [[rational_json(x) for x in row] for row in block]
+        mp = self.momentum_products
+        products = {f"p{s + 1}.p{t + 1}": coeff_to_dict(mp[s][t])
+                    for s in range(self.E) for t in range(s, self.E)
+                    if mp[s][t]}
+        return {"L": self.L, "E": self.E,
+                "propagators": [{"M": rows(p.M), "Q": rows(p.Q),
+                                 "J": coeff_to_dict(p.J)}
+                                for p in self.propagators],
+                "invariants": list(self.invariants),
+                "momentum_products": products}
 
 
 def assemble_mqj(spec: GraphSpec):

@@ -32,6 +32,16 @@ def coeff_from(spec: Mapping[str, object]) -> Coeff:
     return {k: v for k, v in out.items() if v}
 
 
+def rational_json(q: Fraction):
+    """q as a JSON integer when integral, else as the text "p/q"."""
+    return q.numerator if q.denominator == 1 else str(q)
+
+
+def coeff_to_dict(a: Coeff) -> Dict[str, object]:
+    """Inverse of coeff_from (whose symbols are single invariants)."""
+    return {"*".join(mono) or "1": rational_json(q) for mono, q in a.items()}
+
+
 def coeff_add(a: Coeff, b: Coeff) -> Coeff:
     out = dict(a)
     for mono, q in b.items():

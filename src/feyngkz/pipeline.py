@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, NonFiniteValue, NoZeroComponent
 from .gammafn import GammaFactor
 from .gkz import AMatrix, Deformation, FakeExponent, StandardPair
 from .graphs import GraphSpec
-from .kpoly import Coeff, KPoly, coeff_evaluate, coeff_from
+from .kpoly import Coeff, KPoly, coeff_evaluate, coeff_from, coeff_to_dict
 from .params import ParamLinear
 from .quadrature import QuadratureResult, QuadratureSpec, quadrature
 from .series import CanonicalSeries, HypergeometricForm
@@ -70,6 +70,25 @@ class ProblemSpec:
         spec.order = int(data.get("order", 40))
         spec.tolerance = float(data.get("tolerance", 1e-6))
         return spec
+
+    def to_dict(self) -> dict:
+        """Inverse of from_dict, JSON-ready."""
+        out = {"name": self.name, "deformation": self.deformation,
+               "kinematics": dict(self.kinematics), "order": self.order,
+               "tolerance": self.tolerance}
+        if self.graph is not None:
+            out["graph"] = self.graph.to_dict()
+        if self.terms is not None:
+            out["polynomial"] = [{"exponents": list(e),
+                                  "coeff": coeff_to_dict(c)}
+                                 for e, c in self.terms]
+        if self.amatrix is not None:
+            out["amatrix"], out["kappa"] = self.amatrix.rows, self.kappa_names
+        optional = {"weight": self.weight, "alpha": self.alpha, "d": self.d,
+                    "parameters": self.parameters,
+                    "coefficients": self.coefficients}
+        out.update((k, v) for k, v in optional.items() if v is not None)
+        return out
 
     # -- derived quantities ------------------------------------------------
 

@@ -1,19 +1,22 @@
 """Direct numeric evaluation of  I = int_{R_+^N} z^alpha g(z)^-beta dz/z.
 
-A linear program decides exactly whether I converges (alpha/beta in the
-interior of the Newton polytope of g).  On the integrand exp(c) z^alpha
-prod_k g_k^-beta_k, each variable found in one factor only, with degree 1
-there, is integrated out: int_0^inf x^a (x P + Q)^-b dx/x = B(a, b-a) P^-a
-Q^(a-b).  What is left is summed on the chart z = e^x with a sinh
-substitution per axis: a tensor trapezoid rule for 1-3 variables, a
-scrambled Sobol rule for 4.  Nothing left means a closed form.
+On the integrand exp(c) z^alpha prod_k g_k^-beta_k, each variable found in
+one factor only, with degree 1 there, is integrated out: int_0^inf x^a
+(x P + Q)^-b dx/x = B(a, b-a) P^-a Q^(a-b), which converges iff 0 < a < b.
+Convergence of what is left is then decided exactly (alpha in the interior
+of sum_k beta_k Newt(g_k)): in closed form for one variable, by a small
+linear program for two or more.  The integrand is positive, so by Tonelli
+I converges iff every Beta step and the remainder do.  The remainder is
+summed on the chart z = e^x with a sinh substitution per axis: a tensor
+trapezoid rule for 1-3 variables, a scrambled Sobol rule for 4.  Nothing
+left means a closed form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -21,9 +24,12 @@ from scipy.optimize import linprog
 from scipy.stats import qmc
 
 from .errors import DimensionMismatch, NonConvergent
+from .intlinalg import integer_rank
 
 _DECAY_DROP = 45.0          # required drop of log f along each axis
 _PROBE_LIMIT = 2000.0       # how far out to look for the drop
+# probe radii 1, 1.5, 1.5^2, ... up to the first one past _PROBE_LIMIT
+_PROBE_RADII = 1.5 ** np.arange(math.ceil(math.log(_PROBE_LIMIT, 1.5)) + 1)
 _NODE_BUDGET = 1 << 17      # tensor nodes summed per vectorised chunk
 
 
@@ -53,6 +59,7 @@ class QuadratureResult:
     nodes: int
     target_met: bool        # error <= target_tolerance * |value|
     dims: int               # variables integrated numerically
+    margin: float           # convergence_margin of the reduced integrand
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -67,10 +74,13 @@ class Factor(NamedTuple):
 
 @dataclass
 class Integrand:
-    """exp(log_prefactor) z^alpha prod_k g_k^-beta_k."""
+    """exp(log_prefactor) z^alpha prod_k g_k^-beta_k; step_margin is the
+    least min(a, b - a)/b over the Beta steps that produced it (1 before
+    any)."""
     alpha: np.ndarray
     factors: List[Factor]
     log_prefactor: float = 0.0
+    step_margin: float = 1.0
 
     @classmethod
     def from_spec(cls, spec: QuadratureSpec) -> "Integrand":
@@ -99,10 +109,10 @@ class Integrand:
         content = expmat.min(axis=0)
         alpha = self.alpha - beta * content
         if len(logc) == 1:
-            return Integrand(alpha, self.factors,
-                             self.log_prefactor - beta * float(logc[0]))
-        return Integrand(alpha, self.factors + [
-            Factor(expmat - content, logc, beta)], self.log_prefactor)
+            return replace(self, alpha=alpha, log_prefactor=self.log_prefactor
+                           - beta * float(logc[0]))
+        return replace(self, alpha=alpha, factors=self.factors + [
+            Factor(expmat - content, logc, beta)])
 
 
 def reduce_linear(f: Integrand) -> Integrand:
@@ -121,63 +131,88 @@ def reduce_linear(f: Integrand) -> Integrand:
                          [Factor(h.expmat[:, keep], h.logc, h.beta)
                           for h in f.factors if h is not g],
                          f.log_prefactor + math.lgamma(a)
-                         + math.lgamma(g.beta - a) - math.lgamma(g.beta))
+                         + math.lgamma(g.beta - a) - math.lgamma(g.beta),
+                         min(f.step_margin, a / g.beta, 1.0 - a / g.beta))
         return reduce_linear(
             rest.times(g.expmat[x][:, keep], g.logc[x], a).times(
                 g.expmat[~x][:, keep], g.logc[~x], g.beta - a))
     return f
 
 
-def convergence_margin(spec: QuadratureSpec) -> float:
-    """Largest delta such that alpha/beta = sum_t lambda_t a_t with all
-    lambda_t >= delta; positive exactly when alpha/beta lies in the interior
-    of the Newton polytope of g, i.e. when the integral converges."""
-    expmat = np.asarray(spec.exponents, dtype=float)
-    nterms = expmat.shape[0]
-    # variables: (lambda_1..lambda_T, delta); maximize delta
+def convergence_margin(f: Integrand) -> float:
+    """How far the integral of f is from diverging; positive exactly when it
+    converges.  It is the smaller of f.step_margin and the margin of alpha
+    inside sum_k beta_k Newt(g_k) on the variables left:
+      none: nothing to add;
+      one: min(alpha, D - alpha)/D with D = sum_k beta_k deg g_k (every g_k
+        has lowest degree 0);
+      two or more: the largest delta with alpha = sum_k beta_k sum_t
+        lambda_kt a_kt, sum_t lambda_kt = 1 for each k and every
+        lambda_kt >= delta, from one linear program (for a single factor,
+        the margin of alpha/beta inside Newt(g)); -1 when no lambda fits or
+        the sum of the Newton polytopes is not full-dimensional."""
+    if f.ndim == 0:
+        return f.step_margin
+    if f.ndim == 1:
+        top = sum(g.beta * float(g.expmat.max()) for g in f.factors)
+        a = float(f.alpha[0])
+        return min(f.step_margin, a / top, 1.0 - a / top) if top > 0 else -1.0
+    if not f.factors or integer_rank(np.vstack(
+            [g.expmat - g.expmat[0] for g in f.factors]).tolist()) < f.ndim:
+        return -1.0
+    owner = np.repeat(np.arange(len(f.factors)),
+                      [len(g.logc) for g in f.factors])
+    nterms = len(owner)
+    # variables: (lambda_kt for every term of every factor, delta); max delta
     cost = np.zeros(nterms + 1)
     cost[-1] = -1.0
-    a_eq = np.zeros((spec.ndim + 1, nterms + 1))
-    a_eq[:spec.ndim, :nterms] = expmat.T
-    a_eq[spec.ndim, :nterms] = 1.0
-    b_eq = np.append(np.asarray(spec.alpha, dtype=float) / spec.beta, 1.0)
+    a_eq = np.zeros((f.ndim + len(f.factors), nterms + 1))
+    a_eq[:f.ndim, :nterms] = np.vstack(
+        [g.beta * g.expmat for g in f.factors]).T
+    a_eq[f.ndim + owner, np.arange(nterms)] = 1.0
+    b_eq = np.append(f.alpha, np.ones(len(f.factors)))
     a_ub = np.hstack([-np.eye(nterms), np.ones((nterms, 1))])
     result = linprog(cost, A_ub=a_ub, b_ub=np.zeros(nterms),
                      A_eq=a_eq, b_eq=b_eq,
                      bounds=[(None, None)] * (nterms + 1))
     if not result.success:
         return -1.0
-    return float(result.x[-1])
+    return min(f.step_margin, float(result.x[-1]))
 
 
-def _check_convergent(spec: QuadratureSpec):
-    margin = convergence_margin(spec)
+def _check_convergent(f: Integrand) -> float:
+    margin = convergence_margin(f)
     if margin <= 1e-9:
         raise NonConvergent(
-            "alpha/beta lies outside the interior of the Newton polytope "
-            f"of g (margin {margin:.3g}); the integral diverges")
+            "alpha lies outside the interior of sum_k beta_k Newt(g_k) "
+            f"(margin {margin:.3g}); the integral diverges")
+    return margin
 
 
 def _axis_truncations(f: Integrand) -> List[float]:
-    """Half-width per axis of the sinh-substituted box, from the radius at
-    which log f has dropped _DECAY_DROP below log f(0) both ways; raises
-    NonConvergent when the integrand fails to decay."""
-    log_f0 = float(f.log(np.zeros(f.ndim)))
+    """Half-width per axis of the sinh-substituted box, from the first probe
+    radius at which log f has dropped _DECAY_DROP below log f(0), both ways;
+    raises NonConvergent when the integrand fails to decay.  The origin and
+    every ray are evaluated in one call."""
+    rays = list(itertools.product(range(f.ndim), (1.0, -1.0)))
+    points = np.zeros((len(rays), len(_PROBE_RADII), f.ndim))
+    for row, (axis, direction) in enumerate(rays):
+        points[row, :, axis] = direction * _PROBE_RADII
+    values = f.log(np.concatenate([np.zeros((1, f.ndim)),
+                                   points.reshape(-1, f.ndim)]))
+    log_f0, values = values[0], values[1:].reshape(len(rays), -1)
     radii = [0.0] * f.ndim
-    for axis, direction in itertools.product(range(f.ndim), (1.0, -1.0)):
-        r, previous = 1.0, log_f0
-        while True:
-            value = float(f.log(direction * r * np.eye(f.ndim)[axis]))
-            if value <= log_f0 - _DECAY_DROP:
-                break
-            if r >= _PROBE_LIMIT:
-                raise NonConvergent(
-                    f"integrand does not decay along axis {axis + 1} "
-                    f"(direction {direction:+.0f})")
-            if value > previous + 1e-12 and r > 32:
-                raise NonConvergent(f"integrand grows along axis {axis + 1}")
-            previous, r = value, r * 1.5
-        radii[axis] = max(radii[axis], r)
+    for (axis, direction), row in zip(rays, values):
+        dropped = np.flatnonzero(row <= log_f0 - _DECAY_DROP)
+        k = dropped[0] if len(dropped) else len(row) - 1
+        rising = row > np.append(log_f0, row[:-1]) + 1e-12
+        if (rising & (_PROBE_RADII > 32))[:k].any():
+            raise NonConvergent(f"integrand grows along axis {axis + 1}")
+        if not len(dropped):
+            raise NonConvergent(
+                f"integrand does not decay along axis {axis + 1} "
+                f"(direction {direction:+.0f})")
+        radii[axis] = max(radii[axis], float(_PROBE_RADII[k]))
     return [math.asinh(r) + 0.4 for r in radii]
 
 
@@ -197,7 +232,8 @@ def _tensor_pass(f: Integrand, vmaxes: Sequence[float],
     return total * step ** f.ndim, nodes
 
 
-def tanh_sinh_tensor(f: Integrand, target: float) -> QuadratureResult:
+def tanh_sinh_tensor(f: Integrand, target: float,
+                     margin: float) -> QuadratureResult:
     """Tensor-product double-exponential rule, halving the step until two
     passes agree to the relative target or the step falls below 0.02."""
     vmaxes = _axis_truncations(f)
@@ -208,15 +244,13 @@ def tanh_sinh_tensor(f: Integrand, target: float) -> QuadratureResult:
         if error <= target * abs(value):
             break
     return QuadratureResult(value, error, "tanh-sinh-tensor", nodes,
-                            error <= target * abs(value), f.ndim)
+                            error <= target * abs(value), f.ndim, margin)
 
 
-def qmc_sobol(spec: QuadratureSpec, log2_points: int = 18,
-              replicates: int = 8, seed: int = 20240) -> QuadratureResult:
-    """Scrambled Sobol rule on the sinh-transformed box (quadrature uses it
-    when the reduction leaves 4 variables)."""
-    _check_convergent(spec)
-    f = Integrand.from_spec(spec)
+def _sobol_rule(f: Integrand, target: float, margin: float,
+                log2_points: int = 18, replicates: int = 8,
+                seed: int = 20240) -> QuadratureResult:
+    """Scrambled Sobol rule on the sinh-transformed box."""
     vmaxes = np.array(_axis_truncations(f))
     estimates = []
     for rep in range(replicates):
@@ -228,18 +262,30 @@ def qmc_sobol(spec: QuadratureSpec, log2_points: int = 18,
     error = 2.0 * float(np.std(estimates, ddof=1)) / math.sqrt(replicates)
     return QuadratureResult(value, error, "qmc-sobol",
                             replicates * 2 ** log2_points,
-                            error <= spec.target_tolerance * abs(value), f.ndim)
+                            error <= target * abs(value), f.ndim, margin)
+
+
+def qmc_sobol(spec: QuadratureSpec, log2_points: int = 18,
+              replicates: int = 8, seed: int = 20240) -> QuadratureResult:
+    """The Sobol rule on the spec as given, behind the exact gate (quadrature
+    runs the rule without a second gate when the reduction leaves 4
+    variables)."""
+    f = Integrand.from_spec(spec)
+    return _sobol_rule(f, spec.target_tolerance, _check_convergent(f),
+                       log2_points, replicates, seed)
 
 
 def quadrature(spec: QuadratureSpec) -> QuadratureResult:
     if spec.ndim > 4:
         raise DimensionMismatch("quadrature oracle supports up to 4 variables")
-    _check_convergent(spec)         # exact, on the original g
     f = reduce_linear(Integrand.from_spec(spec))
+    margin = _check_convergent(f)   # exact, on what the reduction left
+    target = spec.target_tolerance
     if f.ndim == 0:
         return QuadratureResult(math.exp(f.log_prefactor), 0.0,
-                                "closed-form", 0, True, 0)
+                                "closed-form", 0, True, 0, margin)
     if f.ndim <= 3:
-        return tanh_sinh_tensor(f, spec.target_tolerance)
-    result = qmc_sobol(spec)
-    return result if result.target_met else qmc_sobol(spec, log2_points=20)
+        return tanh_sinh_tensor(f, target, margin)
+    result = _sobol_rule(f, target, margin)
+    return result if result.target_met else _sobol_rule(
+        f, target, margin, log2_points=20)

@@ -48,6 +48,7 @@ def test_verify_verb_success(capsys):
     data = json.loads(out)
     assert data["verified"] is True
     assert data["relative_deviation"] < 1e-6
+    assert data["oracle"]["margin"] > 0
 
 
 def test_verify_fails_when_oracle_misses_target(capsys, monkeypatch):
@@ -109,3 +110,14 @@ def test_spec_file_round_trip(tmp_path, capsys):
 def test_usage_error_without_input(capsys):
     with pytest.raises(SystemExit):
         cli.main(["gkz"])
+
+
+def test_fixture_dump_loads_back_as_spec(tmp_path, capsys):
+    code, out, _ = _run(capsys, "fixtures", "--name", "box", "--json")
+    assert code == 0
+    path = tmp_path / "box.json"
+    path.write_text(out)
+    _, from_fixture, _ = _run(capsys, "gkz", "--fixture", "box", "--json")
+    code, from_file, _ = _run(capsys, "gkz", "--spec", str(path), "--json")
+    assert code == 0
+    assert json.loads(from_file) == json.loads(from_fixture)

@@ -1,5 +1,6 @@
 """pipeline.run(verify=True): live oracle checks and typed failures."""
 
+import json
 import math
 
 import pytest
@@ -44,3 +45,13 @@ def test_non_finite_series_value_raises(monkeypatch):
                         lambda self, *args: math.nan)
     with pytest.raises(NonFiniteValue, match="series"):
         pipeline.run(fixtures()["2f1-double"], verify=True)
+
+
+def test_spec_dict_round_trip_every_fixture():
+    """to_dict -> JSON -> from_dict gives back the spec and its report."""
+    for name, spec in fixtures().items():
+        loaded = pipeline.ProblemSpec.from_dict(
+            json.loads(json.dumps(spec.to_dict())))
+        assert loaded == spec, name
+        assert (pipeline.run(loaded).to_dict()
+                == pipeline.run(spec).to_dict()), name

@@ -1,5 +1,6 @@
 """The numeric oracle: closed forms, covariance properties, divergence."""
 
+import importlib
 import math
 import random
 
@@ -73,7 +74,7 @@ def test_divergent_outside_newton_polytope():
     # alpha/beta below the lower facet: the z -> 0 corner diverges
     spec = _spec([(1, 0), (0, 1), (1, 1), (0, 2)], [1.0, 1.0, 1.5, 1.0],
                  [0.3, 0.4], 1.9)
-    assert convergence_margin(spec) < 0
+    assert convergence_margin(Integrand.from_spec(spec)) < 0
     with pytest.raises(NonConvergent):
         quadrature(spec)
 
@@ -85,9 +86,18 @@ def test_divergent_at_large_z():
         quadrature(spec)
 
 
+def test_divergent_flat_newton_polytope():
+    """Newt(1 + z1^2 z2^2) is a segment: alpha/beta on it is no interior
+    point, and the integrand is constant along z1 z2 = const."""
+    spec = _spec([(0, 0), (2, 2)], [1.0, 1.0], [0.6, 0.6], 1.0)
+    assert convergence_margin(Integrand.from_spec(spec)) < 0
+    with pytest.raises(NonConvergent):
+        quadrature(spec)
+
+
 def test_convergence_margin_interior():
     spec = _spec([(1, 0), (0, 1), (1, 1)], [1.0, 1.0, 1.0], [1.2, 1.3], 1.9)
-    assert convergence_margin(spec) > 0.1
+    assert convergence_margin(Integrand.from_spec(spec)) > 0.1
 
 
 def test_qmc_matches_tensor_in_low_dimension():
@@ -138,3 +148,85 @@ def test_reduction_rejects_divergent_beta_integral():
                                   [1.0] * 4, [2.0, 0.5], 1.5))
     with pytest.raises(NonConvergent):
         reduce_linear(f)
+
+
+def _random_spec(rng):
+    """A 1-3 variable polynomial with exponents in {0, 1, 2}; alpha is drawn
+    either anywhere or near the centroid of the support (mostly interior)."""
+    ndim = rng.choice([1, 2, 3])
+    exponents = sorted({tuple(rng.randint(0, 2) for _ in range(ndim))
+                        for _ in range(rng.randint(2, 6))})
+    beta = rng.uniform(0.8, 2.5)
+    if rng.random() < 0.5:
+        alpha = [beta * rng.uniform(0.05, 2.0) for _ in range(ndim)]
+    else:
+        alpha = [beta * (sum(e[i] for e in exponents) / len(exponents)
+                         + rng.uniform(-0.3, 0.3)) for i in range(ndim)]
+    return _spec(exponents, [rng.uniform(0.5, 2.0) for _ in exponents],
+                 alpha, beta)
+
+
+def test_reduced_gate_agrees_with_gate_on_g():
+    """Tonelli: the integral converges iff every Beta step does and alpha is
+    interior to sum_k beta_k Newt(g_k) on what the reduction leaves."""
+    rng = random.Random(17)
+    verdicts = []
+    for _ in range(150):
+        spec = _random_spec(rng)
+        f = Integrand.from_spec(spec)
+        try:
+            reduced = convergence_margin(reduce_linear(f)) <= 1e-9
+        except NonConvergent:
+            reduced = True
+        assert reduced == (convergence_margin(f) <= 1e-9), spec
+        verdicts.append(reduced)
+    assert 30 < sum(verdicts) < 120     # both verdicts well represented
+
+
+def test_one_variable_gate_boundaries():
+    """g = z2 (1 + z1) + 1 + z1^2: the Beta step over z2 leaves
+    z1^a1 (1 + z1)^-a2 (1 + z1^2)^-(b - a2), which converges iff
+    0 < a1 < a2 + 2 (b - a2) = 2.5 here."""
+    exponents, b, a2 = [(0, 1), (1, 1), (0, 0), (2, 0)], 1.5, 0.5
+    for a1 in (-0.3, 0.0, 2.5, 2.7):
+        with pytest.raises(NonConvergent):
+            quadrature(_spec(exponents, [1.0] * 4, [a1, a2], b))
+    res = quadrature(_spec(exponents, [1.0] * 4, [1.2, a2], b, tol=1e-8))
+    assert res.dims == 1 and res.target_met
+    assert res.margin == pytest.approx(min(a2 / b, 1.2 / 2.5, 1.3 / 2.5))
+    # every factor constant: nothing bounds the remaining variable
+    with pytest.raises(NonConvergent):
+        quadrature(_spec([(1,), (1,)], [1.0, 2.0], [0.5], 1.2))
+
+
+def test_box_reduced_multi_factor_margin():
+    spec = fixtures()["box"]
+    report = pipeline.run(spec)
+    coeffs = pipeline.coefficient_values(spec, report.column_exponents,
+                                         report.polynomial)
+    for alpha, inside in (([0.7, 0.6, 0.65, 0.75], True),
+                          ([0.31, 0.27, 0.29, 0.33], False),
+                          ([0.7, 0.6, 1.3, 0.75], False)):
+        f = reduce_linear(Integrand.from_spec(
+            _spec(report.column_exponents, coeffs, alpha, 1.9)))
+        assert (f.ndim, len(f.factors)) == (2, 3)
+        assert (convergence_margin(f) > 0) == inside, alpha
+
+
+def test_linear_program_only_for_two_or_more_variables(monkeypatch):
+    # the package re-exports the function quadrature() under the module name
+    quadrature_module = importlib.import_module("feyngkz.quadrature")
+    calls = []
+    real = quadrature_module.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature_module, "linprog", counted)
+    one_dim = _spec([(0, 0), (1, 0), (0, 1), (1, 1)], [1.0, 1.0, 1.0, 2.0],
+                    [0.3, 0.7], 1.9)
+    assert quadrature(one_dim).dims == 1 and not calls
+    assert quadrature(_spec([(0, 0), (1, 0), (0, 1), (0, 2), (2, 0)],
+                            [1.0] * 5, [0.7, 0.6], 1.9)).dims == 2
+    assert len(calls) == 1
