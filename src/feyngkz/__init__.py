@@ -8,7 +8,7 @@ from .errors import (DeformationFailed, DimensionMismatch, DivergentArgument,
                      NoZeroComponent, NonConvergent, NonFiniteValue,
                      NonGenericWeight, PoleError, SingularM,
                      UnderdeterminedPair)
-from .gammafn import GammaFactor, gamma_signed, log_gamma_signed
+from .gammafn import GammaFactor, log_gamma_signed
 from .gkz import (AMatrix, FakeExponent, StandardPair, deform, fake_exponents,
                   initial_ideal, kernel_lattice, standard_kappa,
                   standard_pairs, toric_ideal, toric_matrix)

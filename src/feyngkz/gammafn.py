@@ -35,19 +35,13 @@ def log_gamma_signed(x: float) -> Tuple[float, float]:
     return math.lgamma(x), sign
 
 
-def gamma_signed(x: float) -> float:
-    logg, sign = log_gamma_signed(x)
-    return sign * math.exp(logg)
-
-
 @dataclass
 class GammaFactor:
-    """A product  prefactor * prod Gamma(num_i) / prod Gamma(den_j)  with
-    symbolic ParamLinear arguments."""
+    """A product  prod Gamma(num_i) / prod Gamma(den_j)  with symbolic
+    ParamLinear arguments."""
 
     numerator: List[ParamLinear] = field(default_factory=list)
     denominator: List[ParamLinear] = field(default_factory=list)
-    prefactor: ParamLinear = field(default_factory=lambda: ParamLinear.const(1))
 
     def evaluate(self, assignment: Mapping[str, float]) -> float:
         log_total = 0.0
@@ -63,12 +57,9 @@ class GammaFactor:
             lg, s = log_gamma_signed(x)
             log_total -= lg
             sign *= s
-        return self.prefactor.evaluate(assignment) * sign * math.exp(log_total)
+        return sign * math.exp(log_total)
 
     def __str__(self) -> str:
         num = "*".join(f"Gamma({a})" for a in self.numerator) or "1"
         den = "*".join(f"Gamma({a})" for a in self.denominator)
-        text = num if not den else f"{num}/({den})"
-        if self.prefactor != 1:
-            text = f"({self.prefactor})*{text}"
-        return text
+        return num if not den else f"{num}/({den})"

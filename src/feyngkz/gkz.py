@@ -18,9 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (DeformationFailed, InconsistentPair, NonGenericWeight,
                      UnderdeterminedPair)
-from .groebner import (Poly, buchberger, grevlex_key, interreduce,
-                       leading_monomial, mono_divides, saturate_all_variables,
-                       weighted_key)
+from .groebner import (Binomial, buchberger, grevlex_key, interreduce,
+                       mono_divides, saturate_all_variables, weighted_key)
 from .intlinalg import integer_rank, kernel_basis
 from .kpoly import KPoly, coeff_const
 from .params import ParamLinear
@@ -109,40 +108,27 @@ def kernel_lattice(amat: AMatrix) -> List[Tuple[int, ...]]:
     return kernel_basis(amat.rows)
 
 
-def _binomial(u: Sequence[int]) -> Poly:
-    plus = tuple(max(x, 0) for x in u)
-    minus = tuple(max(-x, 0) for x in u)
-    if plus == minus:
-        return {}
-    return {plus: Fraction(1), minus: Fraction(-1)}
-
-
-def toric_ideal(amat: AMatrix) -> List[Poly]:
-    """Generators of I_A: the lattice-basis binomial ideal saturated at each
-    variable in turn, returned as a reduced grevlex basis."""
-    lattice = kernel_lattice(amat)
-    gens = [_binomial(u) for u in lattice]
-    gens = [g for g in gens if g]
-    if not gens:
-        return []
+def toric_ideal(amat: AMatrix) -> List[Binomial]:
+    """Generators of I_A: the lattice-basis binomials x^(u+) - x^(u-)
+    saturated at each variable in turn, returned as a reduced grevlex basis
+    of (lead, trail) pairs."""
+    gens = [(tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u))
+            for u in kernel_lattice(amat)]
+    # the last saturation runs in grevlex itself (its variable is already
+    # the cheapest), so its basis is a grevlex basis, oriented lead first
     saturated = saturate_all_variables(gens, amat.ncols)
     return interreduce(saturated, grevlex_key)
 
 
-def binomial_exponents(basis: Sequence[Poly]) -> List[Tuple[Mono, Mono]]:
-    """(u_plus, u_minus) pairs of a binomial basis (for display/tests)."""
-    out = []
-    for g in basis:
-        if len(g) != 2:
-            raise ValueError("basis element is not binomial")
-        (m1, c1), (m2, _) = sorted(g.items(), key=lambda t: -t[1])
-        out.append((m1, m2) if c1 > 0 else (m2, m1))
-    return out
+def binomial_exponents(basis: Sequence[Binomial]) -> List[Tuple[Mono, Mono]]:
+    """(u_plus, u_minus) pairs of a reduced basis: x^lead - x^trail is
+    already written plus first."""
+    return list(basis)
 
 
 # -- initial ideal ---------------------------------------------------------
 
-def initial_ideal(generators: Sequence[Poly], weight: Sequence[int],
+def initial_ideal(generators: Sequence[Binomial], weight: Sequence[int],
                   require_strict: bool = False) -> List[Mono]:
     """Minimal generators of in_w(I) for the weight refined by grevlex.
 
@@ -150,19 +136,13 @@ def initial_ideal(generators: Sequence[Poly], weight: Sequence[int],
     its own; a w-balanced basis element then raises NonGenericWeight instead
     of being silently tie-broken.
     """
-    key = weighted_key(weight)
-    basis = buchberger(list(generators), key)
-    leads = []
-    for g in basis:
-        lm = leading_monomial(g, key)
-        if require_strict:
-            wlm = sum(w * e for w, e in zip(weight, lm))
-            for m in g:
-                if m != lm and sum(w * e for w, e in zip(weight, m)) == wlm:
-                    raise NonGenericWeight(
-                        f"weight {tuple(weight)} balances a basis element")
-        leads.append(lm)
-    return minimal_monomial_generators(leads)
+    basis = buchberger(generators, weighted_key(weight))
+    if require_strict and any(
+            sum(w * (a - b) for w, a, b in zip(weight, lead, trail)) == 0
+            for lead, trail in basis):
+        raise NonGenericWeight(
+            f"weight {tuple(weight)} balances a basis element")
+    return minimal_monomial_generators([lead for lead, _ in basis])
 
 
 def minimal_monomial_generators(monos: Sequence[Mono]) -> List[Mono]:

@@ -1,22 +1,25 @@
-"""Buchberger's algorithm over exact rationals.
+"""Buchberger's algorithm on pure-difference binomials.
 
-Polynomials are dicts mapping exponent tuples to Fractions.  Term orders are
-key functions on monomials (bigger key = bigger monomial): graded reverse
-lexicographic, a weight order refined by grevlex, and grevlex with a chosen
-cheapest variable (the order used for saturation of homogeneous ideals).
+Every ideal the toric chain builds is generated by binomials x^a - x^b, and
+the S-polynomials and remainders of such binomials are binomials of the same
+kind (Sturmfels, *Groebner Bases and Convex Polytopes*, ch. 4 and 12).  An
+element is therefore stored as the pair (lead, trail) of exponent tuples, the
+lead first under the current term order, with None for the zero binomial; the
+coefficients are always +1 and -1 and are never stored.
 
-Pair selection uses the sugar strategy; Buchberger's coprime-lcm criterion
-prunes pairs.  Everything in this package feeds the algorithm binomial,
-homogeneous ideals, but the implementation is generic.
+Term orders are key functions on monomials (bigger key = bigger monomial):
+graded reverse lexicographic, a weight order refined by grevlex, and grevlex
+with a chosen cheapest variable (the order used for saturation of homogeneous
+ideals).  Pair selection uses the sugar strategy; Buchberger's coprime-lcm
+criterion prunes pairs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 Mono = Tuple[int, ...]
-Poly = Dict[Mono, Fraction]
+Binomial = Tuple[Mono, Mono]
 OrderKey = Callable[[Mono], tuple]
 
 
@@ -44,158 +47,125 @@ def cheapest_variable_key(index: int, nvars: int) -> OrderKey:
     return key
 
 
-# -- basic polynomial ops --------------------------------------------------
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+# -- binomial ops ----------------------------------------------------------
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-def mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def poly_add(f: Poly, g: Poly) -> Poly:
-    out = dict(f)
-    for m, c in g.items():
-        c2 = out.get(m, Fraction(0)) + c
-        if c2:
-            out[m] = c2
-        else:
-            out.pop(m, None)
-    return out
+def orient(a: Mono, b: Mono, key: OrderKey) -> Optional[Binomial]:
+    """x^a - x^b as a (lead, trail) pair under key; None when a == b."""
+    if a == b:
+        return None
+    return (a, b) if key(a) > key(b) else (b, a)
 
 
-def poly_scale_shift(f: Poly, coeff: Fraction, shift: Mono) -> Poly:
-    return {mono_mul(m, shift): c * coeff for m, c in f.items()}
+def _rewrite(mono: Mono, g: Binomial) -> Mono:
+    """mono with g's lead (which divides it) replaced by g's trail."""
+    return tuple(m - l + t for m, l, t in zip(mono, g[0], g[1]))
 
 
-def leading_monomial(f: Poly, key: OrderKey) -> Mono:
-    return max(f, key=key)
-
-
-def normal_form(f: Poly, basis: List[Poly], key: OrderKey) -> Poly:
-    """Remainder of f under multivariate division by basis."""
-    work = dict(f)
-    remainder: Poly = {}
-    lms = [leading_monomial(g, key) for g in basis]
-    while work:
-        m = leading_monomial(work, key)
-        c = work[m]
-        for g, lm in zip(basis, lms):
-            if mono_divides(lm, m):
-                factor = c / g[lm]
-                work = poly_add(work, poly_scale_shift(g, -factor,
-                                                       mono_div(m, lm)))
+def _reduce_monomial(mono: Mono, basis: Sequence[Binomial]) -> Mono:
+    while True:
+        for g in basis:
+            if mono_divides(g[0], mono):
+                mono = _rewrite(mono, g)
                 break
         else:
-            remainder[m] = c
-            del work[m]
-    return remainder
+            return mono
 
 
-def s_polynomial(f: Poly, g: Poly, key: OrderKey) -> Poly:
-    lf, lg = leading_monomial(f, key), leading_monomial(g, key)
-    lcm = mono_lcm(lf, lg)
-    sf = poly_scale_shift(f, Fraction(1) / f[lf], mono_div(lcm, lf))
-    sg = poly_scale_shift(g, Fraction(1) / g[lg], mono_div(lcm, lg))
-    return poly_add(sf, {m: -c for m, c in sg.items()})
+def normal_form(f: Binomial, basis: Sequence[Binomial],
+                key: OrderKey) -> Optional[Binomial]:
+    """Remainder of f under division by basis (oriented under key): each
+    monomial is rewritten lead -> trail by the first element whose lead
+    divides it, until no lead does."""
+    return orient(_reduce_monomial(f[0], basis), _reduce_monomial(f[1], basis),
+                  key)
+
+
+def s_polynomial(f: Binomial, g: Binomial, key: OrderKey) -> Optional[Binomial]:
+    lcm = mono_lcm(f[0], g[0])
+    return orient(_rewrite(lcm, f), _rewrite(lcm, g), key)
 
 
 # -- Buchberger ------------------------------------------------------------
 
-def _sugar(f: Poly) -> int:
-    return max(sum(m) for m in f)
+def _sugar(f: Binomial) -> int:
+    return max(sum(f[0]), sum(f[1]))
 
 
-def buchberger(generators: Sequence[Poly], key: OrderKey) -> List[Poly]:
-    basis = [dict(g) for g in generators if g]
-    if not basis:
-        return []
+def buchberger(generators: Sequence[Binomial], key: OrderKey) -> List[Binomial]:
+    """Reduced Groebner basis under key of the binomials x^a - x^b given as
+    pairs (a, b) in either order."""
+    basis = [g for g in (orient(a, b, key) for a, b in generators)
+             if g is not None]
     sugars = [_sugar(g) for g in basis]
-
-    def pair_data(i: int, j: int):
-        li = leading_monomial(basis[i], key)
-        lj = leading_monomial(basis[j], key)
-        lcm = mono_lcm(li, lj)
-        sugar = max(sugars[i] + sum(mono_div(lcm, li)),
-                    sugars[j] + sum(mono_div(lcm, lj)))
-        coprime = mono_mul(li, lj) == lcm
-        return (sugar, key(lcm)), lcm, coprime
-
     pairs = {}
-    for i in range(len(basis)):
-        for j in range(i):
-            rank, _, coprime = pair_data(j, i)
-            if not coprime:
-                pairs[(j, i)] = rank
 
+    def add_pairs(k: int):
+        """Queue (i, k) for every i < k whose lead is not coprime to k's."""
+        lk = basis[k][0]
+        for i in range(k):
+            li = basis[i][0]
+            if any(x and y for x, y in zip(li, lk)):
+                lcm = mono_lcm(li, lk)
+                sugar = max(sugars[i] + sum(lcm) - sum(li),
+                            sugars[k] + sum(lcm) - sum(lk))
+                pairs[(i, k)] = (sugar, key(lcm))
+
+    for k in range(len(basis)):
+        add_pairs(k)
     while pairs:
-        (i, j) = min(pairs, key=lambda p: pairs[p])
+        (i, j) = min(pairs, key=pairs.get)
         rank = pairs.pop((i, j))
-        rem = normal_form(s_polynomial(basis[i], basis[j], key), basis, key)
-        if not rem:
+        s = s_polynomial(basis[i], basis[j], key)
+        if s is None or (rem := normal_form(s, basis, key)) is None:
             continue
         basis.append(rem)
         sugars.append(max(rank[0], _sugar(rem)))
-        k = len(basis) - 1
-        for i2 in range(k):
-            rank2, _, coprime = pair_data(i2, k)
-            if not coprime:
-                pairs[(i2, k)] = rank2
+        add_pairs(len(basis) - 1)
     return interreduce(basis, key)
 
 
-def interreduce(basis: Sequence[Poly], key: OrderKey) -> List[Poly]:
-    """Reduced Groebner basis: minimal, monic, fully tail-reduced."""
-    basis = [dict(g) for g in basis if g]
-    # minimalize by leading monomials
-    keep: List[Poly] = []
-    lms = [leading_monomial(g, key) for g in basis]
-    for i, g in enumerate(basis):
-        if any(j != i and mono_divides(lms[j], lms[i])
-               and (lms[j] != lms[i] or j < i) for j in range(len(basis))):
-            continue
-        keep.append(g)
-    reduced: List[Poly] = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        rem = normal_form(g, others, key) if others else dict(g)
-        if rem:
-            lc = rem[leading_monomial(rem, key)]
-            reduced.append({m: c / lc for m, c in rem.items()})
-    reduced.sort(key=lambda g: key(leading_monomial(g, key)))
+def interreduce(basis: Sequence[Binomial], key: OrderKey) -> List[Binomial]:
+    """Reduced Groebner basis from a Groebner basis oriented under key: leads
+    minimal, trails fully reduced, sorted by lead."""
+    keep = [g for i, g in enumerate(basis)
+            if not any(j != i and mono_divides(h[0], g[0])
+                       and (h[0] != g[0] or j < i)
+                       for j, h in enumerate(basis))]
+    # no other lead divides a kept lead, and trail < lead, so only the trail
+    # moves and the pair keeps its orientation
+    reduced = [(lead, _reduce_monomial(trail, keep[:i] + keep[i + 1:]))
+               for i, (lead, trail) in enumerate(keep)]
+    reduced.sort(key=lambda g: key(g[0]))
     return reduced
 
 
 # -- saturation ------------------------------------------------------------
 
-def saturate_variable(generators: Sequence[Poly], index: int,
-                      nvars: int) -> List[Poly]:
+def saturate_variable(generators: Sequence[Binomial], index: int,
+                      nvars: int) -> List[Binomial]:
     """(I : x_index^inf) for a homogeneous ideal I.
 
     With the chosen variable cheapest in grevlex, dividing every element of a
     Groebner basis by its largest x_index power generates the saturation.
     """
-    key = cheapest_variable_key(index, nvars)
-    basis = buchberger(generators, key)
     out = []
-    for g in basis:
+    for g in buchberger(generators, cheapest_variable_key(index, nvars)):
         drop = min(m[index] for m in g)
-        if drop:
-            g = {tuple(e - drop if k == index else e
-                       for k, e in enumerate(m)): c for m, c in g.items()}
-        out.append(g)
+        out.append(tuple(m[:index] + (m[index] - drop,) + m[index + 1:]
+                         for m in g))
     return out
 
 
-def saturate_all_variables(generators: Sequence[Poly],
-                           nvars: int) -> List[Poly]:
-    gens = [dict(g) for g in generators]
+def saturate_all_variables(generators: Sequence[Binomial],
+                           nvars: int) -> List[Binomial]:
+    gens = list(generators)
     for index in range(nvars):
         gens = saturate_variable(gens, index, nvars)
     return gens

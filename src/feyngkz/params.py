@@ -157,6 +157,3 @@ def _coerce(value) -> ParamLinear:
         return ParamLinear.const(value)
     raise TypeError(f"cannot coerce {value!r} to ParamLinear")
 
-
-ZERO = ParamLinear()
-ONE = ParamLinear.const(1)

@@ -91,12 +91,13 @@ class CanonicalSeries:
         self.weight = tuple(weight)
         self.lattice = [self._orient(tuple(v)) for v in lattice]
         self.nvars = len(gamma.components)
-        self._f4: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
-        if self.rank == 2:
-            form = self._classify_f4()
-            if form is not None:
-                # prefer the Appell-shaped basis for enumeration and display
-                self.lattice = list(self._f4)
+        if self.rank == 1:
+            self.form = self._classify_rank1()
+        elif self.rank == 2 and (f4 := self._classify_f4()) is not None:
+            # prefer the Appell-shaped basis for enumeration and display
+            self.form, self.lattice = f4
+        else:
+            self.form = HypergeometricForm(kind="RawSeries")
 
     def _orient(self, vector: Tuple[int, ...]) -> Tuple[int, ...]:
         wdot = sum(w * x for w, x in zip(self.weight, vector))
@@ -137,13 +138,9 @@ class CanonicalSeries:
     # -- classification ----------------------------------------------------
 
     def classify(self) -> HypergeometricForm:
-        if self.rank == 1:
-            return self._classify_rank1()
-        if self.rank == 2:
-            form = self._classify_f4()
-            if form is not None:
-                return form
-        return HypergeometricForm(kind="RawSeries")
+        """The named form, found once at construction; its arguments are
+        the monomials of ``lattice``, in order."""
+        return self.form
 
     def _classify_rank1(self) -> HypergeometricForm:
         gen = self.lattice[0]
@@ -162,7 +159,8 @@ class CanonicalSeries:
             kind=f"{len(upper)}F{len(lower)}", upper=upper, lower=lower,
             arguments=[_argument_monomial(gen)], argument_signs=[sign])
 
-    def _classify_f4(self) -> Optional[HypergeometricForm]:
+    def _classify_f4(self) -> Optional[Tuple[HypergeometricForm,
+                                             List[Tuple[int, ...]]]]:
         gamma = self.gamma.components
         one = ParamLinear.const(1)
         for v1, v2 in self._f4_candidates():
@@ -176,12 +174,11 @@ class CanonicalSeries:
                 lower.append(params[0])
             if len(lower) != 2:
                 continue
-            self._f4 = (v1, v2)
             return HypergeometricForm(
                 kind="AppellF4", upper=[-gamma[i] for i in shared],
                 lower=lower,
                 arguments=[_argument_monomial(v1), _argument_monomial(v2)],
-                argument_signs=[1, 1])
+                argument_signs=[1, 1]), [v1, v2]
         return None
 
     def _f4_candidates(self):
@@ -232,7 +229,7 @@ class CanonicalSeries:
         if self.rank == 1:
             if abs(args[0]) >= 1:
                 raise DivergentArgument(f"|argument| = {abs(args[0]):.4g} >= 1")
-        elif self._f4 is not None:
+        elif self.form.kind == "AppellF4":
             x, y = args
             if math.sqrt(abs(x)) + math.sqrt(abs(y)) >= 1:
                 raise DivergentArgument("sqrt|x| + sqrt|y| >= 1")

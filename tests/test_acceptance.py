@@ -103,7 +103,7 @@ def test_criterion_4_classification():
          ("-a2 + a4 + 1", "beta - a1 - a2 - a3 + 1"))]
 
     tri_ok = [f.kind for f in tri.forms] == ["AppellF4"] * 4 and all(
-        f.arguments == ["c3*c4/(c1*c6)", "c2*c5/(c1*c6)"] for f in tri.forms)
+        f.arguments == ["c2*c5/(c1*c6)", "c3*c4/(c1*c6)"] for f in tri.forms)
     tri_params = sorted((tuple(sorted(str(p) for p in f.upper)),
                          tuple(sorted(str(p) for p in f.lower)))
                         for f in tri.forms)

@@ -11,7 +11,8 @@ from feyngkz.fixtures import fixtures
 from feyngkz.gkz import (AMatrix, deform, fake_exponents, initial_ideal,
                          kernel_lattice, standard_kappa, standard_pairs,
                          toric_ideal, toric_matrix)
-from feyngkz.groebner import grevlex_key, normal_form
+from feyngkz.groebner import (grevlex_key, mono_divides, normal_form,
+                              s_polynomial)
 
 
 def _run(name):
@@ -100,12 +101,25 @@ def test_toric_ideal_binomials_box():
         for row in amat.rows:
             assert sum(r * x for r, x in zip(row, u)) == 0
     # every kernel lattice vector's binomial reduces to zero mod the basis
-    basis = [{p: Fraction(1), m: Fraction(-1)} for p, m in report.toric_basis]
+    basis = list(report.toric_basis)
     for u in report.lattice:
         plus = tuple(max(x, 0) for x in u)
         minus = tuple(max(-x, 0) for x in u)
-        binom = {plus: Fraction(1), minus: Fraction(-1)}
-        assert not normal_form(binom, basis, grevlex_key)
+        assert not normal_form((plus, minus), basis, grevlex_key)
+
+
+def test_toric_ideal_is_reduced_grevlex_basis_for_every_fixture():
+    for name in fixtures():
+        basis = toric_ideal(_run(name).amatrix)
+        for i, (lead, trail) in enumerate(basis):
+            assert grevlex_key(lead) > grevlex_key(trail), name
+            for j in range(i):
+                s = s_polynomial(basis[i], basis[j], grevlex_key)
+                assert s is None or normal_form(s, basis, grevlex_key) is None, name
+            for j, (other, _) in enumerate(basis):
+                if j != i:
+                    assert not mono_divides(other, lead), name
+                    assert not mono_divides(other, trail), name
 
 
 def test_initial_ideal_party_hat():

@@ -10,7 +10,7 @@ from feyngkz import pipeline
 from feyngkz.errors import DivergentArgument, PoleError
 from feyngkz.fixtures import fixtures
 from feyngkz.params import ParamLinear
-from feyngkz.series import term_coefficient
+from feyngkz.series import _argument_monomial, term_coefficient
 
 
 def test_term_coefficient_zero_off_halfspace():
@@ -80,7 +80,9 @@ def test_triangle_series_are_appell_f4():
     rep = pipeline.run(fixtures()["triangle-3scale"])
     assert [f.kind for f in rep.forms] == ["AppellF4"] * 4
     for form in rep.forms:
-        assert form.arguments == ["c3*c4/(c1*c6)", "c2*c5/(c1*c6)"]
+        assert form.arguments == ["c2*c5/(c1*c6)", "c3*c4/(c1*c6)"]
+    for series, form in zip(rep.series, rep.forms):
+        assert form.arguments == [_argument_monomial(v) for v in series.lattice]
 
 
 def _classified_vs_raw(name, order=40, terms=120, spec=None):
