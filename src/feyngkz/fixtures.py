@@ -1,8 +1,12 @@
 """Built-in worked examples, from the simplest Gauss system to the box.
 
-Weight vectors and kinematic points are chosen so each system is solvable and
-its series converge at the supplied evaluation point.  ``fixtures()`` returns
-fresh ProblemSpec objects keyed by name.
+Weight vectors are chosen so each system is solvable.  The stated kinematic
+points are not all inside the region where the series and the integral
+converge: massless-bubble, triangle-1scale and cantaloupe-2 sit at |x| = 1,
+one-mass-bubble at |x| = 1.5, and party-hat, sunset-1mass (both also at
+|x| = 1), box and triangle-3scale are stated at exponents where the integral
+diverges.  The acceptance tests and perfbench pick interior points of their
+own.  ``fixtures()`` returns fresh ProblemSpec objects keyed by name.
 """
 
 from __future__ import annotations

@@ -4,13 +4,14 @@ The chain implemented here: configuration matrix A of the monomial support,
 codimension, deformation of codimension-zero inputs, the integer kernel
 lattice of A, the toric ideal I_A (lattice-basis ideal saturated at every
 variable), its w-initial monomial ideal, the standard pairs of that ideal and
-finally the exponent vectors obtained by solving A.theta = kappa on each
-standard pair.
+finally the exponent vectors obtained by solving A.theta = kappa exactly,
+by fraction-free integer elimination on each face.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,13 +40,10 @@ class AMatrix:
         widths = {len(r) for r in self.rows}
         if len(widths) != 1:
             raise ValueError("ragged A matrix")
-        if not self._ones_in_row_span():
+        self.rank = integer_rank(self.rows)
+        # (1,...,1) lies in the row span over Q iff appending it keeps the rank
+        if integer_rank(self.rows + [[1] * self.ncols]) != self.rank:
             raise ValueError("(1,...,1) not in the row span of A")
-
-    def _ones_in_row_span(self) -> bool:
-        # over Q: appending (1,...,1) leaves the rank unchanged
-        return (integer_rank(self.rows)
-                == integer_rank(self.rows + [[1] * self.ncols]))
 
     @property
     def nrows(self) -> int:
@@ -56,7 +54,7 @@ class AMatrix:
         return len(self.rows[0]) if self.rows else 0
 
     def codim(self) -> int:
-        return self.ncols - integer_rank(self.rows)
+        return self.ncols - self.rank
 
 
 def toric_matrix(g: KPoly) -> Tuple[AMatrix, List[Mono]]:
@@ -212,46 +210,36 @@ class FakeExponent:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
-def solve_fraction_system(matrix: List[List[Fraction]],
-                          rhs: List[ParamLinear]) -> List[ParamLinear]:
-    """Solve matrix @ x = rhs exactly; the rhs carries symbolic parameters.
+def _solve_face(rows: List[List[int]], nface: int) -> List[Tuple[int, int]]:
+    """Fraction-free Gauss-Jordan elimination on the integer rows
+    [A_face | rhs], in place: row_i <- pv*row_i - f*row_pivot, divided by
+    its gcd.  Returns the (row, face column) pivots; each face unknown is
+    row[nface:] / row[col] of its pivot row.
 
-    Raises InconsistentPair if no solution exists for generic parameters and
-    UnderdeterminedPair if the solution is not unique.
+    Raises InconsistentPair if a row without a pivot keeps a non-zero rhs
+    and UnderdeterminedPair if some face column has no pivot.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if matrix else 0
-    mat = [list(row) for row in matrix]
-    vec = list(rhs)
     pivots: List[Tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, nrows) if mat[i][col]), None)
+    for col in range(nface):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        vec[row], vec[pivot] = vec[pivot], vec[row]
-        inv = Fraction(1) / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        vec[row] = vec[row] * inv
-        for i in range(nrows):
-            if i != row and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[row])]
-                vec[i] = vec[i] - vec[row] * factor
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for i in range(row, nrows):
-        if not vec[i].is_zero():
-            raise InconsistentPair("no solution for generic parameters")
-    if len(pivots) < ncols:
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        pv = prow[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f:
+                row = [pv * x - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append((r, col))
+    if any(any(row[nface:]) for row in rows[len(pivots):]):
+        raise InconsistentPair("no solution for generic parameters")
+    if len(pivots) < nface:
         raise UnderdeterminedPair("solution space is positive-dimensional")
-    solution = [ParamLinear()] * ncols
-    for r, c in pivots:
-        solution[c] = vec[r]
-    return solution
+    return pivots
 
 
 def fake_exponents(amat: AMatrix, kappa: Sequence[ParamLinear],
@@ -259,33 +247,38 @@ def fake_exponents(amat: AMatrix, kappa: Sequence[ParamLinear],
     """Exponent vectors: theta_j pinned to the pair root off the face, the
     face components solved from A.theta = kappa.
 
-    Pairs whose linear system is inconsistent are dropped with a warning; an
+    kappa is scaled once to an integer matrix (one column per parameter and
+    a constant column, common denominator den), so each pair costs one
+    integer elimination and a Fraction per output coefficient only.  Pairs
+    whose linear system is inconsistent are dropped with a warning; an
     underdetermined system aborts (the weight was too degenerate).
     """
     if len(kappa) != amat.nrows:
         raise ValueError("kappa length must match the number of A rows")
+    names = list(dict.fromkeys(n for k in kappa for n in k.coeffs))
+    den = math.lcm(*(q.denominator for k in kappa
+                     for q in [k.constant, *k.coeffs.values()]))
+    kmat = [[int(k.coeffs.get(n, 0) * den) for n in names] for k in kappa]
+    k0 = [int(k.constant * den) for k in kappa]
     out = []
     for pair in pairs:
-        face = list(pair.face)
-        matrix = [[Fraction(amat.rows[i][j]) for j in face]
-                  for i in range(amat.nrows)]
-        rhs = []
-        for i in range(amat.nrows):
-            value = kappa[i]
-            for j in range(amat.ncols):
-                if j not in pair.face and pair.root[j]:
-                    value = value - ParamLinear.const(
-                        amat.rows[i][j] * pair.root[j])
-            rhs.append(value)
+        face = pair.face
+        off = [(j, pair.root[j] * den) for j in range(amat.ncols)
+               if j not in face and pair.root[j]]
+        rows = [[row[j] for j in face] + kparams
+                + [k - sum(row[j] * r for j, r in off)]
+                for row, kparams, k in zip(amat.rows, kmat, k0)]
         try:
-            solved = solve_fraction_system(matrix, rhs)
+            pivots = _solve_face(rows, len(face))
         except InconsistentPair:
             warnings.warn(f"discarding inconsistent standard pair {pair}")
             continue
-        components = [ParamLinear.const(pair.root[j]) for j in
-                      range(amat.ncols)]
-        for j, value in zip(face, solved):
-            components[j] = value
+        components = [ParamLinear._make({}, Fraction(r)) for r in pair.root]
+        for r, col in pivots:
+            row = rows[r]
+            scale = row[col] * den
+            *qs, q0 = (Fraction(x, scale) for x in row[len(face):])
+            components[face[col]] = ParamLinear._make(dict(zip(names, qs)), q0)
         out.append(FakeExponent(tuple(components), pair))
     return out
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Mapping, Union
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -32,16 +32,20 @@ class ParamLinear:
 
     def __init__(self, coeffs: Mapping[str, Scalar] | None = None,
                  constant: Scalar = 0):
-        clean: Dict[str, Fraction] = {}
-        if coeffs:
-            for name, q in coeffs.items():
-                q = Fraction(q)
-                if q != 0:
-                    clean[name] = q
-        self.coeffs = clean
+        full = {name: Fraction(q) for name, q in (coeffs or {}).items()}
+        self.coeffs = {name: q for name, q in full.items() if q}
         self.constant = Fraction(constant)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _make(cls, coeffs: Mapping[str, Fraction],
+              constant: Fraction) -> "ParamLinear":
+        """Build from values that are already Fractions, dropping zeros."""
+        out = cls.__new__(cls)
+        out.coeffs = {name: q for name, q in coeffs.items() if q}
+        out.constant = constant
+        return out
 
     @classmethod
     def param(cls, name: str) -> "ParamLinear":
@@ -70,8 +74,8 @@ class ParamLinear:
         other = _coerce(other)
         coeffs = dict(self.coeffs)
         for name, q in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + q
-        return ParamLinear(coeffs, self.constant + other.constant)
+            coeffs[name] = coeffs.get(name, 0) + q
+        return ParamLinear._make(coeffs, self.constant + other.constant)
 
     __radd__ = __add__
 
@@ -82,13 +86,14 @@ class ParamLinear:
         return _coerce(other) + (-self)
 
     def __neg__(self) -> "ParamLinear":
-        return ParamLinear({k: -v for k, v in self.coeffs.items()},
-                           -self.constant)
+        return ParamLinear._make({k: -v for k, v in self.coeffs.items()},
+                                 -self.constant)
 
     def __mul__(self, scalar: Scalar) -> "ParamLinear":
         scalar = Fraction(scalar)
-        return ParamLinear({k: v * scalar for k, v in self.coeffs.items()},
-                           self.constant * scalar)
+        return ParamLinear._make(
+            {k: v * scalar for k, v in self.coeffs.items()},
+            self.constant * scalar)
 
     __rmul__ = __mul__
 

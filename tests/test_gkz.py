@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 
 from feyngkz import pipeline
-from feyngkz.errors import NonGenericWeight
+from feyngkz.errors import NonGenericWeight, UnderdeterminedPair
 from feyngkz.fixtures import fixtures
-from feyngkz.gkz import (AMatrix, deform, fake_exponents, initial_ideal,
-                         kernel_lattice, standard_kappa, standard_pairs,
-                         toric_ideal, toric_matrix)
+from feyngkz.gkz import (AMatrix, StandardPair, deform, fake_exponents,
+                         initial_ideal, kernel_lattice, standard_kappa,
+                         standard_pairs, toric_ideal, toric_matrix)
 from feyngkz.groebner import (grevlex_key, mono_divides, normal_form,
                               s_polynomial)
+from feyngkz.intlinalg import integer_rank
+from feyngkz.params import ParamLinear
 
 
 def _run(name):
@@ -61,7 +63,7 @@ def test_fake_exponents_satisfy_gkz_equations_exactly():
             from feyngkz.params import ParamLinear
             kappa = [-ParamLinear.param(n) for n in spec.kappa_names]
         else:
-            kappa = standard_kappa(amat.ncols)
+            kappa = standard_kappa(amat.nrows - 1)
         for exponent in report.exponents:
             for row, target in zip(amat.rows, kappa):
                 acc = None
@@ -79,6 +81,77 @@ def test_fake_exponents_vanish_off_face():
         for i, comp in enumerate(exponent.components):
             if i not in face:
                 assert comp == Fraction(exponent.pair.root[i])
+
+
+def _random_face_system(rng):
+    """Random A (first row ones, possibly one redundant row), a face on which
+    A_face is square of full rank, a root off the face and a kappa with
+    rational constants consistent with the redundant row."""
+    m = rng.randint(2, 4)
+    n = rng.randint(m + 1, m + 3)
+    while True:
+        rows = [[1] * n] + [[rng.randint(-3, 3) for _ in range(n)]
+                            for _ in range(m - 1)]
+        face = tuple(sorted(rng.sample(range(n), m)))
+        if integer_rank([[r[j] for j in face] for r in rows]) == m:
+            break
+    names = ["beta"] + [f"a{i}" for i in range(1, m)]
+    kappa = [ParamLinear({name: rng.randint(-2, 2) for name in names},
+                         Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+             - ParamLinear.param(names[i]) for i in range(m)]
+    if rng.random() < 0.5:
+        mix = [rng.randint(-2, 2) for _ in range(m)]
+        rows.append([sum(c * r[j] for c, r in zip(mix, rows))
+                     for j in range(n)])
+        total = ParamLinear()
+        for c, k in zip(mix, kappa):
+            total = total + k * c
+        kappa.append(total)
+    root = tuple(0 if j in face else rng.randint(0, 3) for j in range(n))
+    return AMatrix(rows), kappa, StandardPair(root, face)
+
+
+def test_fake_exponents_random_faces_solve_exactly():
+    """On random faces the solution is unique, so A.gamma = kappa and
+    gamma = root off the face check it completely."""
+    rng = random.Random(11)
+    for _ in range(300):
+        amat, kappa, pair = _random_face_system(rng)
+        (exponent,) = fake_exponents(amat, kappa, [pair])
+        gamma = exponent.components
+        for j, root in enumerate(pair.root):
+            if j not in pair.face:
+                assert gamma[j] == root
+        for row, target in zip(amat.rows, kappa):
+            acc = ParamLinear()
+            for a, comp in zip(row, gamma):
+                acc = acc + comp * a
+            assert acc == target, (amat.rows, pair, exponent)
+
+
+def test_fake_exponents_drops_inconsistent_pair():
+    amat = AMatrix([[1, 1, 1, 1], [0, 1, 2, 3]])
+    bad = StandardPair((0, 0, 0, 0), (0,))
+    good = StandardPair((0, 0, 0, 0), (0, 1))
+    with pytest.warns(UserWarning, match="inconsistent standard pair"):
+        out = fake_exponents(amat, standard_kappa(1), [bad, good])
+    assert [e.pair for e in out] == [good]
+    assert str(out[0]) == "(-beta + a1, -a1, 0, 0)"
+    with pytest.warns(UserWarning, match="inconsistent standard pair"):
+        assert fake_exponents(amat, standard_kappa(1), [bad]) == []
+    # inconsistency is decided before a missing pivot: this 3-column face of
+    # a rank-2 A with three independent kappa rows is dropped, not raised
+    tall = AMatrix([[1, 1, 1, 1], [0, 1, 2, 3], [0, 2, 4, 6]])
+    with pytest.warns(UserWarning, match="inconsistent standard pair"):
+        assert fake_exponents(tall, standard_kappa(2),
+                              [StandardPair((0, 0, 0, 0), (0, 1, 2))]) == []
+
+
+def test_fake_exponents_underdetermined_pair_raises():
+    amat = AMatrix([[1, 1, 1, 1], [0, 1, 2, 3]])
+    with pytest.raises(UnderdeterminedPair):
+        fake_exponents(amat, standard_kappa(1),
+                       [StandardPair((0, 0, 0, 0), (0, 1, 2))])
 
 
 def test_toric_ideal_gauss_is_single_binomial():

@@ -65,3 +65,22 @@ def test_is_nonpositive_integer():
     assert not ParamLinear.const(Fraction(-1, 2)).is_nonpositive_integer()
     assert not ParamLinear.const(2).is_nonpositive_integer()
     assert not ParamLinear.param("a1").is_nonpositive_integer()
+
+
+def test_arithmetic_results_hold_nonzero_fractions_only():
+    a1 = ParamLinear.param("a1")
+    beta = ParamLinear.param("beta")
+    x = beta * Fraction(3, 2) - a1 + ParamLinear.const(Fraction(1, 3))
+    results = [x + a1, x - beta * Fraction(3, 2), x * 2, x * Fraction(-1, 3),
+               -x, x * 0, 1 + x, 1 - x, x - x]
+    for y in results:
+        assert all(type(q) is Fraction and q != 0 for q in y.coeffs.values())
+        assert type(y.constant) is Fraction
+        same = ParamLinear(y.coeffs, y.constant)
+        assert y == same and hash(y) == hash(same)
+        assert ParamLinear.parse(str(y)) == y
+    assert (x - x).is_zero()
+    assert (x * 0).is_zero()
+    assert x + a1 == ParamLinear({"beta": Fraction(3, 2)}, Fraction(1, 3))
+    assert hash(x + a1) == hash(
+        ParamLinear({"beta": Fraction(3, 2), "a1": 0}, Fraction(1, 3)))
