@@ -1,13 +1,11 @@
 """Symbolic-numeric evaluation of Euler-Mellin integrals as canonical
 A-hypergeometric series, with a quadrature oracle for validation."""
 
-from .constants import (SolutionBundle, deformation_limit_probe,
-                        gamma_constant, numeric_constants)
+from .constants import SolutionBundle, deformation_limit_probe, gamma_constant
 from .errors import (DeformationFailed, DimensionMismatch, DivergentArgument,
-                     FeynGKZError, IllConditioned, InconsistentPair,
-                     NoZeroComponent, NonConvergent, NonFiniteValue,
-                     NonGenericWeight, PoleError, SingularM,
-                     UnderdeterminedPair)
+                     FeynGKZError, InconsistentPair, NoZeroComponent,
+                     NonConvergent, NonFiniteValue, NonGenericWeight,
+                     PoleError, SingularM, UnderdeterminedPair)
 from .gammafn import GammaFactor, log_gamma_signed
 from .gkz import (AMatrix, FakeExponent, StandardPair, deform, fake_exponents,
                   initial_ideal, kernel_lattice, standard_kappa,

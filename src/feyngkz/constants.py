@@ -1,25 +1,21 @@
 """Integration constants for a basis of canonical series.
 
-Two routes: the closed Gamma-product prescription read off the zero component
-of each exponent vector, and an over-determined least-squares fit against the
-quadrature oracle at several coefficient points.  Both are exposed; solve
-pipelines use the prescription and cross-check it numerically.
+Each constant is a closed Gamma-product prescription read off the zero
+component of its exponent vector.  The constants are never fitted to the
+quadrature oracle: pipelines cross-check the weighted sum of series against
+that oracle, and a fitted constant could not be checked against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
-import numpy as np
-
-from .errors import IllConditioned, NoZeroComponent
+from .errors import NoZeroComponent
 from .gammafn import GammaFactor
 from .gkz import FakeExponent
 from .params import ParamLinear
 from .series import CanonicalSeries
-
-_COND_LIMIT = 1e8
 
 
 def gamma_constant(gamma: FakeExponent) -> GammaFactor:
@@ -32,32 +28,6 @@ def gamma_constant(gamma: FakeExponent) -> GammaFactor:
     numerator = [-g for g in gamma.components if not g.is_zero()]
     return GammaFactor(numerator=numerator,
                        denominator=[ParamLinear.param("beta")])
-
-
-def numeric_constants(series: Sequence[CanonicalSeries],
-                      assignment: Mapping[str, float],
-                      coefficient_samples: Sequence[Sequence[float]],
-                      oracle: Callable[[Sequence[float]], float],
-                      order: int = 40):
-    """Least-squares fit of sum K_i phi_i(c) = oracle(c) over sample points.
-
-    Returns (constants, residual, condition_number)."""
-    rows = len(coefficient_samples)
-    cols = len(series)
-    if rows < cols:
-        raise ValueError("need at least as many samples as series")
-    design = np.zeros((rows, cols))
-    target = np.zeros(rows)
-    for r, coeffs in enumerate(coefficient_samples):
-        for c, phi in enumerate(series):
-            design[r, c] = phi.evaluate(assignment, coeffs, order)[0]
-        target[r] = oracle(coeffs)
-    condition = float(np.linalg.cond(design))
-    if condition > _COND_LIMIT:
-        raise IllConditioned(f"design matrix condition {condition:.3g}")
-    solution, *_ = np.linalg.lstsq(design, target, rcond=None)
-    residual = float(np.max(np.abs(design @ solution - target)))
-    return [float(k) for k in solution], residual, condition
 
 
 @dataclass

@@ -43,10 +43,6 @@ class NonConvergent(FeynGKZError):
     """The numeric integrand fails the decay probe."""
 
 
-class IllConditioned(FeynGKZError):
-    """The linear solve for integration constants is too ill-conditioned."""
-
-
 class DivergentArgument(FeynGKZError):
     """A series was evaluated outside its region of convergence."""
 

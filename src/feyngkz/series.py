@@ -20,11 +20,11 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DivergentArgument
-from .gammafn import as_nonpositive_int
+from .errors import DivergentArgument, PoleError
+from .gammafn import _INT_TOL
 from .gkz import FakeExponent
 from .params import ParamLinear
-from .pochhammer import PochhammerProduct, log_poch
+from .pochhammer import PochhammerProduct
 
 
 def term_coefficient(gamma: Sequence[ParamLinear], u: Sequence[int],
@@ -39,13 +39,25 @@ def term_coefficient(gamma: Sequence[ParamLinear], u: Sequence[int],
         [(g + 1, x) for g, x in zip(gamma, u) if x > 0])
 
 
-def _factor_table(g: float, c: float, lo: int,
+def _factor_table(gamma: np.ndarray, coeffs: Sequence[float], lo: int,
                   hi: int) -> Tuple[np.ndarray, np.ndarray]:
-    """log|f(x)| and sign f(x) for x = lo..hi, where f(x) = c^x [g]_{-x} for
-    x <= 0 and c^x / (g+1)_x for x > 0; both are c^x (g+1+x)_{-x}."""
-    table = [log_poch(g + 1 + x, -x) for x in range(lo, hi + 1)]
-    logs, signs = np.array(table).T
-    return logs + np.arange(lo, hi + 1) * math.log(c), signs
+    """log|f_i(x)| and sign f_i(x), one row per component and one column per
+    x = lo..hi (lo <= 0 <= hi), where f_i(x) = c_i^x [g_i]_{-x} for x <= 0 and
+    c_i^x / (g_i+1)_x for x > 0.  Since f_i(x)/f_i(x-1) = c_i/(g_i+x), each
+    row is a cumulative sum of log|g_i+k| outward from f_i(0) = 1; a factor
+    that vanishes makes every entry beyond it -inf/+inf with sign 0."""
+    gamma = np.asarray(gamma, dtype=float)[:, None]
+    up = gamma + np.arange(1, hi + 1)          # g+k, k = 1..hi
+    down = gamma - np.arange(0, -lo)           # g+k, k = 0, -1, ..., lo+1
+    with np.errstate(divide="ignore"):
+        log_up, log_down = np.log(np.abs(up)), np.log(np.abs(down))
+    zero, one = np.zeros_like(gamma), np.ones_like(gamma)
+    logs = np.hstack([np.cumsum(log_down, axis=1)[:, ::-1], zero,
+                      -np.cumsum(log_up, axis=1)])
+    signs = np.hstack([np.cumprod(np.sign(down), axis=1)[:, ::-1], one,
+                       np.cumprod(np.sign(up), axis=1)])
+    logs += np.outer([math.log(c) for c in coeffs], np.arange(lo, hi + 1))
+    return logs, signs
 
 
 @dataclass
@@ -110,11 +122,12 @@ class CanonicalSeries:
     # -- term enumeration --------------------------------------------------
 
     def _box(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Lattice coordinates in [-order, order] and their points u, kept
+        """Lattice coordinates in [-order, order]^rank, enumerated in
+        lexicographic order as one index grid, and their points u, kept
         where w.u >= 0."""
-        indices = np.array(
-            list(itertools.product(range(-order, order + 1), repeat=self.rank)),
-            dtype=np.int64).reshape((2 * order + 1) ** self.rank, self.rank)
+        side = 2 * order + 1
+        indices = np.indices((side,) * self.rank).reshape(
+            self.rank, side ** self.rank).T - order
         basis = np.array(self.lattice, dtype=np.int64).reshape(self.rank,
                                                                self.nvars)
         shifts = indices @ basis
@@ -223,8 +236,9 @@ class CanonicalSeries:
         """(value, tail_estimate) of the truncated series at positive
         coefficients; raises DivergentArgument outside the convergence
         region implied by the lattice arguments.  Each term is a product of
-        one tabulated factor per component, summed in log space with a
-        single exp."""
+        one factor per component, gathered from a single cumulative-sum
+        factor table for all components and summed in log space with one
+        exp per term."""
         args = self.argument_values(coeffs)
         if self.rank == 1:
             if abs(args[0]) >= 1:
@@ -233,25 +247,26 @@ class CanonicalSeries:
             x, y = args
             if math.sqrt(abs(x)) + math.sqrt(abs(y)) >= 1:
                 raise DivergentArgument("sqrt|x| + sqrt|y| >= 1")
-        gamma = [g.evaluate(assignment) for g in self.gamma.components]
-        prefactor = math.prod(c ** g for c, g in zip(coeffs, gamma))
+        gamma = np.array([g.evaluate(assignment)
+                          for g in self.gamma.components])
+        prefactor = math.prod(c ** g for c, g in zip(coeffs, gamma.tolist()))
         indices, shifts = self._box(order)
+        rounded = np.rint(gamma)
+        integer = np.abs(gamma - rounded) < _INT_TOL
         # the falling factorial [g]_{-x} passes through 0 once x < -g
-        keep = np.ones(len(shifts), dtype=bool)
-        for i, g in enumerate(gamma):
-            k = as_nonpositive_int(-g)
-            if k is not None:
-                keep &= shifts[:, i] >= k
+        floor = np.where(integer & (rounded >= 0), -rounded, -np.inf)
+        keep = (shifts >= floor).all(axis=1)
         indices, shifts = indices[keep], shifts[keep]
-        logs = np.zeros(len(shifts))
-        signs = np.ones(len(shifts))
-        for i, (g, c) in enumerate(zip(gamma, coeffs)):
-            column = shifts[:, i]
-            lo = int(column.min())
-            log_row, sign_row = _factor_table(g, c, lo, int(column.max()))
-            logs += log_row[column - lo]
-            signs *= sign_row[column - lo]
-        values = signs * np.exp(logs)
+        # the rising factorial (g+1)_x passes through 0 once x >= -g
+        reach = shifts.max(axis=0, initial=0)
+        if np.any(integer & (rounded < 0) & (reach >= -rounded)):
+            raise PoleError(f"vanishing denominator factor in {self.gamma}")
+        lo = int(shifts.min(initial=0))
+        logs, signs = _factor_table(gamma, coeffs, lo, int(reach.max(initial=0)))
+        columns = shifts - lo
+        rows = np.arange(self.nvars)
+        values = (signs[rows, columns].prod(axis=1)
+                  * np.exp(logs[rows, columns].sum(axis=1)))
         shell = np.abs(indices).max(axis=1, initial=0) == order
         return (prefactor * float(values.sum()),
                 prefactor * float(np.abs(values[shell]).sum()))

@@ -277,7 +277,7 @@ def test_criterion_9_property_suites():
         if spec.kappa_names:
             kappa = [-ParamLinear.param(n) for n in spec.kappa_names]
         else:
-            kappa = standard_kappa(amat.ncols)
+            kappa = standard_kappa(amat.nrows - 1)
         for u in rep.lattice:
             if any(sum(r * x for r, x in zip(row, u)) != 0
                    for row in amat.rows):

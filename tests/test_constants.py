@@ -1,15 +1,13 @@
-"""Integration constants: Gamma prescription and numeric least squares."""
+"""Integration constants: the Gamma prescription and the deformation probe."""
 
 import math
 
 import pytest
 
 from feyngkz import pipeline
-from feyngkz.constants import (deformation_limit_probe, gamma_constant,
-                               numeric_constants)
+from feyngkz.constants import deformation_limit_probe, gamma_constant
 from feyngkz.errors import NoZeroComponent
 from feyngkz.fixtures import fixtures
-from feyngkz.quadrature import QuadratureSpec, quadrature
 
 
 def test_gamma_constant_requires_zero_component():
@@ -37,29 +35,6 @@ def test_prescription_reproduces_oracle_gauss():
     spec = fixtures()["2f1-double"]
     rep = pipeline.run(spec, verify=True)
     assert rep.relative_deviation < 1e-9
-
-
-def test_numeric_constants_agree_with_prescription():
-    spec = fixtures()["2f1-double"]
-    rep = pipeline.run(spec)
-    assignment = spec.assignment()
-    samples = [[1.0, 1.0, 1.0, 2.0], [1.1, 0.9, 1.3, 2.3],
-               [1.2, 0.9, 1.0, 1.9], [1.3, 1.0, 0.9, 2.6]]
-
-    def oracle(coeffs):
-        qspec = QuadratureSpec(exponents=rep.column_exponents,
-                               coefficients=list(coeffs),
-                               alpha=spec.alpha, beta=spec.d / 2,
-                               target_tolerance=1e-10)
-        return quadrature(qspec).value
-
-    fitted, residual, condition = numeric_constants(
-        rep.series, assignment, samples, oracle, order=40)
-    assert residual < 1e-6
-    assert condition < 1e8
-    prescribed = rep.bundle.constant_values(assignment)
-    for fit, pres in zip(fitted, prescribed):
-        assert fit == pytest.approx(pres, rel=1e-6)
 
 
 def test_deformation_probe_bubble():

@@ -3,14 +3,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import helpers
-from feyngkz import pipeline
+from feyngkz import gammafn, pipeline, pochhammer, series as series_module
 from feyngkz.errors import DivergentArgument, PoleError
 from feyngkz.fixtures import fixtures
 from feyngkz.params import ParamLinear
-from feyngkz.series import _argument_monomial, term_coefficient
+from feyngkz.pochhammer import log_poch
+from feyngkz.series import (_argument_monomial, _factor_table,
+                            term_coefficient)
 
 
 def test_term_coefficient_zero_off_halfspace():
@@ -205,3 +208,95 @@ def test_vanishing_denominator_raises_pole_error():
         series.evaluate(assignment, [1.0, 1.0, 1.0, 2.0], 10)
     with pytest.raises(PoleError):
         _reference_sum(series, assignment, [1.0, 1.0, 1.0, 2.0], 10)
+
+
+def test_evaluate_skips_denominators_no_kept_term_reaches():
+    # gamma_4 = -a2 = -2 has (gamma_4 + 1)_2 = 0, but the lattice vector
+    # (-1, 1, 1, -1) keeps that column at or below 0, so no term divides by it
+    spec = fixtures()["2f1-double"]
+    rep = pipeline.run(spec)
+    assignment = dict(spec.assignment(), a2=2.0)
+    series = rep.series[0]
+    assert series.gamma.components[3].evaluate(assignment) == -2.0
+    assert max(u[3] for u in series._box(spec.order)[1].tolist()) == 0
+    coeffs = _convergent_coeffs(series)
+    value, _ = series.evaluate(assignment, coeffs, spec.order)
+    reference = _reference_sum(series, assignment, coeffs, spec.order)
+    assert value == pytest.approx(reference, rel=1e-12)
+
+
+def _random_gamma(rng, kind):
+    if kind == "generic":
+        return rng.uniform(-8, 8)
+    if kind == "near-integer":
+        return rng.randint(-7, 7) + rng.choice((-1, 1)) * rng.uniform(1e-3, 1e-2)
+    if kind == "negative-integer":
+        return float(rng.randint(-7, -1))
+    return float(rng.randint(0, 7))
+
+
+def _reached(g, x):
+    """Entries some kept term reads: the prune stops a non-negative integer
+    g at x = -g, and a negative integer g is reached only below x = -g."""
+    if g == round(g):
+        return x >= -g if g >= 0 else x < -g
+    return True
+
+
+def test_factor_table_matches_per_entry_reference():
+    rng = random.Random(7)
+    kinds = ("generic", "near-integer", "negative-integer", "non-negative-integer")
+    for _ in range(40):
+        gamma = [_random_gamma(rng, rng.choice(kinds)) for _ in range(5)]
+        coeffs = [rng.uniform(0.05, 3) for _ in gamma]
+        lo, hi = -rng.randint(0, 400), rng.randint(0, 400)
+        logs, signs = _factor_table(np.array(gamma), coeffs, lo, hi)
+        assert logs.shape == signs.shape == (len(gamma), hi - lo + 1)
+        for i, (g, c) in enumerate(zip(gamma, coeffs)):
+            for x in range(lo, hi + 1):
+                if not _reached(g, x):
+                    continue
+                log_size, sign = log_poch(g + 1 + x, -x)
+                want = log_size + x * math.log(c)
+                got = logs[i, x - lo]
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (g, c, x)
+                assert signs[i, x - lo] == sign, (g, x)
+
+
+def test_factor_table_stays_exact_next_to_integers():
+    """Within 1e-8 of an integer the table keeps ~14 digits: each entry is a
+    sum of log|g+k| with g+k exact, where the lgamma difference behind
+    log_poch loses digits in proportion to 1/distance."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for distance in (1e-8, -1e-8, 1e-5):
+        gamma = [-3 + distance, 2 + distance]
+        logs, signs = _factor_table(np.array(gamma), [1.0, 1.0], -60, 60)
+        for i, g in enumerate(gamma):
+            for x in range(-60, 61):
+                exact = mpmath.rf(mpmath.mpf(g) + 1 + x, -x)
+                want = float(mpmath.log(abs(exact)))
+                assert abs(logs[i, x + 60] - want) <= 1e-13 * max(1.0, abs(want))
+                assert signs[i, x + 60] == (1.0 if exact > 0 else -1.0)
+
+
+def test_evaluate_makes_no_per_entry_special_function_calls(monkeypatch):
+    """Every fixture's series evaluates with the per-entry Pochhammer and
+    log-Gamma routes switched off: they stay only as the test reference."""
+    bundles = []
+    for spec in fixtures().values():
+        bundles.append((spec, pipeline.run(spec).series))
+
+    def refuse(*args):
+        raise AssertionError("per-entry special function called")
+
+    for module, name in ((pochhammer, "log_poch"),
+                         (gammafn, "log_gamma_signed"),
+                         (series_module, "log_poch"),
+                         (series_module, "log_gamma_signed")):
+        monkeypatch.setattr(module, name, refuse, raising=False)
+    for spec, all_series in bundles:
+        for series in all_series:
+            value, _ = series.evaluate(spec.assignment(),
+                                       _convergent_coeffs(series), spec.order)
+            assert math.isfinite(value)
