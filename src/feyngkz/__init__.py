@@ -5,7 +5,8 @@ from .constants import SolutionBundle, deformation_limit_probe, gamma_constant
 from .errors import (DeformationFailed, DimensionMismatch, DivergentArgument,
                      FeynGKZError, InconsistentPair, NoZeroComponent,
                      NonConvergent, NonFiniteValue, NonGenericWeight,
-                     PoleError, SingularM, UnderdeterminedPair)
+                     NonPositiveCoefficient, PoleError, SingularM,
+                     UnderdeterminedPair)
 from .gammafn import GammaFactor, log_gamma_signed
 from .gkz import (AMatrix, FakeExponent, StandardPair, deform, fake_exponents,
                   initial_ideal, kernel_lattice, standard_kappa,

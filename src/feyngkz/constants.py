@@ -4,12 +4,19 @@ Each constant is a closed Gamma-product prescription read off the zero
 component of its exponent vector.  The constants are never fitted to the
 quadrature oracle: pipelines cross-check the weighted sum of series against
 that oracle, and a fitted constant could not be checked against it.
+
+A bundle evaluates at one coefficient point (``evaluate``) or at many
+(``evaluate_points``): the constants and each series' factor table depend
+only on the parameters, so a sweep over coefficients, such as the
+deformation-limit probe, builds them once and not once per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List, Mapping, Sequence
+
+import numpy as np
 
 from .errors import NoZeroComponent
 from .gammafn import GammaFactor
@@ -47,6 +54,16 @@ class SolutionBundle:
             total += value * phi.evaluate(assignment, coeffs, order)[0]
         return total
 
+    def evaluate_points(self, assignment: Mapping[str, float],
+                        points: Sequence[Sequence[float]],
+                        order: int = 40) -> np.ndarray:
+        """Sum K_i phi_i at every coefficient point, with each constant and
+        each series' factor table built once for all points."""
+        total = np.zeros(len(points))
+        for phi, value in zip(self.series, self.constant_values(assignment)):
+            total += value * phi.evaluate_points(assignment, points, order)[0]
+        return total
+
 
 @dataclass
 class ProbeReport:
@@ -76,10 +93,9 @@ def deformation_limit_probe(bundle: SolutionBundle,
                             target: float,
                             order: int = 60) -> ProbeReport:
     """Drive the deformation coefficient through the given epsilons and
-    compare the combined series against a closed-form/oracle target."""
-    values = []
-    for eps in epsilons:
-        coeffs = list(base_coeffs)
-        coeffs[deformed_index] = eps
-        values.append(bundle.evaluate(assignment, coeffs, order))
-    return ProbeReport(list(epsilons), values, target)
+    compare the combined series against a closed-form/oracle target.  All
+    epsilons are evaluated in one ``evaluate_points`` call."""
+    points = np.tile(np.asarray(base_coeffs, dtype=float), (len(epsilons), 1))
+    points[:, deformed_index] = epsilons
+    values = bundle.evaluate_points(assignment, points, order)
+    return ProbeReport(list(epsilons), values.tolist(), target)

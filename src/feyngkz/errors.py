@@ -39,6 +39,11 @@ class NoZeroComponent(FeynGKZError):
     prescription for its integration constant does not apply."""
 
 
+class NonPositiveCoefficient(FeynGKZError):
+    """A coefficient of g is zero or negative, outside the positive orthant
+    where the integral and its series are defined."""
+
+
 class NonConvergent(FeynGKZError):
     """The numeric integrand fails the decay probe."""
 

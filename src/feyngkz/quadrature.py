@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.stats import qmc
 
-from .errors import DimensionMismatch, NonConvergent
+from .errors import DimensionMismatch, NonConvergent, NonPositiveCoefficient
 from .intlinalg import integer_rank
 
 _DECAY_DROP = 45.0          # required drop of log f along each axis
@@ -48,7 +48,7 @@ class QuadratureSpec:
         if len(self.exponents) != len(self.coefficients):
             raise DimensionMismatch("one coefficient per exponent required")
         if any(c <= 0 for c in self.coefficients):
-            raise ValueError("coefficients must be positive")
+            raise NonPositiveCoefficient("coefficients must be positive")
 
 
 @dataclass

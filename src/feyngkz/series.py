@@ -14,13 +14,13 @@ factorials hit nonpositive integers.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DivergentArgument, PoleError
+from .errors import (DimensionMismatch, DivergentArgument,
+                     NonPositiveCoefficient, PoleError)
 from .gammafn import _INT_TOL
 from .gkz import FakeExponent
 from .params import ParamLinear
@@ -39,24 +39,25 @@ def term_coefficient(gamma: Sequence[ParamLinear], u: Sequence[int],
         [(g + 1, x) for g, x in zip(gamma, u) if x > 0])
 
 
-def _factor_table(gamma: np.ndarray, coeffs: Sequence[float], lo: int,
+def _factor_table(gamma: np.ndarray, lo: int,
                   hi: int) -> Tuple[np.ndarray, np.ndarray]:
     """log|f_i(x)| and sign f_i(x), one row per component and one column per
-    x = lo..hi (lo <= 0 <= hi), where f_i(x) = c_i^x [g_i]_{-x} for x <= 0 and
-    c_i^x / (g_i+1)_x for x > 0.  Since f_i(x)/f_i(x-1) = c_i/(g_i+x), each
-    row is a cumulative sum of log|g_i+k| outward from f_i(0) = 1; a factor
-    that vanishes makes every entry beyond it -inf/+inf with sign 0."""
-    gamma = np.asarray(gamma, dtype=float)[:, None]
-    up = gamma + np.arange(1, hi + 1)          # g+k, k = 1..hi
-    down = gamma - np.arange(0, -lo)           # g+k, k = 0, -1, ..., lo+1
+    x = lo..hi (lo <= 0 <= hi), where f_i(x) = [g_i]_{-x} for x <= 0 and
+    1 / (g_i+1)_x for x > 0: the coefficient-free factor of c_i^x.  Since
+    f_i(x)/f_i(x-1) = 1/(g_i+x), each row is a cumulative sum of log|g_i+k|
+    outward from f_i(0) = 1; a factor that vanishes makes every entry beyond
+    it -inf/+inf with sign 0."""
+    factors = np.asarray(gamma, dtype=float)[:, None] + np.arange(lo + 1, hi + 1)
     with np.errstate(divide="ignore"):
-        log_up, log_down = np.log(np.abs(up)), np.log(np.abs(down))
-    zero, one = np.zeros_like(gamma), np.ones_like(gamma)
-    logs = np.hstack([np.cumsum(log_down, axis=1)[:, ::-1], zero,
-                      -np.cumsum(log_up, axis=1)])
-    signs = np.hstack([np.cumprod(np.sign(down), axis=1)[:, ::-1], one,
-                       np.cumprod(np.sign(up), axis=1)])
-    logs += np.outer([math.log(c) for c in coeffs], np.arange(lo, hi + 1))
+        log_abs = np.log(np.abs(factors))
+    sign = np.sign(factors)
+    logs = np.zeros((len(factors), hi - lo + 1))
+    signs = np.ones_like(logs)
+    m = -lo                                    # factors[:, :m] is k = lo+1..0
+    logs[:, :m] = np.cumsum(log_abs[:, :m][:, ::-1], axis=1)[:, ::-1]
+    signs[:, :m] = np.cumprod(sign[:, :m][:, ::-1], axis=1)[:, ::-1]
+    logs[:, m + 1:] = -np.cumsum(log_abs[:, m:], axis=1)
+    signs[:, m + 1:] = np.cumprod(sign[:, m:], axis=1)
     return logs, signs
 
 
@@ -121,18 +122,21 @@ class CanonicalSeries:
 
     # -- term enumeration --------------------------------------------------
 
+    def _basis(self) -> np.ndarray:
+        return np.array(self.lattice, dtype=np.int64).reshape(self.rank,
+                                                              self.nvars)
+
     def _box(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
         """Lattice coordinates in [-order, order]^rank, enumerated in
         lexicographic order as one index grid, and their points u, kept
-        where w.u >= 0."""
+        where w.u >= 0 (tested on the coordinates, before any u is
+        formed)."""
         side = 2 * order + 1
-        indices = np.indices((side,) * self.rank).reshape(
-            self.rank, side ** self.rank).T - order
-        basis = np.array(self.lattice, dtype=np.int64).reshape(self.rank,
-                                                               self.nvars)
-        shifts = indices @ basis
-        keep = shifts @ np.array(self.weight, dtype=np.int64) >= 0
-        return indices[keep], shifts[keep]
+        grid = np.indices((side,) * self.rank).reshape(
+            self.rank, side ** self.rank) - order
+        basis = self._basis()
+        grid = grid[:, basis @ np.array(self.weight, dtype=np.int64) @ grid >= 0]
+        return grid.T, grid.T @ basis
 
     def enumerate_terms(self, order: int) -> List[SeriesTerm]:
         """All nonzero terms with lattice coordinates in [-order, order],
@@ -222,34 +226,50 @@ class CanonicalSeries:
 
     # -- numeric evaluation ------------------------------------------------
 
-    def argument_values(self, coeffs: Sequence[float]) -> List[float]:
-        values = []
-        for v in self.lattice:
-            x = 1.0
-            for c, e in zip(coeffs, v):
-                x *= c ** e
-            values.append(x)
-        return values
+    def _check_region(self, log_points: np.ndarray):
+        """Raise DivergentArgument if any coefficient point, given as log c,
+        puts the lattice arguments outside the convergence region: |x| < 1
+        in rank 1, sqrt|x| + sqrt|y| < 1 for Appell F4."""
+        args = np.exp(log_points @ self._basis().T)
+        if self.rank == 1:
+            worst = float(args.max(initial=0))
+            if worst >= 1:
+                raise DivergentArgument(f"|argument| = {worst:.4g} >= 1")
+        elif self.form.kind == "AppellF4":
+            if np.any(np.sqrt(args).sum(axis=1) >= 1):
+                raise DivergentArgument("sqrt|x| + sqrt|y| >= 1")
 
     def evaluate(self, assignment: Mapping[str, float],
                  coeffs: Sequence[float], order: int) -> Tuple[float, float]:
-        """(value, tail_estimate) of the truncated series at positive
-        coefficients; raises DivergentArgument outside the convergence
-        region implied by the lattice arguments.  Each term is a product of
-        one factor per component, gathered from a single cumulative-sum
-        factor table for all components and summed in log space with one
-        exp per term."""
-        args = self.argument_values(coeffs)
-        if self.rank == 1:
-            if abs(args[0]) >= 1:
-                raise DivergentArgument(f"|argument| = {abs(args[0]):.4g} >= 1")
-        elif self.form.kind == "AppellF4":
-            x, y = args
-            if math.sqrt(abs(x)) + math.sqrt(abs(y)) >= 1:
-                raise DivergentArgument("sqrt|x| + sqrt|y| >= 1")
+        """(value, tail_estimate) of the truncated series at one point of
+        positive coefficients: ``evaluate_points`` at that point alone."""
+        values, tails = self.evaluate_points(assignment, [coeffs], order)
+        return float(values[0]), float(tails[0])
+
+    def evaluate_points(self, assignment: Mapping[str, float],
+                        points: Sequence[Sequence[float]],
+                        order: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(values, tail_estimates), one entry per point of positive
+        coefficients; raises DimensionMismatch unless each point has one
+        coefficient per component, NonPositiveCoefficient for a coefficient
+        <= 0 and DivergentArgument if any point lies outside the convergence
+        region implied by the lattice arguments.  gamma, the box and the
+        factor table depend only on the assignment, so they are built once
+        per call: each term is a product of one coefficient-free factor per
+        component, gathered from a single cumulative-sum table, and the
+        points enter only through log c . (u + gamma), summed in log space
+        with one exp per term and point."""
+        points = np.array(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.nvars:
+            raise DimensionMismatch(f"need points of {self.nvars} "
+                                    f"coefficients, got shape {points.shape}")
+        if not (points > 0).all():
+            raise NonPositiveCoefficient(
+                f"coefficients must be positive, got {points.tolist()}")
+        log_points = np.log(points)
+        self._check_region(log_points)
         gamma = np.array([g.evaluate(assignment)
                           for g in self.gamma.components])
-        prefactor = math.prod(c ** g for c, g in zip(coeffs, gamma.tolist()))
         indices, shifts = self._box(order)
         rounded = np.rint(gamma)
         integer = np.abs(gamma - rounded) < _INT_TOL
@@ -262,11 +282,12 @@ class CanonicalSeries:
         if np.any(integer & (rounded < 0) & (reach >= -rounded)):
             raise PoleError(f"vanishing denominator factor in {self.gamma}")
         lo = int(shifts.min(initial=0))
-        logs, signs = _factor_table(gamma, coeffs, lo, int(reach.max(initial=0)))
+        logs, signs = _factor_table(gamma, lo, int(reach.max(initial=0)))
         columns = shifts - lo
         rows = np.arange(self.nvars)
+        # log c^(u + gamma) for every point and term, prefactor included
+        exponents = log_points @ shifts.T + (log_points @ gamma)[:, None]
         values = (signs[rows, columns].prod(axis=1)
-                  * np.exp(logs[rows, columns].sum(axis=1)))
+                  * np.exp(logs[rows, columns].sum(axis=1) + exponents))
         shell = np.abs(indices).max(axis=1, initial=0) == order
-        return (prefactor * float(values.sum()),
-                prefactor * float(np.abs(values[shell]).sum()))
+        return values.sum(axis=1), np.abs(values[:, shell]).sum(axis=1)

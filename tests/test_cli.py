@@ -107,6 +107,18 @@ def test_spec_file_round_trip(tmp_path, capsys):
     assert json.loads(out)["verified"] is True
 
 
+def test_verify_non_positive_coefficient_exit_code(tmp_path, capsys):
+    code, out, _ = _run(capsys, "fixtures", "--name", "2f1-double", "--json")
+    spec = json.loads(out)
+    spec["coefficients"] = [1.0, -0.5, 1.0, 2.0]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(capsys, "verify", "--spec", str(path))
+    assert code == cli.EXIT_ENGINE
+    assert err.startswith("error: coefficients must be positive")
+    assert "Traceback" not in err + out
+
+
 def test_usage_error_without_input(capsys):
     with pytest.raises(SystemExit):
         cli.main(["gkz"])

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from feyngkz import pipeline
+from feyngkz import pipeline, series as series_module
 from feyngkz.constants import deformation_limit_probe, gamma_constant
 from feyngkz.errors import NoZeroComponent
 from feyngkz.fixtures import fixtures
@@ -60,3 +60,40 @@ def test_probe_report_bookkeeping():
     assert report.deviations == pytest.approx([0.5, 0.05])
     assert report.monotone
     assert report.final_deviation == pytest.approx(0.05)
+
+
+def test_probe_matches_per_epsilon_evaluate():
+    epsilons = [1e-1, 1e-2, 1e-3]
+    for name in ("massless-bubble", "triangle-1scale", "cantaloupe-2"):
+        spec = fixtures()[name]
+        rep = pipeline.run(spec)
+        coeffs = pipeline.coefficient_values(spec, rep.column_exponents,
+                                             rep.polynomial)
+        index = rep.column_exponents.index(rep.deformation.exponent)
+        probe = deformation_limit_probe(rep.bundle, spec.assignment(), coeffs,
+                                        index, epsilons, 1.0, spec.order)
+        for eps, value in zip(epsilons, probe.values):
+            point = list(coeffs)
+            point[index] = eps
+            want = rep.bundle.evaluate(spec.assignment(), point, spec.order)
+            assert value == pytest.approx(want, rel=1e-13), (name, eps)
+
+
+def test_probe_builds_one_factor_table_per_series(monkeypatch):
+    """The probe evaluates all epsilons from one factor table per series,
+    not one per series and epsilon."""
+    spec = fixtures()["triangle-1scale"]
+    rep = pipeline.run(spec)
+    coeffs = pipeline.coefficient_values(spec, rep.column_exponents,
+                                         rep.polynomial)
+    calls = []
+    real = series_module._factor_table
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series_module, "_factor_table", counted)
+    deformation_limit_probe(rep.bundle, spec.assignment(), coeffs, 0,
+                            [1e-1, 1e-2, 1e-3], 1.0, spec.order)
+    assert len(calls) == len(rep.bundle.series) == 2

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from feyngkz import pipeline
-from feyngkz.errors import DimensionMismatch, NonConvergent
+from feyngkz.errors import (DimensionMismatch, NonConvergent,
+                            NonPositiveCoefficient)
 from feyngkz.fixtures import fixtures
 from feyngkz.quadrature import (Integrand, QuadratureSpec, convergence_margin,
                                 qmc_sobol, quadrature, reduce_linear)
@@ -230,3 +231,9 @@ def test_linear_program_only_for_two_or_more_variables(monkeypatch):
     assert quadrature(_spec([(0, 0), (1, 0), (0, 1), (0, 2), (2, 0)],
                             [1.0] * 5, [0.7, 0.6], 1.9)).dims == 2
     assert len(calls) == 1
+
+
+def test_non_positive_coefficient_raises_typed_error():
+    for coefficient in (-0.5, 0.0):
+        with pytest.raises(NonPositiveCoefficient):
+            _spec([(0,), (1,)], [1.0, coefficient], [0.5], 1.5)

@@ -8,7 +8,8 @@ import pytest
 
 import helpers
 from feyngkz import gammafn, pipeline, pochhammer, series as series_module
-from feyngkz.errors import DivergentArgument, PoleError
+from feyngkz.errors import (DimensionMismatch, DivergentArgument,
+                            NonPositiveCoefficient, PoleError)
 from feyngkz.fixtures import fixtures
 from feyngkz.params import ParamLinear
 from feyngkz.pochhammer import log_poch
@@ -248,18 +249,16 @@ def test_factor_table_matches_per_entry_reference():
     kinds = ("generic", "near-integer", "negative-integer", "non-negative-integer")
     for _ in range(40):
         gamma = [_random_gamma(rng, rng.choice(kinds)) for _ in range(5)]
-        coeffs = [rng.uniform(0.05, 3) for _ in gamma]
         lo, hi = -rng.randint(0, 400), rng.randint(0, 400)
-        logs, signs = _factor_table(np.array(gamma), coeffs, lo, hi)
+        logs, signs = _factor_table(np.array(gamma), lo, hi)
         assert logs.shape == signs.shape == (len(gamma), hi - lo + 1)
-        for i, (g, c) in enumerate(zip(gamma, coeffs)):
+        for i, g in enumerate(gamma):
             for x in range(lo, hi + 1):
                 if not _reached(g, x):
                     continue
-                log_size, sign = log_poch(g + 1 + x, -x)
-                want = log_size + x * math.log(c)
+                want, sign = log_poch(g + 1 + x, -x)
                 got = logs[i, x - lo]
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (g, c, x)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (g, x)
                 assert signs[i, x - lo] == sign, (g, x)
 
 
@@ -271,7 +270,7 @@ def test_factor_table_stays_exact_next_to_integers():
     mpmath.mp.dps = 40
     for distance in (1e-8, -1e-8, 1e-5):
         gamma = [-3 + distance, 2 + distance]
-        logs, signs = _factor_table(np.array(gamma), [1.0, 1.0], -60, 60)
+        logs, signs = _factor_table(np.array(gamma), -60, 60)
         for i, g in enumerate(gamma):
             for x in range(-60, 61):
                 exact = mpmath.rf(mpmath.mpf(g) + 1 + x, -x)
@@ -300,3 +299,88 @@ def test_evaluate_makes_no_per_entry_special_function_calls(monkeypatch):
             value, _ = series.evaluate(spec.assignment(),
                                        _convergent_coeffs(series), spec.order)
             assert math.isfinite(value)
+
+
+def _points(series, rng, count=4):
+    """Coefficient points scattered inside the convergence region."""
+    return [[c * math.exp(rng.uniform(-0.05, 0.05))
+             for c in _convergent_coeffs(series, rng.uniform(0.3, 0.6))]
+            for _ in range(count)]
+
+
+def test_evaluate_points_matches_per_point_evaluate():
+    """At every bundle fixture's stated parameters and at orders 40 and 80,
+    the batched path agrees with one evaluate call per point, for each
+    series (value and tail) and for the bundle."""
+    rng = random.Random(11)
+    for name, spec in fixtures().items():
+        rep = pipeline.run(spec)
+        if rep.bundle is None:
+            continue
+        assignment = spec.assignment()
+        for order in (40, 80):
+            for series in rep.series:
+                points = _points(series, rng)
+                values, tails = series.evaluate_points(assignment, points, order)
+                assert values.shape == tails.shape == (len(points),)
+                for point, value, tail in zip(points, values, tails):
+                    want, want_tail = series.evaluate(assignment, point, order)
+                    assert value == pytest.approx(want, rel=1e-13), (name, order)
+                    assert tail == pytest.approx(want_tail, rel=1e-13, abs=0)
+            if spec.amatrix is not None:
+                continue    # its constants need Gamma(beta), not assigned
+            points = _points(rep.series[0], rng)
+            totals = rep.bundle.evaluate_points(assignment, points, order)
+            for point, total in zip(points, totals):
+                want = rep.bundle.evaluate(assignment, point, order)
+                assert total == pytest.approx(want, rel=1e-13), (name, order)
+
+
+def test_evaluate_points_raises_if_any_point_diverges():
+    for name in ("one-mass-bubble", "triangle-3scale"):
+        spec = fixtures()[name]
+        rep = pipeline.run(spec)
+        series = rep.series[0]
+        inside = _convergent_coeffs(series)
+        # c^(-4 * lattice sum) puts every lattice argument far above 1
+        outside = _convergent_coeffs(series, -4.0)
+        series.evaluate_points(spec.assignment(), [inside], 10)
+        with pytest.raises(DivergentArgument):
+            series.evaluate_points(spec.assignment(), [inside, outside], 10)
+        with pytest.raises(DivergentArgument):
+            rep.bundle.evaluate_points(spec.assignment(), [outside, inside], 10)
+
+
+def test_evaluate_points_keeps_pole_semantics():
+    spec = fixtures()["2f1-double"]
+    series = pipeline.run(spec).series[0]
+    points = [[1.0, 1.0, 1.0, 2.0], [1.0, 1.2, 0.9, 2.5]]
+    with pytest.raises(PoleError):
+        series.evaluate_points(dict(spec.assignment(), a1=1.5, a2=0.5),
+                               points, 10)
+    # no kept term reaches the vanishing denominator of gamma_4 = -2
+    assignment = dict(spec.assignment(), a2=2.0)
+    values, _ = series.evaluate_points(assignment, points, spec.order)
+    for point, value in zip(points, values):
+        reference = _reference_sum(series, assignment, point, spec.order)
+        assert value == pytest.approx(reference, rel=1e-12)
+
+
+def test_non_positive_coefficient_raises_typed_error():
+    spec = fixtures()["2f1-double"]
+    rep = pipeline.run(spec)
+    for coeffs in ([1.0, -0.5, 1.0, 2.0], [1.0, 0.0, 1.0, 2.0],
+                   [1.0, math.nan, 1.0, 2.0]):
+        with pytest.raises(NonPositiveCoefficient):
+            rep.series[0].evaluate(spec.assignment(), coeffs, 10)
+        with pytest.raises(NonPositiveCoefficient):
+            rep.bundle.evaluate_points(spec.assignment(),
+                                       [[1.0, 1.0, 1.0, 2.0], coeffs], 10)
+
+
+def test_evaluate_points_rejects_points_of_the_wrong_length():
+    spec = fixtures()["2f1-double"]
+    series = pipeline.run(spec).series[0]
+    for points in ([[1.0, 1.0], [1.0, 2.0]], [1.0, 1.0, 1.0, 2.0]):
+        with pytest.raises(DimensionMismatch):
+            series.evaluate_points(spec.assignment(), points, 10)
