@@ -6,7 +6,7 @@ from .errors import (DeformationFailed, DimensionMismatch, DivergentArgument,
                      FeynGKZError, InconsistentPair, NoZeroComponent,
                      NonConvergent, NonFiniteValue, NonGenericWeight,
                      NonPositiveCoefficient, PoleError, SingularM,
-                     UnderdeterminedPair)
+                     UnassignedParameter, UnderdeterminedPair)
 from .gammafn import GammaFactor, log_gamma_signed
 from .gkz import (AMatrix, FakeExponent, StandardPair, deform, fake_exponents,
                   initial_ideal, kernel_lattice, standard_kappa,

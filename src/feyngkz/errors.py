@@ -39,6 +39,10 @@ class NoZeroComponent(FeynGKZError):
     prescription for its integration constant does not apply."""
 
 
+class UnassignedParameter(FeynGKZError):
+    """An expression names a parameter that the assignment gives no value."""
+
+
 class NonPositiveCoefficient(FeynGKZError):
     """A coefficient of g is zero or negative, outside the positive orthant
     where the integral and its series are defined."""

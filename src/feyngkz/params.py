@@ -12,6 +12,8 @@ import re
 from fractions import Fraction
 from typing import Mapping, Union
 
+from .errors import UnassignedParameter
+
 Scalar = Union[int, Fraction]
 
 
@@ -110,10 +112,15 @@ class ParamLinear:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, float]) -> float:
-        """Numeric value under a parameter assignment."""
+        """Numeric value under a parameter assignment; raises
+        UnassignedParameter when it lacks one of this expression's names."""
         total = float(self.constant)
         for name, q in self.coeffs.items():
-            total += float(q) * float(assignment[name])
+            try:
+                total += float(q) * float(assignment[name])
+            except KeyError:
+                raise UnassignedParameter(
+                    f"no value for parameter {name!r}") from None
         return total
 
     # -- serialization -----------------------------------------------------

@@ -7,9 +7,9 @@ Convergence of what is left is then decided exactly (alpha in the interior
 of sum_k beta_k Newt(g_k)): in closed form for one variable, by a small
 linear program for two or more.  The integrand is positive, so by Tonelli
 I converges iff every Beta step and the remainder do.  The remainder is
-summed on the chart z = e^x with a sinh substitution per axis: a tensor
-trapezoid rule for 1-3 variables, a scrambled Sobol rule for 4.  Nothing
-left means a closed form.
+summed on the chart z = e^x with a sinh substitution per axis, by one
+tensor trapezoid rule for 1-4 variables whose passes sum at most
+_PASS_NODE_LIMIT nodes each.  Nothing left means a closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.stats import qmc
 
 from .errors import DimensionMismatch, NonConvergent, NonPositiveCoefficient
 from .intlinalg import integer_rank
@@ -31,6 +30,7 @@ _PROBE_LIMIT = 2000.0       # how far out to look for the drop
 # probe radii 1, 1.5, 1.5^2, ... up to the first one past _PROBE_LIMIT
 _PROBE_RADII = 1.5 ** np.arange(math.ceil(math.log(_PROBE_LIMIT, 1.5)) + 1)
 _NODE_BUDGET = 1 << 17      # tensor nodes summed per vectorised chunk
+_PASS_NODE_LIMIT = 1 << 24  # most nodes one tensor pass may sum
 
 
 @dataclass
@@ -216,6 +216,11 @@ def _axis_truncations(f: Integrand) -> List[float]:
     return [math.asinh(r) + 0.4 for r in radii]
 
 
+def _pass_nodes(vmaxes: Sequence[float], step: float) -> int:
+    """Nodes of the _tensor_pass grid at this step."""
+    return math.prod(len(np.arange(-v, v + 0.5 * step, step)) for v in vmaxes)
+
+
 def _tensor_pass(f: Integrand, vmaxes: Sequence[float],
                  step: float) -> Tuple[float, int]:
     """Trapezoid sum over the whole grid, in chunks of whole first-axis
@@ -235,10 +240,17 @@ def _tensor_pass(f: Integrand, vmaxes: Sequence[float],
 def tanh_sinh_tensor(f: Integrand, target: float,
                      margin: float) -> QuadratureResult:
     """Tensor-product double-exponential rule, halving the step until two
-    passes agree to the relative target or the step falls below 0.02."""
+    passes agree to the relative target, the step falls below 0.02, or the
+    next pass would sum more than _PASS_NODE_LIMIT nodes; target_met then
+    says whether the last two passes agreed.  The first step is 0.2, doubled
+    while its half would not fit (in 1-3 variables it always fits)."""
     vmaxes = _axis_truncations(f)
-    value = _tensor_pass(f, vmaxes, 0.2)[0]
-    for step in (0.1, 0.05, 0.025, 0.0125):
+    step = 0.2
+    while _pass_nodes(vmaxes, step / 2) > _PASS_NODE_LIMIT:
+        step *= 2
+    value = _tensor_pass(f, vmaxes, step)[0]
+    while step > 0.02 and _pass_nodes(vmaxes, step / 2) <= _PASS_NODE_LIMIT:
+        step /= 2
         refined, nodes = _tensor_pass(f, vmaxes, step)
         error, value = abs(refined - value), refined
         if error <= target * abs(value):
@@ -247,45 +259,12 @@ def tanh_sinh_tensor(f: Integrand, target: float,
                             error <= target * abs(value), f.ndim, margin)
 
 
-def _sobol_rule(f: Integrand, target: float, margin: float,
-                log2_points: int = 18, replicates: int = 8,
-                seed: int = 20240) -> QuadratureResult:
-    """Scrambled Sobol rule on the sinh-transformed box."""
-    vmaxes = np.array(_axis_truncations(f))
-    estimates = []
-    for rep in range(replicates):
-        sampler = qmc.Sobol(d=f.ndim, scramble=True, seed=seed + rep)
-        v = (2.0 * sampler.random_base2(m=log2_points) - 1.0) * vmaxes
-        logw = np.sum(np.log(2.0 * vmaxes) + np.log(np.cosh(v)), axis=1)
-        estimates.append(float(np.mean(np.exp(f.log(np.sinh(v)) + logw))))
-    value = float(np.mean(estimates))
-    error = 2.0 * float(np.std(estimates, ddof=1)) / math.sqrt(replicates)
-    return QuadratureResult(value, error, "qmc-sobol",
-                            replicates * 2 ** log2_points,
-                            error <= target * abs(value), f.ndim, margin)
-
-
-def qmc_sobol(spec: QuadratureSpec, log2_points: int = 18,
-              replicates: int = 8, seed: int = 20240) -> QuadratureResult:
-    """The Sobol rule on the spec as given, behind the exact gate (quadrature
-    runs the rule without a second gate when the reduction leaves 4
-    variables)."""
-    f = Integrand.from_spec(spec)
-    return _sobol_rule(f, spec.target_tolerance, _check_convergent(f),
-                       log2_points, replicates, seed)
-
-
 def quadrature(spec: QuadratureSpec) -> QuadratureResult:
     if spec.ndim > 4:
         raise DimensionMismatch("quadrature oracle supports up to 4 variables")
     f = reduce_linear(Integrand.from_spec(spec))
     margin = _check_convergent(f)   # exact, on what the reduction left
-    target = spec.target_tolerance
     if f.ndim == 0:
         return QuadratureResult(math.exp(f.log_prefactor), 0.0,
                                 "closed-form", 0, True, 0, margin)
-    if f.ndim <= 3:
-        return tanh_sinh_tensor(f, target, margin)
-    result = _sobol_rule(f, target, margin)
-    return result if result.target_met else _sobol_rule(
-        f, target, margin, log2_points=20)
+    return tanh_sinh_tensor(f, spec.target_tolerance, margin)

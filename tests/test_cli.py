@@ -119,6 +119,18 @@ def test_verify_non_positive_coefficient_exit_code(tmp_path, capsys):
     assert "Traceback" not in err + out
 
 
+def test_verify_unassigned_parameter_exit_code(tmp_path, capsys):
+    code, out, _ = _run(capsys, "fixtures", "--name", "2f1-double", "--json")
+    spec = json.loads(out)
+    del spec["d"]       # beta = d/2 is then unassigned
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(capsys, "verify", "--spec", str(path))
+    assert code == cli.EXIT_ENGINE
+    assert err.startswith("error: no value for parameter 'beta'")
+    assert "Traceback" not in err + out
+
+
 def test_usage_error_without_input(capsys):
     with pytest.raises(SystemExit):
         cli.main(["gkz"])

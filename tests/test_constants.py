@@ -6,7 +6,7 @@ import pytest
 
 from feyngkz import pipeline, series as series_module
 from feyngkz.constants import deformation_limit_probe, gamma_constant
-from feyngkz.errors import NoZeroComponent
+from feyngkz.errors import NoZeroComponent, UnassignedParameter
 from feyngkz.fixtures import fixtures
 
 
@@ -28,6 +28,15 @@ def test_gamma_constant_rejects_nowhere_zero():
                           ParamLinear.param("beta")), pair)
     with pytest.raises(NoZeroComponent):
         gamma_constant(gamma)
+
+
+def test_unassigned_gamma_parameter_raises_typed_error():
+    """The constants divide by Gamma(beta), which an A-matrix spec such as
+    2f1-single does not assign (it names beta1 and beta2)."""
+    spec = fixtures()["2f1-single"]
+    bundle = pipeline.run(spec).bundle
+    with pytest.raises(UnassignedParameter, match="'beta'"):
+        bundle.constant_values(spec.assignment())
 
 
 def test_prescription_reproduces_oracle_gauss():

@@ -1,8 +1,13 @@
 """The numeric oracle: closed forms, covariance properties, divergence."""
 
 import importlib
+import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -11,7 +16,10 @@ from feyngkz.errors import (DimensionMismatch, NonConvergent,
                             NonPositiveCoefficient)
 from feyngkz.fixtures import fixtures
 from feyngkz.quadrature import (Integrand, QuadratureSpec, convergence_margin,
-                                qmc_sobol, quadrature, reduce_linear)
+                                quadrature, reduce_linear)
+
+# the package re-exports the function quadrature() under the module name
+quadrature_module = importlib.import_module("feyngkz.quadrature")
 
 
 def _spec(exponents, coefficients, alpha, beta, tol=1e-10):
@@ -101,12 +109,41 @@ def test_convergence_margin_interior():
     assert convergence_margin(Integrand.from_spec(spec)) > 0.1
 
 
-def test_qmc_matches_tensor_in_low_dimension():
-    spec = _spec([(1, 0), (0, 1), (1, 1)], [1.0, 1.0, 1.0], [1.3, 1.2], 1.9,
-                 tol=1e-6)
-    tensor = quadrature(spec).value
-    sobol = qmc_sobol(spec, log2_points=16).value
-    assert abs(tensor - sobol) / abs(tensor) < 1e-3
+def test_four_dimensional_tensor_rule():
+    """prod_i (1 + z_i^2)^-3 at alpha_i = 3 reduces nothing; the integral is
+    (B(3/2, 3/2) / 2)^4."""
+    exponents = [tuple(2 * e for e in bits)
+                 for bits in itertools.product((0, 1), repeat=4)]
+    res = quadrature(_spec(exponents, [1.0] * 16, [3.0] * 4, 3.0, tol=1e-6))
+    exact = (0.5 * math.gamma(1.5) ** 2 / math.gamma(3.0)) ** 4
+    assert (res.dims, res.method) == (4, "tanh-sinh-tensor")
+    assert abs(res.value - exact) <= res.error
+    assert res.target_met
+
+
+def test_node_limit_stops_halving(monkeypatch):
+    """Under a small limit the rule stops before two passes agree and says
+    so; its error still bounds the distance from the converged value."""
+    spec = _spec([(0, 0), (1, 0), (0, 1), (0, 2), (2, 0)], [1.0] * 5,
+                 [0.7, 0.6], 1.9)
+    converged = quadrature(spec)
+    assert converged.target_met
+    monkeypatch.setattr(quadrature_module, "_PASS_NODE_LIMIT", 10_000)
+    stopped = quadrature(spec)
+    assert stopped.dims == 2 and stopped.nodes <= 10_000
+    assert not stopped.target_met
+    assert abs(stopped.value - converged.value) <= stopped.error
+
+
+def test_import_leaves_scipy_stats_out():
+    """The oracle needs scipy.optimize only; scipy.stats is a costly import."""
+    src = str(pathlib.Path(quadrature_module.__file__).parents[1])
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import feyngkz, sys; "
+         "print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True).stdout.strip()
+    assert loaded == "False"
 
 
 def test_dimension_limit():
@@ -136,8 +173,8 @@ def test_reduced_dimension_per_fixture():
 
 
 def test_no_linear_variable_keeps_four_dimensions():
-    """Every variable has degree 2, so nothing reduces and the oracle
-    would fall back to the Sobol rule."""
+    """Every variable has degree 2, so nothing reduces and the tensor rule
+    runs in all four dimensions."""
     exponents = [(0, 0, 0, 0)] + [tuple(2 * int(i == j) for j in range(4))
                                   for i in range(4)]
     assert _reduced_dims(exponents) == 4
@@ -215,8 +252,6 @@ def test_box_reduced_multi_factor_margin():
 
 
 def test_linear_program_only_for_two_or_more_variables(monkeypatch):
-    # the package re-exports the function quadrature() under the module name
-    quadrature_module = importlib.import_module("feyngkz.quadrature")
     calls = []
     real = quadrature_module.linprog
 
