@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Mapping, Tuple
 
 from .errors import PoleError
-from .params import ParamLinear
+from .params import FloatMap, ParamLinear
 
 _INT_TOL = 1e-9
 
@@ -15,9 +16,7 @@ _INT_TOL = 1e-9
 def as_nonpositive_int(x: float) -> int | None:
     """Round x to an integer if it sits (numerically) on a nonpositive one."""
     n = round(x)
-    if n <= 0 and abs(x - n) < _INT_TOL:
-        return n
-    return None
+    return n if n <= 0 and abs(x - n) < _INT_TOL else None
 
 
 def log_gamma_signed(x: float) -> Tuple[float, float]:
@@ -29,10 +28,7 @@ def log_gamma_signed(x: float) -> Tuple[float, float]:
     """
     if as_nonpositive_int(x) is not None:
         raise PoleError(f"Gamma pole at {x}")
-    if x > 0:
-        return math.lgamma(x), 1.0
-    sign = 1.0 if math.floor(x) % 2 == 0 else -1.0
-    return math.lgamma(x), sign
+    return math.lgamma(x), 1.0 if x > 0 or math.floor(x) % 2 == 0 else -1.0
 
 
 @dataclass
@@ -43,19 +39,17 @@ class GammaFactor:
     numerator: List[ParamLinear] = field(default_factory=list)
     denominator: List[ParamLinear] = field(default_factory=list)
 
+    @cached_property
+    def _arguments(self) -> FloatMap:
+        return FloatMap(self.numerator + self.denominator)
+
     def evaluate(self, assignment: Mapping[str, float]) -> float:
-        log_total = 0.0
-        sign = 1.0
-        for arg in self.numerator:
-            lg, s = log_gamma_signed(arg.evaluate(assignment))
-            log_total += lg
-            sign *= s
-        for arg in self.denominator:
-            x = arg.evaluate(assignment)
-            if as_nonpositive_int(x) is not None:
+        log_total, sign, n = 0.0, 1.0, len(self.numerator)
+        for k, x in enumerate(self._arguments(assignment)):
+            if k >= n and as_nonpositive_int(x) is not None:
                 return 0.0  # 1/Gamma vanishes at the poles
             lg, s = log_gamma_signed(x)
-            log_total -= lg
+            log_total += lg if k < n else -lg
             sign *= s
         return sign * math.exp(log_total)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import List, Mapping, Sequence, Union
 
 from .errors import UnassignedParameter
 
@@ -160,6 +160,29 @@ class ParamLinear:
             else:
                 out = out + cls.param(body) * factor
         return out
+
+
+class FloatMap:
+    """ParamLinears in floats, converted once: per expression, its constant
+    and the (parameter, coefficient) pairs of its nonzero coefficients."""
+
+    def __init__(self, exprs: Sequence[ParamLinear]):
+        self.rows = [(e.constant.numerator / e.constant.denominator,
+                      [(name, q.numerator / q.denominator)
+                       for name, q in e.coeffs.items()]) for e in exprs]
+
+    def __call__(self, assignment: Mapping[str, float]) -> List[float]:
+        """The values; raises UnassignedParameter for a missing parameter."""
+        values = []
+        try:
+            for total, pairs in self.rows:
+                for name, q in pairs:
+                    total += q * assignment[name]
+                values.append(total)
+        except KeyError as missing:
+            raise UnassignedParameter(
+                f"no value for parameter {missing.args[0]!r}") from None
+        return values
 
 
 def _coerce(value) -> ParamLinear:

@@ -47,8 +47,9 @@ class QuadratureSpec:
             raise DimensionMismatch("exponent/alpha dimension mismatch")
         if len(self.exponents) != len(self.coefficients):
             raise DimensionMismatch("one coefficient per exponent required")
-        if any(c <= 0 for c in self.coefficients):
-            raise NonPositiveCoefficient("coefficients must be positive")
+        if not all(0 < c < math.inf for c in self.coefficients):
+            raise NonPositiveCoefficient(
+                "coefficients must be positive and finite")
 
 
 @dataclass

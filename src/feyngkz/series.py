@@ -23,7 +23,7 @@ from .errors import (DimensionMismatch, DivergentArgument,
                      NonPositiveCoefficient, PoleError)
 from .gammafn import _INT_TOL
 from .gkz import FakeExponent
-from .params import ParamLinear
+from .params import FloatMap, ParamLinear
 from .pochhammer import PochhammerProduct
 
 
@@ -52,13 +52,23 @@ def _factor_table(gamma: np.ndarray, lo: int,
         log_abs = np.log(np.abs(factors))
     sign = np.sign(factors)
     logs = np.zeros((len(factors), hi - lo + 1))
-    signs = np.ones_like(logs)
+    signs = np.ones(logs.shape)
     m = -lo                                    # factors[:, :m] is k = lo+1..0
-    logs[:, :m] = np.cumsum(log_abs[:, :m][:, ::-1], axis=1)[:, ::-1]
-    signs[:, :m] = np.cumprod(sign[:, :m][:, ::-1], axis=1)[:, ::-1]
-    logs[:, m + 1:] = -np.cumsum(log_abs[:, m:], axis=1)
-    signs[:, m + 1:] = np.cumprod(sign[:, m:], axis=1)
+    logs[:, :m] = log_abs[:, :m][:, ::-1].cumsum(axis=1)[:, ::-1]
+    signs[:, :m] = sign[:, :m][:, ::-1].cumprod(axis=1)[:, ::-1]
+    logs[:, m + 1:] = -log_abs[:, m:].cumsum(axis=1)
+    signs[:, m + 1:] = sign[:, m:].cumprod(axis=1)
     return logs, signs
+
+
+def _gather(shifts: np.ndarray, shell: np.ndarray, floor: np.ndarray):
+    """The points u >= floor as floats, their shell mask, lo, hi and each
+    factor's flat index into the raveled factor table over x = lo..hi."""
+    keep = (shifts >= floor).all(axis=1)
+    shifts, shell = shifts[keep], shell[keep]
+    lo, hi = int(shifts.min(initial=0)), int(shifts.max(initial=0))
+    rows = np.arange(-lo, shifts.shape[1] * (hi - lo + 1) - lo, hi - lo + 1)
+    return shifts.astype(float), shell, lo, hi, (shifts + rows).astype(np.intp)
 
 
 @dataclass
@@ -104,6 +114,7 @@ class CanonicalSeries:
         self.weight = tuple(weight)
         self.lattice = [self._orient(tuple(v)) for v in lattice]
         self.nvars = len(gamma.components)
+        self._plans = {}              # order -> terms, see ``_terms``
         if self.rank == 1:
             self.form = self._classify_rank1()
         elif self.rank == 2 and (f4 := self._classify_f4()) is not None:
@@ -226,11 +237,28 @@ class CanonicalSeries:
 
     # -- numeric evaluation ------------------------------------------------
 
+    def _terms(self, order: int):
+        """The plan at this order, built on first use: the box less the terms
+        past the zero (x < -g) of [g]_{-x} for each constant integer g >= 0.
+        The first call also builds gamma's float map, that floor and the
+        float basis."""
+        if not self._plans:
+            self._gamma_map = FloatMap(self.gamma.components)
+            self._floor = np.array(
+                [-c if not pairs and c >= 0 and c == int(c) else -np.inf
+                 for c, pairs in self._gamma_map.rows])
+            self._float_basis = self._basis().astype(float)
+        if order not in self._plans:
+            indices, shifts = self._box(order)
+            shell = np.abs(indices).max(axis=1, initial=0) == order
+            self._plans[order] = _gather(shifts, shell, self._floor)
+        return self._plans[order]
+
     def _check_region(self, log_points: np.ndarray):
         """Raise DivergentArgument if any coefficient point, given as log c,
         puts the lattice arguments outside the convergence region: |x| < 1
         in rank 1, sqrt|x| + sqrt|y| < 1 for Appell F4."""
-        args = np.exp(log_points @ self._basis().T)
+        args = np.exp(log_points @ self._float_basis.T)
         if self.rank == 1:
             worst = float(args.max(initial=0))
             if worst >= 1:
@@ -252,42 +280,36 @@ class CanonicalSeries:
         """(values, tail_estimates), one entry per point of positive
         coefficients; raises DimensionMismatch unless each point has one
         coefficient per component, NonPositiveCoefficient for a coefficient
-        <= 0 and DivergentArgument if any point lies outside the convergence
-        region implied by the lattice arguments.  gamma, the box and the
-        factor table depend only on the assignment, so they are built once
-        per call: each term is a product of one coefficient-free factor per
-        component, gathered from a single cumulative-sum table, and the
-        points enter only through log c . (u + gamma), summed in log space
-        with one exp per term and point."""
+        <= 0 or not finite, DivergentArgument if any point lies outside the
+        convergence region, then UnassignedParameter and PoleError.  The
+        terms come from the plan and gamma's factor table is built once per
+        call: each term is a product of one factor per component, gathered
+        from that table, and the points enter only through
+        log c . (u + gamma), summed in log space with one exp per term."""
         points = np.array(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.nvars:
             raise DimensionMismatch(f"need points of {self.nvars} "
                                     f"coefficients, got shape {points.shape}")
-        if not (points > 0).all():
-            raise NonPositiveCoefficient(
-                f"coefficients must be positive, got {points.tolist()}")
+        if not 0 < points.min(initial=1) <= points.max(initial=1) < np.inf:
+            raise NonPositiveCoefficient("coefficients must be positive and "
+                                         f"finite, got {points.tolist()}")
+        shifts, shell, lo, hi, flat = self._terms(order)
         log_points = np.log(points)
         self._check_region(log_points)
-        gamma = np.array([g.evaluate(assignment)
-                          for g in self.gamma.components])
-        indices, shifts = self._box(order)
+        gamma = np.array(self._gamma_map(assignment))
         rounded = np.rint(gamma)
         integer = np.abs(gamma - rounded) < _INT_TOL
-        # the falling factorial [g]_{-x} passes through 0 once x < -g
-        floor = np.where(integer & (rounded >= 0), -rounded, -np.inf)
-        keep = (shifts >= floor).all(axis=1)
-        indices, shifts = indices[keep], shifts[keep]
-        # the rising factorial (g+1)_x passes through 0 once x >= -g
-        reach = shifts.max(axis=0, initial=0)
-        if np.any(integer & (rounded < 0) & (reach >= -rounded)):
-            raise PoleError(f"vanishing denominator factor in {self.gamma}")
-        lo = int(shifts.min(initial=0))
-        logs, signs = _factor_table(gamma, lo, int(reach.max(initial=0)))
-        columns = shifts - lo
-        rows = np.arange(self.nvars)
+        if (integer & (self._floor == -np.inf)).any():   # not in the plan
+            # the falling factorial [g]_{-x} passes through 0 once x < -g
+            floor = np.where(integer & (rounded >= 0), -rounded, -np.inf)
+            shifts, shell, lo, hi, flat = _gather(shifts, shell, floor)
+            # the rising factorial (g+1)_x passes through 0 once x >= -g
+            reach = shifts.max(axis=0, initial=0)
+            if (integer & (rounded < 0) & (reach >= -rounded)).any():
+                raise PoleError(f"vanishing denominator factor in {self.gamma}")
+        logs, signs = _factor_table(gamma, lo, hi)
         # log c^(u + gamma) for every point and term, prefactor included
         exponents = log_points @ shifts.T + (log_points @ gamma)[:, None]
-        values = (signs[rows, columns].prod(axis=1)
-                  * np.exp(logs[rows, columns].sum(axis=1) + exponents))
-        shell = np.abs(indices).max(axis=1, initial=0) == order
+        values = (signs.take(flat).prod(axis=1)
+                  * np.exp(logs.take(flat).sum(axis=1) + exponents))
         return values.sum(axis=1), np.abs(values[:, shell]).sum(axis=1)

@@ -272,3 +272,11 @@ def test_non_positive_coefficient_raises_typed_error():
     for coefficient in (-0.5, 0.0):
         with pytest.raises(NonPositiveCoefficient):
             _spec([(0,), (1,)], [1.0, coefficient], [0.5], 1.5)
+
+
+def test_non_finite_coefficient_raises_typed_error():
+    """An infinite coefficient used to integrate to 0.0 with its target
+    met; it is now refused like a non-positive one."""
+    for coefficient in (math.inf, math.nan):
+        with pytest.raises(NonPositiveCoefficient, match="finite"):
+            _spec([(0,), (1,)], [1.0, coefficient], [0.5], 1.0)

@@ -378,6 +378,76 @@ def test_non_positive_coefficient_raises_typed_error():
                                        [[1.0, 1.0, 1.0, 2.0], coeffs], 10)
 
 
+def test_non_finite_coefficient_raises_typed_error():
+    """c = inf used to pass the region check (nan >= 1 is false) and
+    return nan."""
+    spec = fixtures()["2f1-double"]
+    rep = pipeline.run(spec)
+    for coeffs in ([math.inf, math.inf, 1.0, 2.0], [1.0, 1.0, 1.0, math.inf]):
+        with pytest.raises(NonPositiveCoefficient, match="finite"):
+            rep.bundle.evaluate(spec.assignment(), coeffs, 10)
+        with pytest.raises(NonPositiveCoefficient, match="finite"):
+            rep.series[0].evaluate_points(spec.assignment(),
+                                          [[1.0, 1.0, 1.0, 2.0], coeffs], 10)
+
+
+def test_plan_keeps_no_per_call_state(monkeypatch):
+    """A parameter-dependent gamma component at a non-negative integer
+    prunes the plan's terms for that call only: later calls at a generic
+    assignment and at a second order match a freshly built series."""
+    spec = fixtures()["2f1-double"]
+    series = pipeline.run(spec).series[0]
+    generic = spec.assignment()
+    # gamma_1 = -beta + a1 = 2: the falling factorial [2]_k ends the sum
+    integer = dict(generic, a1=generic["beta"] + 2)
+    coeffs = [1.0, 1.0, 1.0, 2.0]
+    gathers = []
+    real = series_module._gather
+
+    def counted(*args):
+        gathers.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series_module, "_gather", counted)
+    steps = [(integer, spec.order, 2),         # the plan, then the prune
+             (generic, spec.order, 0),         # the plan as it was built
+             (generic, 2 * spec.order, 1),     # a plan for the new order
+             (integer, 2 * spec.order, 1)]     # its prune
+    for assignment, order, count in steps:
+        gathers.clear()
+        value, tail = series.evaluate(assignment, coeffs, order)
+        assert len(gathers) == count
+        fresh = pipeline.run(spec).series[0]
+        want, want_tail = fresh.evaluate(assignment, coeffs, order)
+        assert value == pytest.approx(want, rel=1e-14)
+        assert tail == pytest.approx(want_tail, rel=1e-14, abs=0)
+        if assignment is integer:
+            reference = _reference_sum(series, assignment, coeffs, order)
+            assert value == pytest.approx(reference, rel=1e-12)
+
+
+def test_plan_is_built_once_per_order_and_never_by_run(monkeypatch):
+    """The exact chain builds no plan; evaluation builds one per order."""
+    calls = []
+    real = series_module.CanonicalSeries._box
+
+    def counted(self, order):
+        calls.append(order)
+        return real(self, order)
+
+    monkeypatch.setattr(series_module.CanonicalSeries, "_box", counted)
+    for spec in fixtures().values():
+        pipeline.run(spec)
+    assert calls == []
+    spec = fixtures()["2f1-double"]
+    series = pipeline.run(spec).series[0]
+    for _ in range(3):
+        series.evaluate(spec.assignment(), [1.0, 1.0, 1.0, 2.0], spec.order)
+    assert calls == [spec.order]
+    series.evaluate(spec.assignment(), [1.0, 1.0, 1.0, 2.0], 2 * spec.order)
+    assert calls == [spec.order, 2 * spec.order]
+
+
 def test_evaluate_points_rejects_points_of_the_wrong_length():
     spec = fixtures()["2f1-double"]
     series = pipeline.run(spec).series[0]
