@@ -1,8 +1,10 @@
-"""Exact integer linear algebra: Hermite reduction and lattice kernels."""
+"""Exact linear algebra: Hermite reduction, lattice kernels, and linear
+programs in rational arithmetic."""
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
 
 IntMatrix = List[List[int]]
 
@@ -67,3 +69,64 @@ def kernel_basis(matrix: IntMatrix) -> List[Tuple[int, ...]]:
 def integer_rank(matrix: IntMatrix) -> int:
     hermite, _ = row_hermite([list(r) for r in matrix])
     return sum(1 for row in hermite if any(x != 0 for x in row))
+
+
+def lp_maximum(cost: Sequence, a_eq: Sequence[Sequence],
+               b_eq: Sequence) -> Optional[Fraction]:
+    """max cost.x subject to a_eq x = b_eq and x >= 0, solved exactly over
+    Fractions by the dense two-phase simplex with Bland's rule (entering:
+    the lowest column that improves; leaving: the least ratio, ties to the
+    lowest basic column), so it cannot cycle.  None when no x is feasible;
+    the maximum must be bounded."""
+    m, n = len(a_eq), len(cost)
+    # row i: its equation, signed so the right-hand side is >= 0, then the
+    # artificial unit columns and the right-hand side; the last row holds
+    # the reduced costs and minus the objective value
+    tab = [[Fraction(x) if b >= 0 else -Fraction(x) for x in row]
+           + [Fraction(int(i == j)) for j in range(m)] + [abs(Fraction(b))]
+           for i, (row, b) in enumerate(zip(a_eq, b_eq))]
+    basis = list(range(n, n + m))
+
+    def pivot(r: int, c: int) -> None:
+        tab[r] = [x / tab[r][c] if x else x for x in tab[r]]
+        for i, row in enumerate(tab):
+            if i != r and row[c]:
+                tab[i] = [x - row[c] * y if y else x
+                          for x, y in zip(row, tab[r])]
+        basis[r] = c
+
+    def optimise() -> None:
+        while True:
+            enter = next((j for j, d in enumerate(tab[-1][:n]) if d > 0), None)
+            if enter is None:
+                return
+            ratios = [(row[-1] / row[enter], basis[i], i)
+                      for i, row in enumerate(tab[:-1]) if row[enter] > 0]
+            if not ratios:
+                raise ValueError("the linear program is unbounded")
+            pivot(min(ratios)[2], enter)
+
+    # phase 1: maximise minus the sum of the artificials
+    tab.append([sum(col) for col in zip(*tab)])
+    for j in range(n, n + m):
+        tab[-1][j] = Fraction(0)
+    optimise()
+    if tab[-1][-1]:
+        return None
+    # drive the artificials out of the basis; a row with no other entry is
+    # a redundant equation and goes
+    for i in reversed(range(m)):
+        if basis[i] >= n:
+            column = next((j for j in range(n) if tab[i][j]), None)
+            if column is None:
+                del tab[i], basis[i]
+            else:
+                pivot(i, column)
+    tab = [row[:n] + row[-1:] for row in tab[:-1]]
+    # phase 2: the reduced costs of the real objective on this basis
+    tab.append([Fraction(c) for c in cost] + [Fraction(0)])
+    for i, row in enumerate(tab[:-1]):
+        if tab[-1][basis[i]]:
+            tab[-1] = [x - tab[-1][basis[i]] * y for x, y in zip(tab[-1], row)]
+    optimise()
+    return -tab[-1][-1]

@@ -5,11 +5,12 @@ one factor only, with degree 1 there, is integrated out: int_0^inf x^a
 (x P + Q)^-b dx/x = B(a, b-a) P^-a Q^(a-b), which converges iff 0 < a < b.
 Convergence of what is left is then decided exactly (alpha in the interior
 of sum_k beta_k Newt(g_k)): in closed form for one variable, by a small
-linear program for two or more.  The integrand is positive, so by Tonelli
-I converges iff every Beta step and the remainder do.  The remainder is
-summed on the chart z = e^x with a sinh substitution per axis, by one
-tensor trapezoid rule for 1-4 variables whose passes sum at most
-_PASS_NODE_LIMIT nodes each.  Nothing left means a closed form.
+linear program solved exactly in rational arithmetic for two or more.  The
+integrand is positive, so by Tonelli I converges iff every Beta step and the
+remainder do.  The remainder is summed on the chart z = e^x with a sinh
+substitution per axis, by one tensor trapezoid rule for 1-4 variables whose
+passes sum at most _PASS_NODE_LIMIT nodes each.  Nothing left means a closed
+form.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DimensionMismatch, NonConvergent, NonPositiveCoefficient
-from .intlinalg import integer_rank
+from .intlinalg import integer_rank, lp_maximum
 
 _DECAY_DROP = 45.0          # required drop of log f along each axis
 _PROBE_LIMIT = 2000.0       # how far out to look for the drop
@@ -149,9 +150,11 @@ def convergence_margin(f: Integrand) -> float:
         has lowest degree 0);
       two or more: the largest delta with alpha = sum_k beta_k sum_t
         lambda_kt a_kt, sum_t lambda_kt = 1 for each k and every
-        lambda_kt >= delta, from one linear program (for a single factor,
-        the margin of alpha/beta inside Newt(g)); -1 when no lambda fits or
-        the sum of the Newton polytopes is not full-dimensional."""
+        lambda_kt >= delta, from one linear program solved exactly in
+        rational arithmetic on the exact values of alpha and beta_k and
+        returned as the float of its optimum (for a single factor, the
+        margin of alpha/beta inside Newt(g)); -1 when no lambda fits or the
+        sum of the Newton polytopes is not full-dimensional."""
     if f.ndim == 0:
         return f.step_margin
     if f.ndim == 1:
@@ -161,24 +164,20 @@ def convergence_margin(f: Integrand) -> float:
     if not f.factors or integer_rank(np.vstack(
             [g.expmat - g.expmat[0] for g in f.factors]).tolist()) < f.ndim:
         return -1.0
-    owner = np.repeat(np.arange(len(f.factors)),
-                      [len(g.logc) for g in f.factors])
-    nterms = len(owner)
-    # variables: (lambda_kt for every term of every factor, delta); max delta
-    cost = np.zeros(nterms + 1)
-    cost[-1] = -1.0
-    a_eq = np.zeros((f.ndim + len(f.factors), nterms + 1))
-    a_eq[:f.ndim, :nterms] = np.vstack(
-        [g.beta * g.expmat for g in f.factors]).T
-    a_eq[f.ndim + owner, np.arange(nterms)] = 1.0
-    b_eq = np.append(f.alpha, np.ones(len(f.factors)))
-    a_ub = np.hstack([-np.eye(nterms), np.ones((nterms, 1))])
-    result = linprog(cost, A_ub=a_ub, b_ub=np.zeros(nterms),
-                     A_eq=a_eq, b_eq=b_eq,
-                     bounds=[(None, None)] * (nterms + 1))
-    if not result.success:
+    # lambda_kt = mu_kt + delta with every mu_kt >= 0, and the free delta
+    # split as delta_plus - delta_minus; each entry is its float's exact value
+    owner = [k for k, g in enumerate(f.factors) for _ in g.logc]
+    scaled = [[Fraction(float(g.beta)) * e for e in row]
+              for g in f.factors for row in g.expmat.tolist()]
+    rows = [list(col) for col in zip(*scaled)]
+    rows += [[int(j == k) for j in owner] for k in range(len(f.factors))]
+    delta = lp_maximum([0] * len(owner) + [1, -1],
+                       [row + [sum(row), -sum(row)] for row in rows],
+                       [Fraction(float(a)) for a in f.alpha]
+                       + [1] * len(f.factors))
+    if delta is None:
         return -1.0
-    return min(f.step_margin, float(result.x[-1]))
+    return min(f.step_margin, float(delta))
 
 
 def _check_convergent(f: Integrand) -> float:

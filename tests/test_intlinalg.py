@@ -1,8 +1,12 @@
 """Exact integer linear algebra."""
 
 import random
+from fractions import Fraction
 
-from feyngkz.intlinalg import integer_rank, kernel_basis, row_hermite
+import pytest
+
+from feyngkz.intlinalg import (integer_rank, kernel_basis, lp_maximum,
+                               row_hermite)
 
 
 def _matmul(a, b):
@@ -82,3 +86,30 @@ def test_rank_edge_cases():
     assert integer_rank([[0, 0], [0, 0]]) == 0
     assert integer_rank([[2, 4], [1, 2]]) == 1
     assert integer_rank([[1, 0], [0, 1]]) == 2
+
+
+def test_lp_maximum_exact_optimum():
+    """max x1 + x2 with x1 + 2 x2 + x3 = 4 and 3 x1 + x2 + x4 = 6, x >= 0:
+    the vertex (8/5, 6/5)."""
+    assert lp_maximum([1, 1, 0, 0], [[1, 2, 1, 0], [3, 1, 0, 1]],
+                      [4, 6]) == Fraction(14, 5)
+    # a negative right-hand side is the same equation negated
+    assert lp_maximum([1, 1, 0, 0], [[-1, -2, -1, 0], [3, 1, 0, 1]],
+                      [-4, 6]) == Fraction(14, 5)
+
+
+def test_lp_maximum_degenerate_infeasible_redundant_unbounded():
+    # x1 + x2 = -1 has no non-negative solution
+    assert lp_maximum([1, 0], [[1, 1]], [-1]) is None
+    assert lp_maximum([1, 0, 0], [[1, 1, 0], [0, 1, 1], [1, 0, -1]],
+                      [1, 1, 1]) is None
+    # the third equation is the sum of the first two: its artificial stays
+    # basic at zero after phase 1, and its row is dropped
+    assert lp_maximum([Fraction(1, 3), 1, 0],
+                      [[1, 1, 0], [0, 1, 1], [1, 2, 1]],
+                      [1, 2, 3]) == 1
+    # -x2 = 0 leaves its artificial basic at zero after phase 1, with a
+    # nonzero entry that pivots it out
+    assert lp_maximum([0, 1], [[0, -1], [1, 0]], [0, 1]) == 0
+    with pytest.raises(ValueError, match="unbounded"):
+        lp_maximum([1, 0], [[1, -1]], [0])

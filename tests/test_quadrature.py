@@ -8,13 +8,16 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from feyngkz import pipeline
 from feyngkz.errors import (DimensionMismatch, NonConvergent,
                             NonPositiveCoefficient)
 from feyngkz.fixtures import fixtures
+from feyngkz.intlinalg import integer_rank
 from feyngkz.quadrature import (Integrand, QuadratureSpec, convergence_margin,
                                 quadrature, reduce_linear)
 
@@ -135,15 +138,28 @@ def test_node_limit_stops_halving(monkeypatch):
     assert abs(stopped.value - converged.value) <= stopped.error
 
 
-def test_import_leaves_scipy_stats_out():
-    """The oracle needs scipy.optimize only; scipy.stats is a costly import."""
+def _loaded_modules(*names):
+    """Module names that importing the given modules loads, in a fresh
+    interpreter."""
     src = str(pathlib.Path(quadrature_module.__file__).parents[1])
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import feyngkz, sys; "
-         "print('scipy.stats' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys, {', '.join(names)}; "
+         "print('\\n'.join(sys.modules))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True, check=True).stdout.strip()
-    assert loaded == "False"
+        text=True, check=True).stdout.split()
+
+
+def test_import_leaves_scipy_stats_out():
+    """scipy.stats is a costly import, and nothing in the package uses it."""
+    assert "scipy.stats" not in _loaded_modules("feyngkz")
+
+
+def test_import_leaves_scipy_out():
+    """The runtime needs NumPy only: the convergence gate solves its linear
+    program in exact rational arithmetic."""
+    loaded = _loaded_modules("feyngkz", "feyngkz.cli")
+    assert "feyngkz.cli" in loaded
+    assert not [name for name in loaded if name.startswith("scipy")]
 
 
 def test_dimension_limit():
@@ -253,19 +269,111 @@ def test_box_reduced_multi_factor_margin():
 
 def test_linear_program_only_for_two_or_more_variables(monkeypatch):
     calls = []
-    real = quadrature_module.linprog
+    real = quadrature_module.lp_maximum
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature_module, "linprog", counted)
+    monkeypatch.setattr(quadrature_module, "lp_maximum", counted)
     one_dim = _spec([(0, 0), (1, 0), (0, 1), (1, 1)], [1.0, 1.0, 1.0, 2.0],
                     [0.3, 0.7], 1.9)
     assert quadrature(one_dim).dims == 1 and not calls
     assert quadrature(_spec([(0, 0), (1, 0), (0, 1), (0, 2), (2, 0)],
                             [1.0] * 5, [0.7, 0.6], 1.9)).dims == 2
     assert len(calls) == 1
+
+
+def _linprog_margin(f):
+    """The gate on two or more variables in floats, by scipy's HiGHS: the
+    largest delta with alpha = sum_k beta_k sum_t lambda_kt a_kt,
+    sum_t lambda_kt = 1 and every lambda_kt >= delta; -1 when the sum of
+    the Newton polytopes is not full-dimensional or the solver finds no
+    optimum."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    if not f.factors or integer_rank(np.vstack(
+            [g.expmat - g.expmat[0] for g in f.factors]).tolist()) < f.ndim:
+        return -1.0
+    owner = np.repeat(np.arange(len(f.factors)),
+                      [len(g.logc) for g in f.factors])
+    nterms = len(owner)
+    a_eq = np.zeros((f.ndim + len(f.factors), nterms + 1))
+    a_eq[:f.ndim, :nterms] = np.vstack(
+        [g.beta * g.expmat for g in f.factors]).T
+    a_eq[f.ndim + owner, np.arange(nterms)] = 1.0
+    result = linprog(np.append(np.zeros(nterms), -1.0),
+                     A_ub=np.hstack([-np.eye(nterms), np.ones((nterms, 1))]),
+                     b_ub=np.zeros(nterms), A_eq=a_eq,
+                     b_eq=np.append(f.alpha, np.ones(len(f.factors))),
+                     bounds=[(None, None)] * (nterms + 1))
+    if not result.success:
+        return -1.0
+    return min(f.step_margin, float(result.x[-1]))
+
+
+def _assert_gate_matches_linprog(f):
+    exact, reference = convergence_margin(f), _linprog_margin(f)
+    assert abs(exact - reference) <= 1e-12, (exact, reference)
+    assert (exact <= 1e-9) == (reference <= 1e-9), (exact, reference)
+    return exact
+
+
+def test_exact_gate_agrees_with_linprog_on_random_integrands():
+    """Reduced integrands of 2-4 variables with at most 8 terms, alpha
+    anywhere or near the centroid: the exact margin matches the float
+    linear program to 1e-12, and so does every decision."""
+    rng = random.Random(23)
+    compared = outside = 0
+    while compared < 60:
+        ndim = rng.choice([2, 3, 4])
+        exponents = sorted({tuple(rng.randint(0, 2) for _ in range(ndim))
+                            for _ in range(rng.randint(2, 8))})
+        beta = rng.uniform(0.8, 2.5)
+        if rng.random() < 0.5:
+            alpha = [beta * rng.uniform(0.05, 2.0) for _ in range(ndim)]
+        else:
+            alpha = [beta * (sum(e[i] for e in exponents) / len(exponents)
+                             + rng.uniform(-0.3, 0.3)) for i in range(ndim)]
+        try:
+            f = reduce_linear(Integrand.from_spec(_spec(
+                exponents, [rng.uniform(0.5, 2.0) for _ in exponents],
+                alpha, beta)))
+        except NonConvergent:
+            continue
+        if f.ndim < 2:
+            continue
+        compared += 1
+        outside += _assert_gate_matches_linprog(f) <= 1e-9
+    assert 10 < outside < 50            # both decisions well represented
+
+
+def test_exact_gate_agrees_with_linprog_on_box():
+    spec = fixtures()["box"]
+    report = pipeline.run(spec)
+    coeffs = pipeline.coefficient_values(spec, report.column_exponents,
+                                         report.polynomial)
+    for alpha in ([0.7, 0.6, 0.65, 0.75], [0.31, 0.27, 0.29, 0.33],
+                  [0.7, 0.6, 1.3, 0.75]):
+        _assert_gate_matches_linprog(reduce_linear(Integrand.from_spec(
+            _spec(report.column_exponents, coeffs, alpha, 1.9))))
+
+
+def test_exact_gate_at_centroid():
+    """g = 1 + x + y + xy at alpha/beta = (1/2, 1/2): every lambda is 1/4."""
+    f = Integrand.from_spec(_spec([(0, 0), (1, 0), (0, 1), (1, 1)],
+                                  [1.0] * 4, [0.5, 0.5], 1.0))
+    assert convergence_margin(f) == 0.25
+
+
+def test_exact_gate_on_facet():
+    """alpha/beta = (0.7, 1.3) lies exactly on the facet x + y = 2 of
+    Newt(1 + x^2 + y^2), since the two floats' exact values sum to 2; a
+    float linear program can land on either side of it."""
+    spec = _spec([(0, 0), (2, 0), (0, 2)], [1.0] * 3, [0.7, 1.3], 1.0)
+    assert Fraction(0.7) + Fraction(1.3) == 2
+    assert convergence_margin(Integrand.from_spec(spec)) == 0.0
+    with pytest.raises(NonConvergent, match="margin 0"):
+        quadrature(spec)
 
 
 def test_non_positive_coefficient_raises_typed_error():
