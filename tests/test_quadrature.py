@@ -204,12 +204,13 @@ def test_reduction_rejects_divergent_beta_integral():
         reduce_linear(f)
 
 
-def _random_spec(rng):
-    """A 1-3 variable polynomial with exponents in {0, 1, 2}; alpha is drawn
-    either anywhere or near the centroid of the support (mostly interior)."""
-    ndim = rng.choice([1, 2, 3])
+def _random_spec(rng, dims=(1, 2, 3), max_terms=6):
+    """A polynomial in one of dims variables with exponents in {0, 1, 2} and
+    at most max_terms terms; alpha is drawn either anywhere or near the
+    centroid of the support (mostly interior)."""
+    ndim = rng.choice(dims)
     exponents = sorted({tuple(rng.randint(0, 2) for _ in range(ndim))
-                        for _ in range(rng.randint(2, 6))})
+                        for _ in range(rng.randint(2, max_terms))})
     beta = rng.uniform(0.8, 2.5)
     if rng.random() < 0.5:
         alpha = [beta * rng.uniform(0.05, 2.0) for _ in range(ndim)]
@@ -253,18 +254,24 @@ def test_one_variable_gate_boundaries():
         quadrature(_spec([(1,), (1,)], [1.0, 2.0], [0.5], 1.2))
 
 
-def test_box_reduced_multi_factor_margin():
+def _reduced_box():
+    """The box's reduced integrand at beta = 1.9 and three alpha, each with
+    whether it lies inside."""
     spec = fixtures()["box"]
     report = pipeline.run(spec)
     coeffs = pipeline.coefficient_values(spec, report.column_exponents,
                                          report.polynomial)
-    for alpha, inside in (([0.7, 0.6, 0.65, 0.75], True),
-                          ([0.31, 0.27, 0.29, 0.33], False),
-                          ([0.7, 0.6, 1.3, 0.75], False)):
-        f = reduce_linear(Integrand.from_spec(
-            _spec(report.column_exponents, coeffs, alpha, 1.9)))
+    return [(reduce_linear(Integrand.from_spec(
+        _spec(report.column_exponents, coeffs, alpha, 1.9))), inside)
+        for alpha, inside in (([0.7, 0.6, 0.65, 0.75], True),
+                              ([0.31, 0.27, 0.29, 0.33], False),
+                              ([0.7, 0.6, 1.3, 0.75], False))]
+
+
+def test_box_reduced_multi_factor_margin():
+    for f, inside in _reduced_box():
         assert (f.ndim, len(f.factors)) == (2, 3)
-        assert (convergence_margin(f) > 0) == inside, alpha
+        assert (convergence_margin(f) > 0) == inside, f.alpha
 
 
 def test_linear_program_only_for_two_or_more_variables(monkeypatch):
@@ -325,19 +332,9 @@ def test_exact_gate_agrees_with_linprog_on_random_integrands():
     rng = random.Random(23)
     compared = outside = 0
     while compared < 60:
-        ndim = rng.choice([2, 3, 4])
-        exponents = sorted({tuple(rng.randint(0, 2) for _ in range(ndim))
-                            for _ in range(rng.randint(2, 8))})
-        beta = rng.uniform(0.8, 2.5)
-        if rng.random() < 0.5:
-            alpha = [beta * rng.uniform(0.05, 2.0) for _ in range(ndim)]
-        else:
-            alpha = [beta * (sum(e[i] for e in exponents) / len(exponents)
-                             + rng.uniform(-0.3, 0.3)) for i in range(ndim)]
+        spec = _random_spec(rng, dims=(2, 3, 4), max_terms=8)
         try:
-            f = reduce_linear(Integrand.from_spec(_spec(
-                exponents, [rng.uniform(0.5, 2.0) for _ in exponents],
-                alpha, beta)))
+            f = reduce_linear(Integrand.from_spec(spec))
         except NonConvergent:
             continue
         if f.ndim < 2:
@@ -348,14 +345,8 @@ def test_exact_gate_agrees_with_linprog_on_random_integrands():
 
 
 def test_exact_gate_agrees_with_linprog_on_box():
-    spec = fixtures()["box"]
-    report = pipeline.run(spec)
-    coeffs = pipeline.coefficient_values(spec, report.column_exponents,
-                                         report.polynomial)
-    for alpha in ([0.7, 0.6, 0.65, 0.75], [0.31, 0.27, 0.29, 0.33],
-                  [0.7, 0.6, 1.3, 0.75]):
-        _assert_gate_matches_linprog(reduce_linear(Integrand.from_spec(
-            _spec(report.column_exponents, coeffs, alpha, 1.9))))
+    for f, _ in _reduced_box():
+        _assert_gate_matches_linprog(f)
 
 
 def test_exact_gate_at_centroid():
