@@ -20,17 +20,15 @@ import sys
 from . import graphs, pipeline
 from .fixtures import fixtures as load_fixtures
 from .errors import (DivergentArgument, FeynGKZError, NonConvergent,
-                     NonGenericWeight, UnderdeterminedPair)
+                     UnderdeterminedPair)
 
 EXIT_USAGE = 2
-EXIT_NONGENERIC = 3
 EXIT_UNDERDETERMINED = 4
 EXIT_NONCONVERGENT = 5
 EXIT_DIVERGENT = 6
 EXIT_VERIFY_FAILED = 7
 EXIT_ENGINE = 1
-_EXIT_CODES = [(NonGenericWeight, EXIT_NONGENERIC),
-               (UnderdeterminedPair, EXIT_UNDERDETERMINED),
+_EXIT_CODES = [(UnderdeterminedPair, EXIT_UNDERDETERMINED),
                (NonConvergent, EXIT_NONCONVERGENT),
                (DivergentArgument, EXIT_DIVERGENT), (FeynGKZError, EXIT_ENGINE)]
 
@@ -47,12 +45,17 @@ def _load_spec(args) -> pipeline.ProblemSpec:
     else:
         raise SystemExit("need --spec FILE or --fixture NAME")
     if args.weight:
-        spec.weight = tuple(int(w) for w in args.weight.split(","))
+        spec.weight = args.weight
     if args.order is not None:
         spec.order = args.order
     if args.tolerance is not None:
         spec.tolerance = args.tolerance
     return spec
+
+
+def weight(text: str) -> tuple:
+    """--weight's value; argparse turns a non-integer into a usage error."""
+    return tuple(int(w) for w in text.split(","))
 
 
 def _emit(args, payload: dict):
@@ -150,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
             continue
         cmd.add_argument("--spec", help="problem spec JSON file")
         cmd.add_argument("--fixture", help="built-in fixture name")
-        cmd.add_argument("--weight", help="comma-separated weight vector")
+        cmd.add_argument("--weight", type=weight,
+                         help="comma-separated integer weight vector")
         cmd.add_argument("--order", type=int)
         cmd.add_argument("--tolerance", type=float)
         cmd.add_argument("--json", action="store_true")

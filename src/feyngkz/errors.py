@@ -9,11 +9,6 @@ class PoleError(FeynGKZError):
     """A Gamma factor or Pochhammer symbol was evaluated at a pole."""
 
 
-class NonGenericWeight(FeynGKZError):
-    """A weight vector left some Groebner binomial balanced (only raised
-    when a strictly w-graded initial ideal was requested)."""
-
-
 class InconsistentPair(FeynGKZError):
     """A standard pair leads to an unsolvable exponent system."""
 
@@ -23,7 +18,7 @@ class UnderdeterminedPair(FeynGKZError):
 
 
 class DimensionMismatch(FeynGKZError):
-    """Input dimensions are incompatible."""
+    """An input is missing, has the wrong shape or is not integral."""
 
 
 class SingularM(FeynGKZError):

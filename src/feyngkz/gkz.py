@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import (DeformationFailed, InconsistentPair, NonGenericWeight,
-                     UnderdeterminedPair)
+from .errors import DeformationFailed, InconsistentPair, UnderdeterminedPair
 from .groebner import (Binomial, buchberger, grevlex_key, interreduce,
                        mono_divides, saturate_all_variables, weighted_key)
 from .intlinalg import integer_rank, kernel_basis
@@ -126,20 +125,11 @@ def binomial_exponents(basis: Sequence[Binomial]) -> List[Tuple[Mono, Mono]]:
 
 # -- initial ideal ---------------------------------------------------------
 
-def initial_ideal(generators: Sequence[Binomial], weight: Sequence[int],
-                  require_strict: bool = False) -> List[Mono]:
-    """Minimal generators of in_w(I) for the weight refined by grevlex.
-
-    With require_strict the weight must single out the leading monomial on
-    its own; a w-balanced basis element then raises NonGenericWeight instead
-    of being silently tie-broken.
-    """
+def initial_ideal(generators: Sequence[Binomial],
+                  weight: Sequence[int]) -> List[Mono]:
+    """Minimal generators of in_w(I) for the weight refined by grevlex: where
+    w ties the two monomials of a basis element, grevlex picks the lead."""
     basis = buchberger(generators, weighted_key(weight))
-    if require_strict and any(
-            sum(w * (a - b) for w, a, b in zip(weight, lead, trail)) == 0
-            for lead, trail in basis):
-        raise NonGenericWeight(
-            f"weight {tuple(weight)} balances a basis element")
     return minimal_monomial_generators([lead for lead, _ in basis])
 
 

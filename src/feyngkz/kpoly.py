@@ -173,28 +173,10 @@ class KPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degs = {sum(e) for e in self.terms}
-        if degree is not None:
-            return degs <= {degree}
-        return len(degs) <= 1
-
     def ordered_exponents(self) -> List[Expo]:
         """Deterministic term order: total degree, then lexicographically
         descending exponents (z1 before z2 at equal degree)."""
         return sorted(self.terms, key=lambda e: (sum(e), tuple(-x for x in e)))
-
-    def evaluate(self, z: List[float], values: Mapping[str, float]) -> float:
-        total = 0.0
-        for expo, coeff in self.terms.items():
-            term = coeff_evaluate(coeff, values)
-            for zi, ei in zip(z, expo):
-                term *= zi ** ei
-            total += term
-        return total
 
     def __str__(self) -> str:
         if not self.terms:

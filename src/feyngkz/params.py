@@ -3,7 +3,7 @@
 Everything downstream of the exponent solver manipulates quantities of the
 form  q0 + q1*p1 + ... + qk*pk  with rational q's and opaque parameter names
 (typically ``beta`` and ``a1 .. aN``).  ParamLinear keeps these exact, prints
-them canonically ("beta - a1 - a2 + 3/2") and parses that form back.
+them canonically ("beta - a1 - a2 + 3/2").
 """
 
 from __future__ import annotations
@@ -64,11 +64,6 @@ class ParamLinear:
 
     def is_constant(self) -> bool:
         return not self.coeffs
-
-    def is_nonpositive_integer(self) -> bool:
-        """True if this is symbolically a constant in {0, -1, -2, ...}."""
-        return (self.is_constant() and self.constant.denominator == 1
-                and self.constant <= 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -142,24 +137,6 @@ class ParamLinear:
         return text
 
     __repr__ = __str__
-
-    @classmethod
-    def parse(cls, text: str) -> "ParamLinear":
-        """Inverse of __str__ (also tolerant of extra whitespace)."""
-        text = text.replace(" ", "")
-        if not text:
-            raise ValueError("empty ParamLinear string")
-        out = cls()
-        for sign, body in re.findall(r"([+-]?)([^+-]+)", text):
-            factor = Fraction(-1 if sign == "-" else 1)
-            if "*" in body:
-                qtext, name = body.split("*", 1)
-                out = out + cls.param(name) * (factor * Fraction(qtext))
-            elif re.fullmatch(r"\d+(/\d+)?", body):
-                out = out + cls.const(factor * Fraction(body))
-            else:
-                out = out + cls.param(body) * factor
-        return out
 
 
 class FloatMap:

@@ -55,7 +55,9 @@ class ProblemSpec:
             spec.amatrix = AMatrix([list(map(int, r)) for r in data["amatrix"]])
             spec.kappa_names = list(data["kappa"])
         if "weight" in data:
-            spec.weight = tuple(int(w) for w in data["weight"])
+            spec.weight = tuple(map(int, data["weight"]))
+            if list(spec.weight) != list(data["weight"]):
+                raise DimensionMismatch(f"weight {data['weight']} is not integral")
         spec.deformation = data.get("deformation", "auto")
         if "alpha" in data:
             spec.alpha = [float(a) for a in data["alpha"]]
@@ -208,7 +210,8 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
         else:
             poly = spec.polynomial()
         if poly is None:
-            raise ValueError("spec carries no polynomial, graph or A matrix")
+            raise DimensionMismatch(f"spec {spec.name!r} has no polynomial, "
+                                    "graph or A matrix")
         if spec.deformation == "auto":
             poly, deformation = gkz.deform(poly)
         amat, columns = gkz.toric_matrix(poly)
@@ -216,6 +219,8 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
 
     codim = amat.codim()
     weight = spec.weight or default_weight(amat.ncols, deformation.applied)
+    if len(weight) != amat.ncols:
+        raise DimensionMismatch(f"weight {list(weight)} needs one entry per column of A")
     lattice = gkz.kernel_lattice(amat)
     toric = gkz.toric_ideal(amat)
     initial = gkz.initial_ideal(toric, weight)
@@ -244,10 +249,9 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
         report.coefficient_values = coeffs
         report.series_value = float(report.bundle.evaluate(
             assignment, coeffs, spec.order))
-        beta = assignment["beta"] if "beta" in assignment else spec.d / 2.0
         alpha = [assignment[f"a{i + 1}"] for i in range(poly.nvars)]
-        qspec = QuadratureSpec(exponents=list(columns),
-                               coefficients=coeffs, alpha=alpha, beta=beta,
+        qspec = QuadratureSpec(exponents=list(columns), coefficients=coeffs,
+                               alpha=alpha, beta=assignment["beta"],
                                target_tolerance=spec.tolerance * 1e-2)
         report.oracle = quadrature(qspec)
         if not all(map(math.isfinite, (report.series_value, report.oracle.value))):

@@ -77,21 +77,8 @@ class PochhammerProduct:
         return cls(sign, tuple(numerator), tuple(denominator))
 
     @classmethod
-    def one(cls) -> "PochhammerProduct":
-        return cls(1, (), ())
-
-    @classmethod
     def zero(cls) -> "PochhammerProduct":
         return cls(0, (), ())
-
-    @classmethod
-    def rising(cls, base: ParamLinear, length: int) -> "PochhammerProduct":
-        """(base)_length with length of either sign."""
-        if length >= 0:
-            return cls.make(1, [(base, length)], [])
-        # (base)_{-m} = (-1)^m / (1 - base)_m
-        m = -length
-        return cls.make((-1) ** m, [], [(ParamLinear.const(1) - base, m)])
 
     @classmethod
     def falling(cls, base: ParamLinear, length: int) -> "PochhammerProduct":

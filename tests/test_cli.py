@@ -87,6 +87,61 @@ def test_weight_override(capsys):
     assert data["initial_ideal"] == [[1, 0, 0, 1]]
 
 
+def test_exit_codes_keep_their_numbers():
+    assert (cli.EXIT_ENGINE, cli.EXIT_USAGE, cli.EXIT_UNDERDETERMINED,
+            cli.EXIT_NONCONVERGENT, cli.EXIT_DIVERGENT,
+            cli.EXIT_VERIFY_FAILED) == (1, 2, 4, 5, 6, 7)
+
+
+@pytest.mark.parametrize("verb", ["gkz", "verify"])
+def test_weight_of_the_wrong_length_is_rejected(capsys, verb):
+    code, out, err = _run(capsys, verb, "--fixture", "2f1-double",
+                          "--weight", "1,0")
+    assert code == cli.EXIT_ENGINE
+    assert err.startswith("error: weight [1, 0] needs one entry per column")
+    assert "Traceback" not in err + out
+
+
+def test_weight_length_counts_the_deformation_column(capsys):
+    # g = z1 + z2 + s*z1*z2 has 3 monomials; deformation adds a fourth column
+    code, _, err = _run(capsys, "gkz", "--fixture", "massless-bubble",
+                        "--weight", "1,0,0")
+    assert code == cli.EXIT_ENGINE and "weight [1, 0, 0]" in err
+    code, out, _ = _run(capsys, "gkz", "--fixture", "massless-bubble",
+                        "--weight", "1,0,0,0", "--json")
+    assert code == 0
+    assert json.loads(out)["weight"] == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("weight", ["1,a", "0,1.5,1,1"])
+def test_non_integer_weight_option_is_a_usage_error(capsys, weight):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--fixture", "2f1-double", "--weight", weight])
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert "argument --weight: invalid weight value" in capsys.readouterr().err
+
+
+def test_non_integral_spec_weight_is_rejected(tmp_path, capsys):
+    code, out, _ = _run(capsys, "fixtures", "--name", "2f1-double", "--json")
+    spec = json.loads(out)
+    spec["weight"] = [0, 1.5, 1, 1]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(capsys, "gkz", "--spec", str(path))
+    assert code == cli.EXIT_ENGINE
+    assert err.startswith("error: weight [0, 1.5, 1, 1] is not integral")
+    assert "Traceback" not in err + out
+
+
+def test_spec_without_input_is_a_typed_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "x"}))
+    code, out, err = _run(capsys, "gkz", "--spec", str(path))
+    assert code == cli.EXIT_ENGINE
+    assert err.startswith("error: spec 'x' has no polynomial, graph or A matrix")
+    assert "Traceback" not in err + out
+
+
 def test_spec_file_round_trip(tmp_path, capsys):
     spec = {
         "name": "gauss-from-file",

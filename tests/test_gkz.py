@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from feyngkz import pipeline
-from feyngkz.errors import NonGenericWeight, UnderdeterminedPair
+from feyngkz.errors import UnderdeterminedPair
 from feyngkz.fixtures import fixtures
 from feyngkz.gkz import (AMatrix, StandardPair, deform, fake_exponents,
                          initial_ideal, kernel_lattice, standard_kappa,
@@ -200,16 +200,11 @@ def test_initial_ideal_party_hat():
     assert report.initial_gens == [(0, 1, 1, 0, 0, 0)]
 
 
-def test_initial_ideal_strict_mode_flags_ties():
+def test_initial_ideal_generic_weight():
     spec = fixtures()["2f1-double"]
     amat, _ = toric_matrix(spec.polynomial())
     gens = toric_ideal(amat)
-    # the zero weight cannot pick a monomial initial form
-    with pytest.raises(NonGenericWeight):
-        initial_ideal(gens, (0, 0, 0, 0), require_strict=True)
-    # a generic weight is fine in strict mode too
-    assert initial_ideal(gens, (0, 1, 1, 1), require_strict=True) == [
-        (0, 1, 1, 0)]
+    assert initial_ideal(gens, (0, 1, 1, 1)) == [(0, 1, 1, 0)]
 
 
 def test_root_counts_match_degree():

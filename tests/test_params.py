@@ -37,18 +37,20 @@ def test_evaluate():
     assert expr.evaluate({"beta": 1.9, "a1": 0.3}) == pytest.approx(4.5)
 
 
-def test_parse_round_trip():
-    samples = [
-        "beta - a1 - a2 + 3/2",
-        "-beta + a2",
-        "0",
-        "1",
-        "-a1",
-        "1/2*a1 - 1/2*a2 + 1/2",
-        "2*beta - 2*a1 - a2",
-    ]
-    for text in samples:
-        assert str(ParamLinear.parse(text)) == text
+def test_str_canonical_form():
+    beta, a1, a2 = (ParamLinear.param(n) for n in ("beta", "a1", "a2"))
+    half = Fraction(1, 2)
+    samples = {
+        "beta - a1 - a2 + 3/2": beta - a1 - a2 + Fraction(3, 2),
+        "-beta + a2": -beta + a2,
+        "0": ParamLinear.const(0),
+        "1": ParamLinear.const(1),
+        "-a1": -a1,
+        "1/2*a1 - 1/2*a2 + 1/2": a1 * half - a2 * half + half,
+        "2*beta - 2*a1 - a2": beta * 2 - a1 * 2 - a2,
+    }
+    for text, expr in samples.items():
+        assert str(expr) == text
 
 
 def test_eq_and_hash():
@@ -57,14 +59,6 @@ def test_eq_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
-
-
-def test_is_nonpositive_integer():
-    assert ParamLinear.const(0).is_nonpositive_integer()
-    assert ParamLinear.const(-3).is_nonpositive_integer()
-    assert not ParamLinear.const(Fraction(-1, 2)).is_nonpositive_integer()
-    assert not ParamLinear.const(2).is_nonpositive_integer()
-    assert not ParamLinear.param("a1").is_nonpositive_integer()
 
 
 def test_arithmetic_results_hold_nonzero_fractions_only():
@@ -78,7 +72,6 @@ def test_arithmetic_results_hold_nonzero_fractions_only():
         assert type(y.constant) is Fraction
         same = ParamLinear(y.coeffs, y.constant)
         assert y == same and hash(y) == hash(same)
-        assert ParamLinear.parse(str(y)) == y
     assert (x - x).is_zero()
     assert (x * 0).is_zero()
     assert x + a1 == ParamLinear({"beta": Fraction(3, 2)}, Fraction(1, 3))

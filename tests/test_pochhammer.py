@@ -87,26 +87,19 @@ def test_symbolic_falling_matches_numeric():
         assert close(product.evaluate({"a1": value}), direct), (value, m)
 
 
-def test_symbolic_rising_negative_length():
-    beta = ParamLinear.param("beta")
-    product = PochhammerProduct.rising(beta, -3)
-    expected = poch_numeric(1.9, -3)
-    assert close(product.evaluate({"beta": 1.9}), expected)
-
-
 def test_symbolic_zero_detection():
     two = ParamLinear.const(2)
     # falling factorial of length 4 starting at 2 passes through zero
     assert PochhammerProduct.falling(two, 4).is_zero()
     assert not PochhammerProduct.falling(two, 2).is_zero()
     zero = PochhammerProduct.zero()
-    assert (zero * PochhammerProduct.one()).is_zero()
+    assert (zero * PochhammerProduct.make(1, [], [])).is_zero()
 
 
 def test_product_merge_and_multiply():
     a1 = ParamLinear.param("a1")
-    p = PochhammerProduct.rising(a1, 2) * PochhammerProduct.rising(a1, 2)
-    q = PochhammerProduct.rising(a1, 2)
+    q = PochhammerProduct.make(1, [(a1, 2)], [])
+    p = q * q
     value = p.evaluate({"a1": 0.7})
     single = q.evaluate({"a1": 0.7})
     assert close(value, single * single)
