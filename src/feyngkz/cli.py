@@ -35,15 +35,12 @@ _EXIT_CODES = [(UnderdeterminedPair, EXIT_UNDERDETERMINED),
 
 def _load_spec(args) -> pipeline.ProblemSpec:
     if args.fixture:
-        table = load_fixtures()
-        if args.fixture not in table:
-            raise SystemExit(f"unknown fixture {args.fixture!r}")
-        spec = table[args.fixture]
-    elif args.spec:
+        spec = load_fixtures().get(args.fixture)
+        if spec is None:
+            args.usage_error(f"unknown fixture {args.fixture!r}")
+    else:
         with open(args.spec) as handle:
             spec = pipeline.ProblemSpec.from_dict(json.load(handle))
-    else:
-        raise SystemExit("need --spec FILE or --fixture NAME")
     if args.weight:
         spec.weight = args.weight
     if args.order is not None:
@@ -75,7 +72,7 @@ def _emit(args, payload: dict):
 def cmd_symanzik(args) -> int:
     spec = _load_spec(args)
     if spec.graph is None:
-        raise SystemExit("symanzik needs a graph spec")
+        args.usage_error("the spec has no graph")
     u, f, g = graphs.symanzik(spec.graph)
     _emit(args, {"U": str(u), "F": str(f), "g": str(g),
                  "prefactor": str(graphs.prefactor(spec.graph.L,
@@ -129,7 +126,7 @@ def cmd_fixtures(args) -> int:
     if args.name:
         spec = table.get(args.name)
         if spec is None:
-            raise SystemExit(f"unknown fixture {args.name!r}")
+            args.usage_error(f"unknown fixture {args.name!r}")
         _emit(args, spec.to_dict())
     else:
         _emit(args, {"fixtures": sorted(table)})
@@ -146,13 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
                 "verify": cmd_verify, "fixtures": cmd_fixtures}
     for name, handler in handlers.items():
         cmd = sub.add_parser(name)
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=handler, usage_error=cmd.error)
         if name == "fixtures":
             cmd.add_argument("--name")
             cmd.add_argument("--json", action="store_true")
             continue
-        cmd.add_argument("--spec", help="problem spec JSON file")
-        cmd.add_argument("--fixture", help="built-in fixture name")
+        source = cmd.add_mutually_exclusive_group(required=True)
+        source.add_argument("--spec", help="problem spec JSON file")
+        source.add_argument("--fixture", help="built-in fixture name")
         cmd.add_argument("--weight", type=weight,
                          help="comma-separated integer weight vector")
         cmd.add_argument("--order", type=int)

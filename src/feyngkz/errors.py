@@ -18,7 +18,7 @@ class UnderdeterminedPair(FeynGKZError):
 
 
 class DimensionMismatch(FeynGKZError):
-    """An input is missing, has the wrong shape or is not integral."""
+    """An input is missing, malformed, misshapen or not integral."""
 
 
 class SingularM(FeynGKZError):
@@ -44,7 +44,7 @@ class NonPositiveCoefficient(FeynGKZError):
 
 
 class NonConvergent(FeynGKZError):
-    """The numeric integrand fails the decay probe."""
+    """A Beta step or the exact gate shows that the integral diverges."""
 
 
 class DivergentArgument(FeynGKZError):

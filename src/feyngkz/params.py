@@ -109,14 +109,7 @@ class ParamLinear:
     def evaluate(self, assignment: Mapping[str, float]) -> float:
         """Numeric value under a parameter assignment; raises
         UnassignedParameter when it lacks one of this expression's names."""
-        total = float(self.constant)
-        for name, q in self.coeffs.items():
-            try:
-                total += float(q) * float(assignment[name])
-            except KeyError:
-                raise UnassignedParameter(
-                    f"no value for parameter {name!r}") from None
-        return total
+        return FloatMap([self])(assignment)[0]
 
     # -- serialization -----------------------------------------------------
 

@@ -45,32 +45,36 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ProblemSpec":
-        spec = cls(name=data.get("name", ""))
-        if "graph" in data:
-            spec.graph = GraphSpec.from_dict(data["graph"])
-        if "polynomial" in data:
-            spec.terms = [(tuple(t["exponents"]), coeff_from(t.get("coeff", {"1": 1})))
-                          for t in data["polynomial"]]
-        if "amatrix" in data:
-            spec.amatrix = AMatrix([list(map(int, r)) for r in data["amatrix"]])
-            spec.kappa_names = list(data["kappa"])
-        if "weight" in data:
-            spec.weight = tuple(map(int, data["weight"]))
-            if list(spec.weight) != list(data["weight"]):
-                raise DimensionMismatch(f"weight {data['weight']} is not integral")
-        spec.deformation = data.get("deformation", "auto")
-        if "alpha" in data:
-            spec.alpha = [float(a) for a in data["alpha"]]
-        if "d" in data:
-            spec.d = float(data["d"])
-        if "parameters" in data:
-            spec.parameters = {k: float(v) for k, v in data["parameters"].items()}
-        spec.kinematics = {k: float(v)
-                           for k, v in data.get("kinematics", {}).items()}
-        if "coefficients" in data:
-            spec.coefficients = [float(c) for c in data["coefficients"]]
-        spec.order = int(data.get("order", 40))
-        spec.tolerance = float(data.get("tolerance", 1e-6))
+        """Inverse of to_dict; a malformed spec raises DimensionMismatch."""
+        try:
+            spec = cls(name=data.get("name", ""))
+            if "graph" in data:
+                spec.graph = GraphSpec.from_dict(data["graph"])
+            if data.get("polynomial"):
+                spec.terms = [(tuple(t["exponents"]), coeff_from(
+                    t.get("coeff", {"1": 1}))) for t in data["polynomial"]]
+            if "amatrix" in data:
+                spec.amatrix = AMatrix([list(map(int, r)) for r in data["amatrix"]])
+                spec.kappa_names = list(data["kappa"])
+            if "weight" in data:
+                spec.weight = tuple(map(int, data["weight"]))
+                if list(spec.weight) != list(data["weight"]):
+                    raise DimensionMismatch(f"weight {data['weight']} is not integral")
+            spec.deformation = data.get("deformation", "auto")
+            if "alpha" in data:
+                spec.alpha = [float(a) for a in data["alpha"]]
+            if "d" in data:
+                spec.d = float(data["d"])
+            if "parameters" in data:
+                spec.parameters = {k: float(v) for k, v in data["parameters"].items()}
+            spec.kinematics = {k: float(v)
+                               for k, v in data.get("kinematics", {}).items()}
+            if "coefficients" in data:
+                spec.coefficients = [float(c) for c in data["coefficients"]]
+            spec.order = int(data.get("order", 40))
+            spec.tolerance = float(data.get("tolerance", 1e-6))
+        except (AttributeError, LookupError, TypeError, ValueError) as err:
+            raise DimensionMismatch(f"malformed spec: {err!r}") from None
         return spec
 
     def to_dict(self) -> dict:

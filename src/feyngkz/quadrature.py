@@ -7,10 +7,10 @@ Convergence of what is left is then decided exactly (alpha in the interior
 of sum_k beta_k Newt(g_k)): in closed form for one variable, by a small
 linear program solved exactly in rational arithmetic for two or more.  The
 integrand is positive, so by Tonelli I converges iff every Beta step and the
-remainder do.  The remainder is summed on the chart z = e^x with a sinh
-substitution per axis, by one tensor trapezoid rule for 1-4 variables whose
-passes sum at most _PASS_NODE_LIMIT nodes each.  Nothing left means a closed
-form.
+remainder do; no other check decides divergence.  The remainder is summed on
+the chart z = e^x with a sinh substitution per axis, by one tensor trapezoid
+rule for 1-4 variables whose passes sum at most _PASS_NODE_LIMIT nodes each,
+over a box that a decay probe sizes.  Nothing left means a closed form.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class QuadratureResult:
     error: float
     method: str
     nodes: int
-    target_met: bool        # error <= target_tolerance * |value|
+    target_met: bool        # error <= target_tolerance * |value|, box sized
     dims: int               # variables integrated numerically
     margin: float           # convergence_margin of the reduced integrand
 
@@ -154,7 +154,11 @@ def convergence_margin(f: Integrand) -> float:
         rational arithmetic on the exact values of alpha and beta_k and
         returned as the float of its optimum (for a single factor, the
         margin of alpha/beta inside Newt(g)); -1 when no lambda fits or the
-        sum of the Newton polytopes is not full-dimensional."""
+        sum of the Newton polytopes is not full-dimensional.
+    Also -1 when some beta_k <= 0: the oracle meets such a factor only alone,
+    where it bounds the integrand below by a monomial, never integrable."""
+    if any(g.beta <= 0 for g in f.factors):
+        return -1.0
     if f.ndim == 0:
         return f.step_margin
     if f.ndim == 1:
@@ -184,16 +188,17 @@ def _check_convergent(f: Integrand) -> float:
     margin = convergence_margin(f)
     if margin <= 1e-9:
         raise NonConvergent(
-            "alpha lies outside the interior of sum_k beta_k Newt(g_k) "
-            f"(margin {margin:.3g}); the integral diverges")
+            "alpha lies outside the interior of sum_k beta_k Newt(g_k), or a "
+            f"beta_k <= 0 (margin {margin:.3g}); the integral diverges")
     return margin
 
 
-def _axis_truncations(f: Integrand) -> List[float]:
+def _axis_truncations(f: Integrand) -> Tuple[List[float], bool]:
     """Half-width per axis of the sinh-substituted box, from the first probe
-    radius at which log f has dropped _DECAY_DROP below log f(0), both ways;
-    raises NonConvergent when the integrand fails to decay.  The origin and
-    every ray are evaluated in one call."""
+    radius at which log f has dropped _DECAY_DROP below log f(0), both ways,
+    and whether the box is sized.  Past the gate log f is concave on the
+    chart, so a ray that has not dropped reaches to where its last secant
+    does, else to the last radius, unsized.  One call evaluates all rays."""
     rays = list(itertools.product(range(f.ndim), (1.0, -1.0)))
     points = np.zeros((len(rays), len(_PROBE_RADII), f.ndim))
     for row, (axis, direction) in enumerate(rays):
@@ -201,19 +206,18 @@ def _axis_truncations(f: Integrand) -> List[float]:
     values = f.log(np.concatenate([np.zeros((1, f.ndim)),
                                    points.reshape(-1, f.ndim)]))
     log_f0, values = values[0], values[1:].reshape(len(rays), -1)
-    radii = [0.0] * f.ndim
-    for (axis, direction), row in zip(rays, values):
+    radii, sized, (r0, r1) = [0.0] * f.ndim, True, _PROBE_RADII[-2:]
+    for (axis, _), row in zip(rays, values):
         dropped = np.flatnonzero(row <= log_f0 - _DECAY_DROP)
-        k = dropped[0] if len(dropped) else len(row) - 1
-        rising = row > np.append(log_f0, row[:-1]) + 1e-12
-        if (rising & (_PROBE_RADII > 32))[:k].any():
-            raise NonConvergent(f"integrand grows along axis {axis + 1}")
-        if not len(dropped):
-            raise NonConvergent(
-                f"integrand does not decay along axis {axis + 1} "
-                f"(direction {direction:+.0f})")
-        radii[axis] = max(radii[axis], float(_PROBE_RADII[k]))
-    return [math.asinh(r) + 0.4 for r in radii]
+        if len(dropped):
+            radius = _PROBE_RADII[dropped[0]]
+        elif row[-1] < row[-2]:
+            radius = r1 + (r1 - r0) * (row[-1] - log_f0 + _DECAY_DROP) / (
+                row[-2] - row[-1])
+        else:
+            radius, sized = r1, False
+        radii[axis] = max(radii[axis], float(radius))
+    return [math.asinh(r) + 0.4 for r in radii], sized
 
 
 def _pass_nodes(vmaxes: Sequence[float], step: float) -> int:
@@ -242,9 +246,10 @@ def tanh_sinh_tensor(f: Integrand, target: float,
     """Tensor-product double-exponential rule, halving the step until two
     passes agree to the relative target, the step falls below 0.02, or the
     next pass would sum more than _PASS_NODE_LIMIT nodes; target_met then
-    says whether the last two passes agreed.  The first step is 0.2, doubled
-    while its half would not fit (in 1-3 variables it always fits)."""
-    vmaxes = _axis_truncations(f)
+    says whether the box was sized and the last two passes agreed.  The first
+    step is 0.2, doubled while its half would not fit (in 4-D, or in 3-D
+    with a box extended past the probe radii)."""
+    vmaxes, sized = _axis_truncations(f)
     step = 0.2
     while _pass_nodes(vmaxes, step / 2) > _PASS_NODE_LIMIT:
         step *= 2
@@ -255,8 +260,8 @@ def tanh_sinh_tensor(f: Integrand, target: float,
         error, value = abs(refined - value), refined
         if error <= target * abs(value):
             break
-    return QuadratureResult(value, error, "tanh-sinh-tensor", nodes,
-                            error <= target * abs(value), f.ndim, margin)
+    return QuadratureResult(value, error, "tanh-sinh-tensor", nodes, sized
+                            and error <= target * abs(value), f.ndim, margin)
 
 
 def quadrature(spec: QuadratureSpec) -> QuadratureResult:

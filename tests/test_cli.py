@@ -187,8 +187,43 @@ def test_verify_unassigned_parameter_exit_code(tmp_path, capsys):
 
 
 def test_usage_error_without_input(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exit_info:
         cli.main(["gkz"])
+    assert exit_info.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gkz", "--fixture", "nope"], "unknown fixture 'nope'"),
+    (["symanzik", "--fixture", "2f1-double"], "the spec has no graph"),
+    (["fixtures", "--name", "nope"], "unknown fixture 'nope'")],
+    ids=["unknown-fixture", "no-graph", "unknown-name"])
+def test_usage_mistakes_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
+
+_TERMS = [{"exponents": [0, 0]}, {"exponents": [1, 0]},
+          {"exponents": [0, 1]}, {"exponents": [1, 1]}]
+
+
+@pytest.mark.parametrize("spec", [
+    {"polynomial": []},
+    {"polynomial": _TERMS, "alpha": ["q"]},
+    {"polynomial": [{"exponents": [0, 0], "coeff": {"1": "x"}}] + _TERMS[1:]},
+    {"graph": {"L": 1}},
+    {"amatrix": [[1, 1, 1], [0, 1, 2]]},
+    [_TERMS],
+    {"amatrix": [[1, 1, 1], [0, 1]], "kappa": ["b1", "b2"]}],
+    ids=["empty-polynomial", "alpha", "coeff", "graph", "kappa", "list",
+         "ragged-amatrix"])
+def test_malformed_spec_is_a_typed_error(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(capsys, "gkz", "--spec", str(path))
+    assert code == cli.EXIT_ENGINE
+    assert err.startswith("error: ") and "Traceback" not in err + out
 
 
 def test_fixture_dump_loads_back_as_spec(tmp_path, capsys):

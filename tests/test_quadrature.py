@@ -138,6 +138,61 @@ def test_node_limit_stops_halving(monkeypatch):
     assert abs(stopped.value - converged.value) <= stopped.error
 
 
+def test_tail_beyond_the_probe_radii():
+    """g = 1 + z^2 at alpha = 1.99 converges (margin 0.005), but log f falls
+    by only 0.01 per unit on the chart: the box reaches past the probe radii
+    to where their last secant has dropped _DECAY_DROP."""
+    alpha = 1.99
+    res = quadrature(_spec([(0,), (2,)], [1.0, 1.0], [alpha], 1.0))
+    exact = 0.5 * math.gamma(alpha / 2) * math.gamma(1 - alpha / 2)
+    assert res.margin == pytest.approx(0.005) and res.target_met
+    assert abs(res.value - exact) / exact < 1e-10
+
+
+def test_far_peak_is_not_refused():
+    """(eps + z1^2)(1 + z2^2), expanded, at eps = 1e-40 converges: log f
+    climbs towards its peak near z1 = 1e-20 before it decays.  The value is
+    the product of two one-variable closed forms."""
+    eps, tol = 1e-40, 1e-8
+    res = quadrature(_spec([(0, 0), (0, 2), (2, 0), (2, 2)],
+                           [eps, eps, 1.0, 1.0], [0.5, 0.7], 1.0, tol=tol))
+    exact = (0.5 * math.gamma(0.25) * math.gamma(0.75) * eps ** -0.75
+             * 0.5 * math.gamma(0.35) * math.gamma(0.65))
+    assert res.dims == 2 and abs(res.value - exact) <= res.error
+    if res.target_met:
+        assert abs(res.value - exact) <= tol * exact
+
+
+def test_non_positive_beta_diverges():
+    """beta = -1: the integrand is at least a monomial, whatever alpha is,
+    so the gate refuses it (the Newton polytope alone would pass it)."""
+    eps = 1e-40
+    spec = _spec([(0, 0), (0, 2), (2, 0), (2, 2)], [eps, eps, 1.0, 1.0],
+                 [-0.5, -0.7], -1.0)
+    assert convergence_margin(Integrand.from_spec(spec)) <= 0
+    with pytest.raises(NonConvergent, match="margin -1"):
+        quadrature(spec)
+
+
+def test_unsized_box_misses_its_target(monkeypatch):
+    """z^1.99 / (1e-12 + z^2) climbs by 0.01 per unit along the negative
+    chart axis up to its peak near x = -13.8.  With probe radii that end at
+    11.4, that ray's last secant still climbs: the box is not sized, and the
+    value comes back with target_met false instead of a divergence verdict.
+    The other ray reaches further, so the value itself is right, and with
+    the full probe table the target is met."""
+    eps, alpha = 1e-12, 1.99
+    spec = _spec([(0,), (2,)], [eps, 1.0], [alpha], 1.0)
+    exact = (eps ** (alpha / 2 - 1) * 0.5 * math.gamma(alpha / 2)
+             * math.gamma(1 - alpha / 2))
+    assert quadrature(spec).target_met
+    monkeypatch.setattr(quadrature_module, "_PROBE_RADII",
+                        1.5 ** np.arange(7))
+    res = quadrature(spec)
+    assert res.dims == 1 and not res.target_met
+    assert abs(res.value - exact) / exact < 1e-10
+
+
 def _loaded_modules(*names):
     """Module names that importing the given modules loads, in a fresh
     interpreter."""
@@ -147,11 +202,6 @@ def _loaded_modules(*names):
          "print('\\n'.join(sys.modules))"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, check=True).stdout.split()
-
-
-def test_import_leaves_scipy_stats_out():
-    """scipy.stats is a costly import, and nothing in the package uses it."""
-    assert "scipy.stats" not in _loaded_modules("feyngkz")
 
 
 def test_import_leaves_scipy_out():
