@@ -19,8 +19,8 @@ import sys
 
 from . import graphs, pipeline
 from .fixtures import fixtures as load_fixtures
-from .errors import (DivergentArgument, FeynGKZError, NonConvergent,
-                     UnderdeterminedPair)
+from .errors import (DimensionMismatch, DivergentArgument, FeynGKZError,
+                     NonConvergent, UnderdeterminedPair)
 
 EXIT_USAGE = 2
 EXIT_UNDERDETERMINED = 4
@@ -39,8 +39,14 @@ def _load_spec(args) -> pipeline.ProblemSpec:
         if spec is None:
             args.usage_error(f"unknown fixture {args.fixture!r}")
     else:
-        with open(args.spec) as handle:
-            spec = pipeline.ProblemSpec.from_dict(json.load(handle))
+        try:
+            with open(args.spec) as handle:
+                data = json.load(handle)
+        except OSError as err:
+            args.usage_error(f"cannot read spec {args.spec!r}: {err.strerror}")
+        except ValueError as err:     # not JSON, or not text
+            raise DimensionMismatch(f"malformed spec: {err}") from None
+        spec = pipeline.ProblemSpec.from_dict(data)
     if args.weight:
         spec.weight = args.weight
     if args.order is not None:

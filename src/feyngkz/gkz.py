@@ -2,10 +2,10 @@
 
 The chain implemented here: configuration matrix A of the monomial support,
 codimension, deformation of codimension-zero inputs, the integer kernel
-lattice of A, the toric ideal I_A (lattice-basis ideal saturated at every
-variable), its w-initial monomial ideal, the standard pairs of that ideal and
-finally the exponent vectors obtained by solving A.theta = kappa exactly,
-by fraction-free integer elimination on each face.
+lattice of A, the toric ideal I_A (a rank-1 lattice's binomial, else the
+basis binomials saturated at every variable), its w-initial monomial ideal,
+the standard pairs of that ideal and the exponent vectors: A.theta = kappa
+solved exactly by fraction-free integer elimination on each face.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DeformationFailed, InconsistentPair, UnderdeterminedPair
 from .groebner import (Binomial, buchberger, grevlex_key, interreduce,
-                       mono_divides, saturate_all_variables, weighted_key)
+                       mono_divides, orient, saturate_all_variables,
+                       weighted_key)
+# perfbench's tracer wraps gkz.integer_rank, so it stays imported here
 from .intlinalg import integer_rank, kernel_basis
 from .kpoly import KPoly, coeff_const
 from .params import ParamLinear
@@ -39,9 +40,12 @@ class AMatrix:
         widths = {len(r) for r in self.rows}
         if len(widths) != 1:
             raise ValueError("ragged A matrix")
-        self.rank = integer_rank(self.rows)
-        # (1,...,1) lies in the row span over Q iff appending it keeps the rank
-        if integer_rank(self.rows + [[1] * self.ncols]) != self.rank:
+        # one lattice reduction per A: the rank, the lattice and I_A read it
+        self.kernel = kernel_basis(self.rows)
+        self.rank = self.ncols - len(self.kernel)
+        # the row space over Q is the orthogonal complement of the kernel, so
+        # (1,...,1) lies in it iff every kernel vector sums to 0
+        if any(sum(u) for u in self.kernel):
             raise ValueError("(1,...,1) not in the row span of A")
 
     @property
@@ -102,15 +106,18 @@ def deform(g: KPoly) -> Tuple[KPoly, Deformation]:
 # -- lattice and toric ideal ----------------------------------------------
 
 def kernel_lattice(amat: AMatrix) -> List[Tuple[int, ...]]:
-    return kernel_basis(amat.rows)
+    return list(amat.kernel)
 
 
 def toric_ideal(amat: AMatrix) -> List[Binomial]:
-    """Generators of I_A: the lattice-basis binomials x^(u+) - x^(u-)
-    saturated at each variable in turn, returned as a reduced grevlex basis
-    of (lead, trail) pairs."""
+    """Generators of I_A as a reduced grevlex basis of (lead, trail) pairs.
+    For a rank-1 lattice Zu the binomial x^(u+) - x^(u-) divides every
+    x^(ku+) - x^(ku-), so it is I_A's basis by itself (Sturmfels, ch. 12);
+    a larger lattice's basis binomials are saturated at each variable."""
     gens = [(tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u))
-            for u in kernel_lattice(amat)]
+            for u in amat.kernel]
+    if len(gens) <= 1:
+        return [orient(plus, minus, grevlex_key) for plus, minus in gens]
     # the last saturation runs in grevlex itself (its variable is already
     # the cheapest), so its basis is a grevlex basis, oriented lead first
     saturated = saturate_all_variables(gens, amat.ncols)
@@ -239,17 +246,17 @@ def fake_exponents(amat: AMatrix, kappa: Sequence[ParamLinear],
 
     kappa is scaled once to an integer matrix (one column per parameter and
     a constant column, common denominator den), so each pair costs one
-    integer elimination and a Fraction per output coefficient only.  Pairs
+    integer elimination; each solved component is its pivot row's integer
+    numerators over the denominator pivot * den.  Pairs
     whose linear system is inconsistent are dropped with a warning; an
     underdetermined system aborts (the weight was too degenerate).
     """
     if len(kappa) != amat.nrows:
         raise ValueError("kappa length must match the number of A rows")
-    names = list(dict.fromkeys(n for k in kappa for n in k.coeffs))
-    den = math.lcm(*(q.denominator for k in kappa
-                     for q in [k.constant, *k.coeffs.values()]))
-    kmat = [[int(k.coeffs.get(n, 0) * den) for n in names] for k in kappa]
-    k0 = [int(k.constant * den) for k in kappa]
+    names = list(dict.fromkeys(n for k in kappa for n in k.nums))
+    den = math.lcm(*(k.den for k in kappa))
+    kmat = [[k.nums.get(n, 0) * (den // k.den) for n in names] for k in kappa]
+    k0 = [k.num0 * (den // k.den) for k in kappa]
     out = []
     for pair in pairs:
         face = pair.face
@@ -263,12 +270,11 @@ def fake_exponents(amat: AMatrix, kappa: Sequence[ParamLinear],
         except InconsistentPair:
             warnings.warn(f"discarding inconsistent standard pair {pair}")
             continue
-        components = [ParamLinear._make({}, Fraction(r)) for r in pair.root]
+        components = [ParamLinear.const(r) for r in pair.root]
         for r, col in pivots:
             row = rows[r]
-            scale = row[col] * den
-            *qs, q0 = (Fraction(x, scale) for x in row[len(face):])
-            components[face[col]] = ParamLinear._make(dict(zip(names, qs)), q0)
+            components[face[col]] = ParamLinear.from_integers(
+                dict(zip(names, row[len(face):-1])), row[-1], row[col] * den)
         out.append(FakeExponent(tuple(components), pair))
     return out
 

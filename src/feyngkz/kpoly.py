@@ -2,21 +2,28 @@
 
 A KPoly maps z-exponent tuples to coefficients; a coefficient is itself a map
 from a monomial in invariant symbols (a sorted tuple of names, () = 1) to a
-Fraction.  That is enough to carry Symanzik polynomials exactly: invariants
-only ever enter polynomially with rational weights.
+rational number: an int when it is integral, else a Fraction (such as the
+1/2 of s/2).  That is enough to carry Symanzik polynomials exactly:
+invariants only ever enter polynomially with rational weights.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
-Coeff = Dict[Tuple[str, ...], Fraction]
+Coeff = Dict[Tuple[str, ...], Union[int, Fraction]]  # int when integral
 Expo = Tuple[int, ...]
 
 
+def _exact(value) -> Union[int, Fraction]:
+    """value as an int when it is integral, else as a Fraction."""
+    value = value if isinstance(value, (int, Fraction)) else Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def coeff_const(value) -> Coeff:
-    value = Fraction(value)
+    value = _exact(value)
     return {(): value} if value else {}
 
 
@@ -24,15 +31,15 @@ def coeff_from(spec: Mapping[str, object]) -> Coeff:
     """Build a coefficient from {"s": 1, "m2": -1, "1": 2} style dicts."""
     out: Coeff = {}
     for name, q in spec.items():
-        q = Fraction(q)
+        q = _exact(q)
         if q == 0:
             continue
         key = () if name in ("", "1") else (name,)
-        out[key] = out.get(key, Fraction(0)) + q
+        out[key] = _exact(out.get(key, 0) + q)
     return {k: v for k, v in out.items() if v}
 
 
-def rational_json(q: Fraction):
+def rational_json(q: Union[int, Fraction]):
     """q as a JSON integer when integral, else as the text "p/q"."""
     return q.numerator if q.denominator == 1 else str(q)
 
@@ -45,7 +52,7 @@ def coeff_to_dict(a: Coeff) -> Dict[str, object]:
 def coeff_add(a: Coeff, b: Coeff) -> Coeff:
     out = dict(a)
     for mono, q in b.items():
-        q2 = out.get(mono, Fraction(0)) + q
+        q2 = _exact(out.get(mono, 0) + q)
         if q2:
             out[mono] = q2
         else:
@@ -58,7 +65,7 @@ def coeff_mul(a: Coeff, b: Coeff) -> Coeff:
     for ma, qa in a.items():
         for mb, qb in b.items():
             mono = tuple(sorted(ma + mb))
-            q = out.get(mono, Fraction(0)) + qa * qb
+            q = _exact(out.get(mono, 0) + qa * qb)
             if q:
                 out[mono] = q
             else:

@@ -53,6 +53,9 @@ class ProblemSpec:
             if data.get("polynomial"):
                 spec.terms = [(tuple(t["exponents"]), coeff_from(
                     t.get("coeff", {"1": 1}))) for t in data["polynomial"]]
+                if len({len(e) for e, _ in spec.terms}) != 1:
+                    raise DimensionMismatch("polynomial exponent vectors "
+                                            "differ in length")
             if "amatrix" in data:
                 spec.amatrix = AMatrix([list(map(int, r)) for r in data["amatrix"]])
                 spec.kappa_names = list(data["kappa"])

@@ -52,8 +52,7 @@ def _factor_is_zero(base: ParamLinear, length: int) -> bool:
     """Symbolic test: (base)_length == 0 identically."""
     if length <= 0 or not base.is_constant():
         return False
-    c = base.constant
-    return c.denominator == 1 and 1 - length <= c <= 0
+    return base.den == 1 and 1 - length <= base.num0 <= 0
 
 
 @dataclass(frozen=True)

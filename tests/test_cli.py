@@ -235,3 +235,32 @@ def test_fixture_dump_loads_back_as_spec(tmp_path, capsys):
     code, from_file, _ = _run(capsys, "gkz", "--spec", str(path), "--json")
     assert code == 0
     assert json.loads(from_file) == json.loads(from_fixture)
+
+
+def test_missing_spec_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["gkz", "--spec", str(missing)])
+    assert exit_info.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(
+        f"error: cannot read spec {str(missing)!r}: No such file or directory")
+
+
+def test_spec_file_that_is_not_json_is_a_typed_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text('{"polynomial": [')
+    code, out, err = _run(capsys, "gkz", "--spec", str(path))
+    assert code == cli.EXIT_ENGINE
+    assert err.startswith("error: malformed spec: ")
+    assert "Traceback" not in err + out
+
+
+def test_exponent_vectors_of_unequal_length_are_a_typed_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"polynomial": [{"exponents": [0, 0]}, {"exponents": [1]}]}))
+    code, out, err = _run(capsys, "gkz", "--spec", str(path))
+    assert code == cli.EXIT_ENGINE
+    assert err.startswith("error: polynomial exponent vectors differ in length")
+    assert "Traceback" not in err + out

@@ -11,9 +11,10 @@ from feyngkz.fixtures import fixtures
 from feyngkz.gkz import (AMatrix, StandardPair, deform, fake_exponents,
                          initial_ideal, kernel_lattice, standard_kappa,
                          standard_pairs, toric_ideal, toric_matrix)
-from feyngkz.groebner import (grevlex_key, mono_divides, normal_form,
-                              s_polynomial)
-from feyngkz.intlinalg import integer_rank
+from feyngkz.groebner import (grevlex_key, interreduce, mono_divides,
+                              normal_form, s_polynomial,
+                              saturate_all_variables)
+from feyngkz.intlinalg import integer_rank, kernel_basis
 from feyngkz.params import ParamLinear
 
 
@@ -249,3 +250,54 @@ def test_amatrix_rejects_ones_outside_row_span():
         AMatrix([[1, 0, -1]])
     with pytest.raises(ValueError):
         AMatrix([[1, 1, 1], [0, 1]])
+
+
+def _saturated_toric_ideal(rows):
+    """I_A by the general route: the lattice-basis binomials saturated at
+    every variable, interreduced in grevlex."""
+    gens = [(tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u))
+            for u in kernel_basis(rows)]
+    return interreduce(saturate_all_variables(gens, len(rows[0])),
+                       grevlex_key)
+
+
+def test_rank_one_toric_ideal_is_the_saturated_ideal():
+    """A rank-1 lattice's binomial equals the saturation of itself, on every
+    rank-1 fixture and on random codimension-1 configurations."""
+    amats = [_run(name).amatrix for name in fixtures()]
+    rank_one = [amat for amat in amats if amat.codim() == 1]
+    assert len(rank_one) == 9
+    rng = random.Random(14)
+    while len(rank_one) < 9 + 50:
+        n = rng.randint(3, 6)
+        rows = [[1] * n] + [[rng.randint(0, 3) for _ in range(n)]
+                            for _ in range(n - 2)]
+        if integer_rank(rows) == n - 1:
+            rank_one.append(AMatrix(rows))
+    for amat in rank_one:
+        assert toric_ideal(amat) == _saturated_toric_ideal(amat.rows), amat.rows
+
+
+def test_amatrix_rank_and_ones_check_agree_with_integer_rank():
+    """The rank and the (1,...,1) test read off the kernel agree with
+    Hermite ranks of A and of A with a row of ones appended."""
+    rng = random.Random(41)
+    cayley_dropped_row = [[1, 1, 0, 0], [0, 1, 0, 1]]
+    matrices = [cayley_dropped_row, [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]]]
+    for _ in range(200):
+        m, n = rng.randint(1, 4), rng.randint(1, 6)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        matrices.append([[1] * n] + rows[1:] if rng.random() < 0.5 else rows)
+    rejected = 0
+    for rows in matrices:
+        rank = integer_rank(rows)
+        if integer_rank(rows + [[1] * len(rows[0])]) != rank:
+            rejected += 1
+            with pytest.raises(ValueError, match="row span"):
+                AMatrix(rows)
+        else:
+            amat = AMatrix(rows)
+            assert amat.rank == rank and amat.codim() == len(rows[0]) - rank
+    with pytest.raises(ValueError, match="row span"):
+        AMatrix(cayley_dropped_row)
+    assert 20 < rejected < len(matrices) - 20

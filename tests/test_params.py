@@ -1,10 +1,12 @@
 """Symbolic affine-linear parameter expressions."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from feyngkz.params import ParamLinear
+from feyngkz.params import FloatMap, ParamLinear
 
 
 def test_construction_and_str():
@@ -77,3 +79,45 @@ def test_arithmetic_results_hold_nonzero_fractions_only():
     assert x + a1 == ParamLinear({"beta": Fraction(3, 2)}, Fraction(1, 3))
     assert hash(x + a1) == hash(
         ParamLinear({"beta": Fraction(3, 2), "a1": 0}, Fraction(1, 3)))
+
+
+def _fields(x):
+    return x.nums, x.num0, x.den
+
+
+def test_one_normal_form_whatever_the_route():
+    """Equal values built by different routes have equal integer fields and
+    hashes: numerators over one positive denominator in lowest terms."""
+    a1, beta = ParamLinear.param("a1"), ParamLinear.param("beta")
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    x = a1 * Fraction(1, 2) + beta * third
+    routes = [
+        (x + beta * sixth, a1 * Fraction(1, 2) + beta * Fraction(1, 2),
+         ParamLinear({"a1": Fraction(2, 4), "beta": Fraction(3, 6)})),
+        (x * 0, x - x, ParamLinear.const(0), a1 - a1 + ParamLinear.const(0)),
+        (x * Fraction(-6, 5), -(x * 6) * Fraction(1, 5),
+         ParamLinear({"a1": Fraction(-3, 5), "beta": Fraction(-2, 5)})),
+        (a1 * third + ParamLinear.const(sixth) + a1 * Fraction(2, 3),
+         a1 + ParamLinear.const(Fraction(1, 6))),
+        (ParamLinear.from_integers({"a1": -4, "beta": 0}, 2, -6),
+         ParamLinear({"a1": Fraction(2, 3)}, Fraction(-1, 3))),
+    ]
+    for same in routes:
+        for y in same:
+            assert y.den > 0 and 0 not in y.nums.values()
+            assert math.gcd(y.den, y.num0, *y.nums.values()) == 1
+            assert _fields(y) == _fields(same[0]), (y, same[0])
+            assert y == same[0] and hash(y) == hash(same[0])
+    assert _fields(x * 0) == ({}, 0, 1)
+
+
+def test_float_map_is_the_correctly_rounded_fraction():
+    rng = random.Random(3)
+    for _ in range(200):
+        coeffs = {name: Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+                  for name in ("beta", "a1", "a2")}
+        constant = Fraction(rng.randint(-99, 99), rng.randint(1, 97))
+        expr = ParamLinear(coeffs, constant)
+        total, pairs = FloatMap([expr]).rows[0]
+        assert total == float(constant)
+        assert pairs == [(n, float(q)) for n, q in coeffs.items() if q]

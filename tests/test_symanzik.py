@@ -1,10 +1,13 @@
 """Graph polynomials U, F and g = U + F from momentum-space data."""
 
+import json
+from fractions import Fraction
+
 import pytest
 
 from feyngkz.errors import SingularM
 from feyngkz.fixtures import fixtures
-from feyngkz.graphs import prefactor, symanzik
+from feyngkz.graphs import GraphSpec, prefactor, symanzik
 
 
 def _poly_dict(poly, values):
@@ -102,3 +105,34 @@ def test_prefactor_shape():
     # bubble at d = 4 - 2e, a1 = a2 = 1: Gamma(2-e)/(Gamma(2-2e) G(1) G(1))
     value = pref.evaluate({"beta": 2.0, "a1": 1.0, "a2": 1.0})
     assert value == pytest.approx(1.0)
+
+
+def _coefficient_types_are_exact(poly):
+    for coeff in poly.terms.values():
+        for q in coeff.values():
+            assert type(q) is (int if q.denominator == 1 else Fraction), q
+
+
+def test_integral_coefficients_are_ints_and_halves_round_trip():
+    """Integral coefficients are ints, the rest Fractions; graph specs with
+    1/2 entries (the box's momentum products, a halved M) come back exactly
+    from to_dict -> JSON -> from_dict."""
+    halved = GraphSpec.from_dict({
+        "L": 1, "E": 1, "invariants": ["s"],
+        "propagators": [{"M": [["1/2"]], "Q": [[0]]},
+                        {"M": [[1]], "Q": [[-1]], "J": {"s": "1/2"}}],
+        "momentum_products": {"p1.p1": {"s": 1}}})
+    graphs = [s.graph for s in fixtures().values() if s.graph is not None]
+    for graph in graphs + [halved]:
+        polys = symanzik(graph)
+        for poly in polys:
+            _coefficient_types_are_exact(poly)
+        loaded = GraphSpec.from_dict(json.loads(json.dumps(graph.to_dict())))
+        assert loaded == graph
+        again = symanzik(loaded)
+        assert [p.terms for p in again] == [p.terms for p in polys]
+        for poly in again:
+            _coefficient_types_are_exact(poly)
+    u, _, g = symanzik(halved)
+    assert str(u) == "1/2*z1 + z2"
+    assert g.terms[(1, 1)] == {("s",): Fraction(1, 4)}       # U J = s/4 z1 z2 + ...
