@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DeformationFailed, InconsistentPair, UnderdeterminedPair
@@ -76,6 +76,9 @@ def toric_matrix(g: KPoly) -> Tuple[AMatrix, List[Mono]]:
 class Deformation:
     applied: bool
     exponent: Optional[Mono] = None
+    # A and the columns of the g that deform left alone, built by its check
+    toric: Optional[Tuple[AMatrix, List[Mono]]] = field(
+        default=None, repr=False, compare=False)
 
 
 def _cantaloupe_shape(g: KPoly) -> bool:
@@ -89,9 +92,9 @@ def _cantaloupe_shape(g: KPoly) -> bool:
 def deform(g: KPoly) -> Tuple[KPoly, Deformation]:
     """Insert an extra monomial when the configuration has codimension zero,
     so that the kernel lattice becomes nontrivial."""
-    amat, _ = toric_matrix(g)
-    if amat.codim() > 0:
-        return g, Deformation(False)
+    toric = toric_matrix(g)
+    if toric[0].codim() > 0:
+        return g, Deformation(False, toric=toric)
     if _cantaloupe_shape(g) and g.nvars >= 3:
         loops = g.nvars - 1
         expo = tuple(1 if i < loops - 1 else 0 for i in range(g.nvars))

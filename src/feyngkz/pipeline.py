@@ -201,11 +201,8 @@ def coefficient_values(spec: ProblemSpec, report_columns, poly: KPoly) -> List[f
 
 
 def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
-    symanzik_u = symanzik_f = None
-    pref = None
+    symanzik_u = symanzik_f = pref = poly = columns = None
     deformation = Deformation(False)
-    poly = None
-    columns = None
 
     if spec.amatrix is not None:
         amat = spec.amatrix
@@ -221,7 +218,7 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
                                     "graph or A matrix")
         if spec.deformation == "auto":
             poly, deformation = gkz.deform(poly)
-        amat, columns = gkz.toric_matrix(poly)
+        amat, columns = deformation.toric or gkz.toric_matrix(poly)
         kappa = gkz.standard_kappa(poly.nvars)
 
     codim = amat.codim()

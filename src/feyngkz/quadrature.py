@@ -15,7 +15,7 @@ over a box that a decay probe sizes.  Nothing left means a closed form.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -94,14 +94,15 @@ class Integrand:
     def ndim(self) -> int:
         return len(self.alpha)
 
-    def log(self, points: np.ndarray) -> np.ndarray:
-        """log f at an (..., N) array of chart points x (z = e^x)."""
-        out = points @ self.alpha + self.log_prefactor
+    def log_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """log f on the tensor grid of per-axis chart nodes x (z = e^x), each
+        e.x broadcast from the axes and each factor folded by logaddexp."""
+        grid = np.ix_(*axes)
+        out = sum(a * x for a, x in zip(self.alpha, grid)) + self.log_prefactor
         for expmat, logc, beta in self.factors:
-            terms = points @ expmat.T + logc
-            top = terms.max(axis=-1)
-            out = out - beta * (top + np.log(
-                np.exp(terms - top[..., None]).sum(axis=-1)))
+            terms = (sum((e * x for e, x in zip(row, grid) if e), 0) + c
+                     for row, c in zip(expmat, logc))
+            out = out - beta * functools.reduce(np.logaddexp, terms)
         return out
 
     def times(self, expmat: np.ndarray, logc: np.ndarray,
@@ -198,25 +199,24 @@ def _axis_truncations(f: Integrand) -> Tuple[List[float], bool]:
     radius at which log f has dropped _DECAY_DROP below log f(0), both ways,
     and whether the box is sized.  Past the gate log f is concave on the
     chart, so a ray that has not dropped reaches to where its last secant
-    does, else to the last radius, unsized.  One call evaluates all rays."""
-    rays = list(itertools.product(range(f.ndim), (1.0, -1.0)))
-    points = np.zeros((len(rays), len(_PROBE_RADII), f.ndim))
-    for row, (axis, direction) in enumerate(rays):
-        points[row, :, axis] = direction * _PROBE_RADII
-    values = f.log(np.concatenate([np.zeros((1, f.ndim)),
-                                   points.reshape(-1, f.ndim)]))
-    log_f0, values = values[0], values[1:].reshape(len(rays), -1)
-    radii, sized, (r0, r1) = [0.0] * f.ndim, True, _PROBE_RADII[-2:]
-    for (axis, _), row in zip(rays, values):
-        dropped = np.flatnonzero(row <= log_f0 - _DECAY_DROP)
-        if len(dropped):
-            radius = _PROBE_RADII[dropped[0]]
-        elif row[-1] < row[-2]:
-            radius = r1 + (r1 - r0) * (row[-1] - log_f0 + _DECAY_DROP) / (
-                row[-2] - row[-1])
-        else:
-            radius, sized = r1, False
-        radii[axis] = max(radii[axis], float(radius))
+    does, else to the last radius, unsized.  One log_grid call per axis."""
+    n, radii, sized, (r0, r1) = len(_PROBE_RADII), [], True, _PROBE_RADII[-2:]
+    for axis in range(f.ndim):
+        axes = [[0.0]] * f.ndim
+        axes[axis] = np.concatenate(([0.0], _PROBE_RADII, -_PROBE_RADII))
+        values = f.log_grid(axes).ravel()
+        log_f0, reach = values[0], 0.0
+        for row in (values[1:n + 1], values[n + 1:]):
+            dropped = np.flatnonzero(row <= log_f0 - _DECAY_DROP)
+            if len(dropped):
+                radius = _PROBE_RADII[dropped[0]]
+            elif row[-1] < row[-2]:
+                radius = r1 + (r1 - r0) * (row[-1] - log_f0 + _DECAY_DROP) / (
+                    row[-2] - row[-1])
+            else:
+                radius, sized = r1, False
+            reach = max(reach, float(radius))
+        radii.append(reach)
     return [math.asinh(r) + 0.4 for r in radii], sized
 
 
@@ -234,10 +234,9 @@ def _tensor_pass(f: Integrand, vmaxes: Sequence[float],
     nodes = math.prod(map(len, axes))
     rows, total = max(1, _NODE_BUDGET * len(axes[0]) // nodes), 0.0
     for s in range(0, len(axes[0]), rows):
-        points = np.stack(np.meshgrid(x[0][s:s + rows], *x[1:], indexing="ij"),
-                          axis=-1)
-        total += float(np.exp(f.log(points) + sum(np.meshgrid(
-            logw[0][s:s + rows], *logw[1:], indexing="ij", sparse=True))).sum())
+        chunk = slice(s, s + rows)
+        total += float(np.exp(f.log_grid([x[0][chunk]] + x[1:]) + sum(
+            np.ix_(logw[0][chunk], *logw[1:]))).sum())
     return total * step ** f.ndim, nodes
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from feyngkz import pipeline
+from feyngkz import gkz, pipeline
 from feyngkz.errors import UnderdeterminedPair
 from feyngkz.fixtures import fixtures
 from feyngkz.gkz import (AMatrix, StandardPair, deform, fake_exponents,
@@ -242,6 +242,24 @@ def test_no_deformation_when_codim_positive():
     deformed, info = deform(g)
     assert not info.applied
     assert deformed.terms == g.terms
+
+
+def test_run_reduces_each_a_matrix_once(monkeypatch):
+    """run reuses the A that deform's codim check built when it leaves the
+    polynomial alone; a deformed polynomial adds only its own A, and an
+    A-matrix spec brings its A already reduced."""
+    calls = []
+    monkeypatch.setattr(gkz, "kernel_basis",
+                        lambda rows: calls.append(rows) or kernel_basis(rows))
+    counts = {}
+    for name, spec in fixtures().items():
+        calls.clear()
+        pipeline.run(spec)
+        counts[name] = len(calls)
+    assert counts == {
+        "2f1-double": 1, "2f1-single": 0, "massless-bubble": 2,
+        "triangle-1scale": 2, "cantaloupe-2": 2, "one-mass-bubble": 1,
+        "sunset-1mass": 1, "party-hat": 1, "box": 1, "triangle-3scale": 1}
 
 
 def test_amatrix_rejects_ones_outside_row_span():

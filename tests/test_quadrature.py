@@ -18,8 +18,8 @@ from feyngkz.errors import (DimensionMismatch, NonConvergent,
                             NonPositiveCoefficient)
 from feyngkz.fixtures import fixtures
 from feyngkz.intlinalg import integer_rank
-from feyngkz.quadrature import (Integrand, QuadratureSpec, convergence_margin,
-                                quadrature, reduce_linear)
+from feyngkz.quadrature import (Factor, Integrand, QuadratureSpec,
+                                convergence_margin, quadrature, reduce_linear)
 
 # the package re-exports the function quadrature() under the module name
 quadrature_module = importlib.import_module("feyngkz.quadrature")
@@ -429,3 +429,62 @@ def test_non_finite_coefficient_raises_typed_error():
     for coefficient in (math.inf, math.nan):
         with pytest.raises(NonPositiveCoefficient, match="finite"):
             _spec([(0,), (1,)], [1.0, coefficient], [0.5], 1.0)
+
+
+def _reference_log(f, point):
+    """log f at one chart point in plain floats, with a max-shifted
+    log-sum-exp per factor."""
+    out = sum(a * x for a, x in zip(f.alpha.tolist(), point)) + f.log_prefactor
+    for g in f.factors:
+        terms = [sum(e * x for e, x in zip(row, point)) + c
+                 for row, c in zip(g.expmat.tolist(), g.logc.tolist())]
+        top = max(terms)
+        out -= g.beta * (top + math.log(sum(math.exp(t - top) for t in terms)))
+    return out
+
+
+def test_log_grid_matches_pointwise_reference():
+    """Random integrands of 1-4 variables, factors of 1-6 terms with
+    exponents 0-2, on grids out to the probe's +-2000, where single terms
+    overflow exp."""
+    rng = random.Random(29)
+    for _ in range(60):
+        ndim = rng.randint(1, 4)
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            terms = rng.randint(1, 6)
+            factors.append(Factor(
+                np.array([[rng.randint(0, 2) for _ in range(ndim)]
+                          for _ in range(terms)]),
+                np.array([rng.uniform(-5.0, 5.0) for _ in range(terms)]),
+                rng.uniform(0.2, 2.5)))
+        f = Integrand(np.array([rng.uniform(0.05, 4.0) for _ in range(ndim)]),
+                      factors, rng.uniform(-3.0, 3.0))
+        axes = [np.array(sorted({-2000.0, 0.0, 2000.0} | {
+            rng.uniform(-2000.0, 2000.0) * rng.choice((1e-3, 1.0))
+            for _ in range(rng.randint(0, 3))})) for _ in range(ndim)]
+        grid = f.log_grid(axes)
+        assert grid.shape == tuple(map(len, axes))
+        for index in itertools.product(*map(range, grid.shape)):
+            want = _reference_log(f, [x[i] for x, i in zip(axes, index)])
+            assert abs(grid[index] - want) <= 1e-13 * max(1.0, abs(want)), (
+                f, index)
+
+
+@pytest.mark.parametrize("exponents, alpha", [
+    ([(0, 0), (2, 0), (0, 2), (1, 1)], [0.9, 1.1]),
+    ([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)], [0.7, 0.6, 0.8]),
+])
+def test_tensor_pass_chunk_boundaries(monkeypatch, exponents, alpha):
+    """With _NODE_BUDGET at 1 every chunk is one first-axis slice; the pass
+    sums the same nodes as with the default budget."""
+    f = Integrand.from_spec(_spec(exponents, [1.0, 2.0, 0.5, 1.5][
+        :len(exponents)], alpha, 2.0))
+    assert reduce_linear(f).ndim == len(alpha)
+    vmaxes, sized = quadrature_module._axis_truncations(f)
+    assert sized
+    value, nodes = quadrature_module._tensor_pass(f, vmaxes, 0.2)
+    monkeypatch.setattr(quadrature_module, "_NODE_BUDGET", 1)
+    sliced, sliced_nodes = quadrature_module._tensor_pass(f, vmaxes, 0.2)
+    assert sliced_nodes == nodes
+    assert abs(sliced - value) <= 1e-14 * abs(value)
