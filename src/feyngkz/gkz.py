@@ -92,9 +92,9 @@ def _cantaloupe_shape(g: KPoly) -> bool:
 def deform(g: KPoly) -> Tuple[KPoly, Deformation]:
     """Insert an extra monomial when the configuration has codimension zero,
     so that the kernel lattice becomes nontrivial."""
-    toric = toric_matrix(g)
-    if toric[0].codim() > 0:
-        return g, Deformation(False, toric=toric)
+    amat, columns = toric_matrix(g)
+    if amat.codim() > 0:
+        return g, Deformation(False, toric=(amat, columns))
     if _cantaloupe_shape(g) and g.nvars >= 3:
         loops = g.nvars - 1
         expo = tuple(1 if i < loops - 1 else 0 for i in range(g.nvars))
