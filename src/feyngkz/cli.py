@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--fixture", help="built-in fixture name")
         cmd.add_argument("--weight", type=weight,
                          help="comma-separated integer weight vector")
-        cmd.add_argument("--order", type=int)
+        cmd.add_argument("--order", type=pipeline.series_order)
         cmd.add_argument("--tolerance", type=float)
         cmd.add_argument("--json", action="store_true")
     return parser

@@ -21,7 +21,7 @@ from .groebner import (Binomial, buchberger, grevlex_key, interreduce,
                        mono_divides, orient, saturate_all_variables,
                        weighted_key)
 # perfbench's tracer wraps gkz.integer_rank, so it stays imported here
-from .intlinalg import integer_rank, kernel_basis
+from .intlinalg import eliminate, integer_rank, kernel_basis
 from .kpoly import KPoly, coeff_const
 from .params import ParamLinear
 
@@ -212,8 +212,8 @@ class FakeExponent:
 
 def _solve_face(rows: List[List[int]], nface: int) -> List[Tuple[int, int]]:
     """Fraction-free Gauss-Jordan elimination on the integer rows
-    [A_face | rhs], in place: row_i <- pv*row_i - f*row_pivot, divided by
-    its gcd.  Returns the (row, face column) pivots; each face unknown is
+    [A_face | rhs], in place, one intlinalg.eliminate step per pivot.
+    Returns the (row, face column) pivots; each face unknown is
     row[nface:] / row[col] of its pivot row.
 
     Raises InconsistentPair if a row without a pivot keeps a non-zero rhs
@@ -226,14 +226,7 @@ def _solve_face(rows: List[List[int]], nface: int) -> List[Tuple[int, int]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        pv = prow[col]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != r and f:
-                row = [pv * x - f * y for x, y in zip(row, prow)]
-                g = math.gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
+        eliminate(rows, r, col)
         pivots.append((r, col))
     if any(any(row[nface:]) for row in rows[len(pivots):]):
         raise InconsistentPair("no solution for generic parameters")

@@ -10,8 +10,8 @@ coefficients are always +1 and -1 and are never stored.
 Term orders are key functions on monomials (bigger key = bigger monomial):
 graded reverse lexicographic, a weight order refined by grevlex, and grevlex
 with a chosen cheapest variable (the order used for saturation of homogeneous
-ideals).  Pair selection uses the sugar strategy; Buchberger's coprime-lcm
-criterion prunes pairs.
+ideals).  Pairs go by the degree of their lcm, their sugar in the homogeneous
+ideals built here; Buchberger's coprime-lcm criterion prunes pairs.
 """
 
 from __future__ import annotations
@@ -94,16 +94,13 @@ def s_polynomial(f: Binomial, g: Binomial, key: OrderKey) -> Optional[Binomial]:
 
 # -- Buchberger ------------------------------------------------------------
 
-def _sugar(f: Binomial) -> int:
-    return max(sum(f[0]), sum(f[1]))
-
-
 def buchberger(generators: Sequence[Binomial], key: OrderKey) -> List[Binomial]:
     """Reduced Groebner basis under key of the binomials x^a - x^b given as
-    pairs (a, b) in either order."""
+    pairs (a, b) in either order.  Pairs go by (degree, key) of their lcm:
+    every ideal built here is homogeneous (kernel vectors sum to 0, and
+    saturation divides both monomials), so that degree is the pair's sugar."""
     basis = [g for g in (orient(a, b, key) for a, b in generators)
              if g is not None]
-    sugars = [_sugar(g) for g in basis]
     pairs = {}
 
     def add_pairs(k: int):
@@ -113,20 +110,17 @@ def buchberger(generators: Sequence[Binomial], key: OrderKey) -> List[Binomial]:
             li = basis[i][0]
             if any(x and y for x, y in zip(li, lk)):
                 lcm = mono_lcm(li, lk)
-                sugar = max(sugars[i] + sum(lcm) - sum(li),
-                            sugars[k] + sum(lcm) - sum(lk))
-                pairs[(i, k)] = (sugar, key(lcm))
+                pairs[(i, k)] = (sum(lcm), key(lcm))
 
     for k in range(len(basis)):
         add_pairs(k)
     while pairs:
         (i, j) = min(pairs, key=pairs.get)
-        rank = pairs.pop((i, j))
+        del pairs[(i, j)]
         s = s_polynomial(basis[i], basis[j], key)
         if s is None or (rem := normal_form(s, basis, key)) is None:
             continue
         basis.append(rem)
-        sugars.append(max(rank[0], _sugar(rem)))
         add_pairs(len(basis) - 1)
     return interreduce(basis, key)
 

@@ -24,6 +24,13 @@ from .quadrature import QuadratureResult, QuadratureSpec, quadrature
 from .series import CanonicalSeries, HypergeometricForm
 
 
+def series_order(value) -> int:
+    """A spec's or --order's series order: ValueError unless it is >= 0."""
+    if int(value) < 0:
+        raise ValueError(f"order {value} is negative")
+    return int(value)
+
+
 @dataclass
 class ProblemSpec:
     name: str = ""
@@ -74,7 +81,7 @@ class ProblemSpec:
                                for k, v in data.get("kinematics", {}).items()}
             if "coefficients" in data:
                 spec.coefficients = [float(c) for c in data["coefficients"]]
-            spec.order = int(data.get("order", 40))
+            spec.order = series_order(data.get("order", 40))
             spec.tolerance = float(data.get("tolerance", 1e-6))
         except (AttributeError, LookupError, TypeError, ValueError) as err:
             raise DimensionMismatch(f"malformed spec: {err!r}") from None

@@ -129,3 +129,84 @@ def random_monomial_ideal(rng, nvars: int, ngens: int, maxdeg: int):
     for _ in range(ngens):
         gens.append(tuple(rng.randrange(maxdeg + 1) for _ in range(nvars)))
     return [g for g in gens if any(g)]
+
+
+def fraction_lp_maximum(cost, a_eq, b_eq):
+    """max cost.x subject to a_eq x = b_eq and x >= 0 by the dense two-phase
+    simplex over Fractions, every tableau row scaled to a unit pivot, with
+    Bland's rule (entering: the lowest improving column; leaving: the least
+    ratio, ties to the lowest basic column).  None when infeasible; raises
+    ValueError when unbounded."""
+    m, n = len(a_eq), len(cost)
+    tab = [[Fraction(x) if b >= 0 else -Fraction(x) for x in row]
+           + [Fraction(int(i == j)) for j in range(m)] + [abs(Fraction(b))]
+           for i, (row, b) in enumerate(zip(a_eq, b_eq))]
+    basis = list(range(n, n + m))
+
+    def pivot(r, c):
+        tab[r] = [x / tab[r][c] if x else x for x in tab[r]]
+        for i, row in enumerate(tab):
+            if i != r and row[c]:
+                tab[i] = [x - row[c] * y if y else x
+                          for x, y in zip(row, tab[r])]
+        basis[r] = c
+
+    def optimise():
+        while True:
+            enter = next((j for j, d in enumerate(tab[-1][:n]) if d > 0), None)
+            if enter is None:
+                return
+            ratios = [(row[-1] / row[enter], basis[i], i)
+                      for i, row in enumerate(tab[:-1]) if row[enter] > 0]
+            if not ratios:
+                raise ValueError("the linear program is unbounded")
+            pivot(min(ratios)[2], enter)
+
+    tab.append([sum(col) for col in zip(*tab)])
+    for j in range(n, n + m):
+        tab[-1][j] = Fraction(0)
+    optimise()
+    if tab[-1][-1]:
+        return None
+    for i in reversed(range(m)):
+        if basis[i] >= n:
+            column = next((j for j in range(n) if tab[i][j]), None)
+            if column is None:
+                del tab[i], basis[i]
+            else:
+                pivot(i, column)
+    tab = [row[:n] + row[-1:] for row in tab[:-1]]
+    tab.append([Fraction(c) for c in cost] + [Fraction(0)])
+    for i, row in enumerate(tab[:-1]):
+        if tab[-1][basis[i]]:
+            tab[-1] = [x - tab[-1][basis[i]] * y for x, y in zip(tab[-1], row)]
+    optimise()
+    return -tab[-1][-1]
+
+
+def random_lp(rng):
+    """A small equality-form LP (cost, a_eq, b_eq): 1-5 equations in 2-9
+    non-negative variables with small integer and dyadic entries.  Half the
+    right-hand sides come from a non-negative point (feasible), the rest are
+    drawn freely (often infeasible, some negative); a third of the systems
+    with two or more equations get a redundant last row, the sum or
+    difference of two earlier rows (of the first row with itself when there
+    is only one), and some costs are unbounded on the feasible set."""
+    m, n = rng.randint(1, 5), rng.randint(2, 9)
+
+    def entry():
+        x = rng.randint(-3, 3)
+        return Fraction(x, 2 ** rng.randint(1, 3)) if rng.random() < 0.3 else x
+
+    a_eq = [[entry() for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        point = [rng.choice((0, 0, 1, 2, Fraction(1, 2))) for _ in range(n)]
+        b_eq = [sum(a * x for a, x in zip(row, point)) for row in a_eq]
+    else:
+        b_eq = [entry() for _ in range(m)]
+    if m > 1 and rng.random() < 1 / 3:
+        i, j = rng.sample(range(m - 1), 2) if m > 2 else (0, 0)
+        sign = rng.choice((1, -1))
+        a_eq[-1] = [x + sign * y for x, y in zip(a_eq[i], a_eq[j])]
+        b_eq[-1] = b_eq[i] + sign * b_eq[j]
+    return [entry() for _ in range(n)], a_eq, b_eq

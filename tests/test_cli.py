@@ -195,8 +195,10 @@ def test_usage_error_without_input(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["gkz", "--fixture", "nope"], "unknown fixture 'nope'"),
     (["symanzik", "--fixture", "2f1-double"], "the spec has no graph"),
-    (["fixtures", "--name", "nope"], "unknown fixture 'nope'")],
-    ids=["unknown-fixture", "no-graph", "unknown-name"])
+    (["fixtures", "--name", "nope"], "unknown fixture 'nope'"),
+    (["verify", "--fixture", "2f1-double", "--order", "-1"],
+     "argument --order: invalid series_order value: '-1'")],
+    ids=["unknown-fixture", "no-graph", "unknown-name", "negative-order"])
 def test_usage_mistakes_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
@@ -216,9 +218,10 @@ _TERMS = [{"exponents": [0, 0]}, {"exponents": [1, 0]},
     {"amatrix": [[1, 1, 1], [0, 1, 2]]},
     [_TERMS],
     {"amatrix": [[1, 1, 1], [0, 1]], "kappa": ["b1", "b2"]},
-    {"polynomial": [{"exponents": [0, 0]}, {"exponents": [1]}]}],
+    {"polynomial": [{"exponents": [0, 0]}, {"exponents": [1]}]},
+    {"polynomial": _TERMS, "order": -3}],
     ids=["empty-polynomial", "alpha", "coeff", "graph", "kappa", "list",
-         "ragged-amatrix", "ragged-exponents"])
+         "ragged-amatrix", "ragged-exponents", "negative-order"])
 def test_malformed_spec_is_a_typed_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

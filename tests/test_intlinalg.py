@@ -1,10 +1,12 @@
 """Exact integer linear algebra."""
 
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
+import helpers
 from feyngkz.intlinalg import (integer_rank, kernel_basis, lp_maximum,
                                row_hermite)
 
@@ -113,3 +115,27 @@ def test_lp_maximum_degenerate_infeasible_redundant_unbounded():
     assert lp_maximum([0, 1], [[0, -1], [1, 0]], [0, 1]) == 0
     with pytest.raises(ValueError, match="unbounded"):
         lp_maximum([1, 0], [[1, -1]], [0])
+
+
+def _lp_outcome(solve, lp):
+    try:
+        return solve(*lp)
+    except ValueError as err:
+        assert "unbounded" in str(err)
+        return "unbounded"
+
+
+def test_lp_maximum_matches_fraction_simplex():
+    """The integer tableau returns exactly what the rational one returns:
+    the same Fraction, None, or ValueError for an unbounded maximum, on
+    seeded random LPs with dyadic entries, negative right-hand sides and
+    redundant rows."""
+    rng = random.Random(31)
+    kinds = collections.Counter()
+    for _ in range(300):
+        lp = helpers.random_lp(rng)
+        got = _lp_outcome(lp_maximum, lp)
+        want = _lp_outcome(helpers.fraction_lp_maximum, lp)
+        assert got == want and type(got) is type(want), lp
+        kinds[want if want in (None, "unbounded") else "optimum"] += 1
+    assert min(kinds.values()) > 40 and len(kinds) == 3

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import helpers
 from feyngkz import pipeline
 from feyngkz.errors import (DimensionMismatch, NonConvergent,
                             NonPositiveCoefficient)
@@ -397,6 +398,26 @@ def test_exact_gate_agrees_with_linprog_on_random_integrands():
 def test_exact_gate_agrees_with_linprog_on_box():
     for f, _ in _reduced_box():
         _assert_gate_matches_linprog(f)
+
+
+def test_exact_gate_matches_fraction_simplex(monkeypatch):
+    """The margin from the integer tableau equals, float for float, the one
+    from the rational-tableau reference, on the box's reduced integrands and
+    300 seeded random integrands of 2-4 variables, reduced or not."""
+    rng = random.Random(37)
+    integrands = [f for f, _ in _reduced_box()]
+    while len(integrands) < 303:
+        f = Integrand.from_spec(_random_spec(rng, dims=(2, 3, 4), max_terms=8))
+        integrands.append(f)
+        try:
+            integrands.append(reduce_linear(f))
+        except NonConvergent:
+            pass
+    margins = [convergence_margin(f) for f in integrands]
+    monkeypatch.setattr(quadrature_module, "lp_maximum",
+                        helpers.fraction_lp_maximum)
+    assert [convergence_margin(f) for f in integrands] == margins
+    assert 60 < sum(m > 1e-9 for m in margins) < 240
 
 
 def test_exact_gate_at_centroid():

@@ -1,6 +1,7 @@
 """Graph polynomials U, F and g = U + F from momentum-space data."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from feyngkz.errors import SingularM
 from feyngkz.fixtures import fixtures
 from feyngkz.graphs import GraphSpec, prefactor, symanzik
+from feyngkz.kpoly import coeff_evaluate
+from feyngkz.quadrature import QuadratureSpec, quadrature
 
 
 def _poly_dict(poly, values):
@@ -105,6 +108,26 @@ def test_prefactor_shape():
     # bubble at d = 4 - 2e, a1 = a2 = 1: Gamma(2-e)/(Gamma(2-2e) G(1) G(1))
     value = pref.evaluate({"beta": 2.0, "a1": 1.0, "a2": 1.0})
     assert value == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("s, nu1, nu2, d", [(1.0, 1.3, 1.3, 3.8),
+                                            (2.5, 1.1, 1.4, 3.6),
+                                            (0.7, 0.9, 1.2, 3.0)])
+def test_prefactor_times_integral_is_the_massless_bubble(s, nu1, nu2, d):
+    """prefactor(1, 2) times the integral of z^nu (U + F)^(-d/2) dz/z is the
+    d-dimensional massless bubble, s^(d/2-nu) Gamma(d/2-nu1)
+    Gamma(d/2-nu2) Gamma(nu-d/2) / (Gamma(nu1) Gamma(nu2) Gamma(d-nu))."""
+    _, _, g = symanzik(fixtures()["massless-bubble"].graph)
+    expos = list(g.terms)
+    integral = quadrature(QuadratureSpec(
+        expos, [coeff_evaluate(g.terms[e], {"s": s}) for e in expos],
+        [nu1, nu2], d / 2)).value
+    value = prefactor(1, 2).evaluate({"beta": d / 2, "a1": nu1,
+                                      "a2": nu2}) * integral
+    nu, gamma = nu1 + nu2, math.gamma
+    bubble = (s ** (d / 2 - nu) * gamma(d / 2 - nu1) * gamma(d / 2 - nu2)
+              * gamma(nu - d / 2) / (gamma(nu1) * gamma(nu2) * gamma(d - nu)))
+    assert abs(value / bubble - 1) <= 1e-13
 
 
 def _coefficient_types_are_exact(poly):
