@@ -87,9 +87,7 @@ def cmd_symanzik(args) -> int:
 
 
 def cmd_gkz(args) -> int:
-    spec = _load_spec(args)
-    report = pipeline.run(spec)
-    data = report.to_dict()
+    data = pipeline.run(_load_spec(args)).to_dict()
     _emit(args, {key: data[key] for key in
                  ("polynomial", "deformation", "amatrix", "codim", "weight",
                   "lattice", "toric_basis", "initial_ideal", "standard_pairs",
@@ -98,9 +96,7 @@ def cmd_gkz(args) -> int:
 
 
 def cmd_series(args) -> int:
-    spec = _load_spec(args)
-    report = pipeline.run(spec)
-    data = report.to_dict()
+    data = pipeline.run(_load_spec(args)).to_dict()
     _emit(args, {"weight": data["weight"], "exponents": data["exponents"],
                  "forms": data["forms"]})
     return 0
@@ -108,8 +104,7 @@ def cmd_series(args) -> int:
 
 def cmd_solve(args) -> int:
     spec = _load_spec(args)
-    report = pipeline.run(spec, verify=bool(spec.assignment()))
-    _emit(args, report.to_dict())
+    _emit(args, pipeline.run(spec, verify=bool(spec.assignment())).to_dict())
     return 0
 
 
@@ -160,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--weight", type=weight,
                          help="comma-separated integer weight vector")
         cmd.add_argument("--order", type=pipeline.series_order)
-        cmd.add_argument("--tolerance", type=float)
+        cmd.add_argument("--tolerance", type=pipeline.relative_tolerance)
         cmd.add_argument("--json", action="store_true")
     return parser
 

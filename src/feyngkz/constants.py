@@ -5,15 +5,16 @@ component of its exponent vector.  The constants are never fitted to the
 quadrature oracle: pipelines cross-check the weighted sum of series against
 that oracle, and a fitted constant could not be checked against it.
 
-A bundle evaluates at one coefficient point (``evaluate``) or at many
-(``evaluate_points``): the constants and each series' factor table depend
-only on the parameters, so a sweep over coefficients, such as the
-deformation-limit probe, builds them once and not once per point.
+A bundle is evaluated as one sum, at one coefficient point (``evaluate``)
+or at many (``evaluate_points``, as in the deformation-limit probe): the
+constants are evaluated once per call, and ``series.SeriesSum`` stacks all
+the series' terms, so one factor table per call serves every series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Mapping, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import NoZeroComponent
 from .gammafn import GammaFactor
 from .gkz import FakeExponent
 from .params import ParamLinear
-from .series import CanonicalSeries
+from .series import CanonicalSeries, SeriesSum
 
 
 def gamma_constant(gamma: FakeExponent) -> GammaFactor:
@@ -47,22 +48,21 @@ class SolutionBundle:
     def constant_values(self, assignment: Mapping[str, float]) -> List[float]:
         return [k.evaluate(assignment) for k in self.constants]
 
+    @cached_property
+    def _sum(self) -> SeriesSum:
+        return SeriesSum(self.series)
+
     def evaluate(self, assignment: Mapping[str, float],
                  coeffs: Sequence[float], order: int = 40) -> float:
-        total = 0.0
-        for phi, value in zip(self.series, self.constant_values(assignment)):
-            total += value * phi.evaluate(assignment, coeffs, order)[0]
-        return total
+        return float(self.evaluate_points(assignment, [coeffs], order)[0])
 
     def evaluate_points(self, assignment: Mapping[str, float],
                         points: Sequence[Sequence[float]],
                         order: int = 40) -> np.ndarray:
-        """Sum K_i phi_i at every coefficient point, with each constant and
-        each series' factor table built once for all points."""
-        total = np.zeros(len(points))
-        for phi, value in zip(self.series, self.constant_values(assignment)):
-            total += value * phi.evaluate_points(assignment, points, order)[0]
-        return total
+        """Sum K_i phi_i at every coefficient point: the constants first,
+        then every series' terms in one ``SeriesSum`` call."""
+        return self._sum.evaluate_points(
+            assignment, points, order, self.constant_values(assignment))[0]
 
 
 @dataclass
@@ -70,11 +70,10 @@ class ProbeReport:
     epsilons: List[float]
     values: List[float]
     target: float
-    deviations: List[float] = field(init=False)
 
-    def __post_init__(self):
-        self.deviations = [abs(v - self.target) / abs(self.target)
-                           for v in self.values]
+    @property
+    def deviations(self) -> List[float]:
+        return [abs(v - self.target) / abs(self.target) for v in self.values]
 
     @property
     def final_deviation(self) -> float:

@@ -173,8 +173,4 @@ def fixtures() -> Dict[str, ProblemSpec]:
     builders = [two_f1_double, two_f1_single, massless_bubble,
                 triangle_1scale, cantaloupe_2, one_mass_bubble, sunset_1mass,
                 party_hat, box, triangle_3scale]
-    table = {}
-    for build in builders:
-        spec = build()
-        table[spec.name] = spec
-    return table
+    return {spec.name: spec for spec in (build() for build in builders)}

@@ -25,10 +25,21 @@ from .series import CanonicalSeries, HypergeometricForm
 
 
 def series_order(value) -> int:
-    """A spec's or --order's series order: ValueError unless it is >= 0."""
-    if int(value) < 0:
-        raise ValueError(f"order {value} is negative")
-    return int(value)
+    """A spec's or --order's series order, an integer or its text:
+    ValueError unless it is an integer >= 0 (2.5 and true are refused)."""
+    order = int(value)
+    if (isinstance(value, bool) or order < 0
+            or not isinstance(value, str) and order != value):
+        raise ValueError(f"order {value!r} is not an integer >= 0")
+    return order
+
+
+def relative_tolerance(value) -> float:
+    """A spec's or --tolerance's tolerance: ValueError unless finite, > 0."""
+    tolerance = float(value)
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance {value!r} is not finite and > 0")
+    return tolerance
 
 
 @dataclass
@@ -82,8 +93,9 @@ class ProblemSpec:
             if "coefficients" in data:
                 spec.coefficients = [float(c) for c in data["coefficients"]]
             spec.order = series_order(data.get("order", 40))
-            spec.tolerance = float(data.get("tolerance", 1e-6))
-        except (AttributeError, LookupError, TypeError, ValueError) as err:
+            spec.tolerance = relative_tolerance(data.get("tolerance", 1e-6))
+        except (AttributeError, LookupError, OverflowError, TypeError,
+                ValueError) as err:
             raise DimensionMismatch(f"malformed spec: {err!r}") from None
         return spec
 
@@ -114,21 +126,16 @@ class ProblemSpec:
             return g
         if self.terms is not None:
             nvars = len(self.terms[0][0])
-            poly = KPoly.zero(nvars)
-            for expo, coeff in self.terms:
-                poly = poly + KPoly.monomial(nvars, expo, coeff)
-            return poly
+            return sum((KPoly.monomial(nvars, expo, coeff)
+                        for expo, coeff in self.terms), KPoly.zero(nvars))
         return None
 
     def assignment(self) -> Dict[str, float]:
         if self.parameters is not None:
             return dict(self.parameters)
-        values: Dict[str, float] = {}
-        if self.d is not None:
-            values["beta"] = self.d / 2.0
-        if self.alpha is not None:
-            for i, a in enumerate(self.alpha):
-                values[f"a{i + 1}"] = float(a)
+        values = {} if self.d is None else {"beta": self.d / 2.0}
+        values.update((f"a{i + 1}", float(a))
+                      for i, a in enumerate(self.alpha or ()))
         return values
 
 
@@ -178,16 +185,13 @@ class ResultReport:
                           for e in self.exponents],
             "forms": [f.to_dict() for f in self.forms],
         }
-        if self.bundle is not None:
-            out["constants"] = [str(k) for k in self.bundle.constants]
-        if self.coefficient_values is not None:
-            out["coefficients"] = self.coefficient_values
-        if self.series_value is not None:
-            out["series_value"] = self.series_value
-        if self.oracle is not None:
-            out["oracle"] = self.oracle.to_dict()
-        if self.relative_deviation is not None:
-            out["relative_deviation"] = self.relative_deviation
+        optional = {
+            "constants": self.bundle and [str(k) for k in self.bundle.constants],
+            "coefficients": self.coefficient_values,
+            "series_value": self.series_value,
+            "oracle": self.oracle and self.oracle.to_dict(),
+            "relative_deviation": self.relative_deviation}
+        out.update((k, v) for k, v in optional.items() if v is not None)
         return out
 
 

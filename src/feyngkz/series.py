@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,14 +62,23 @@ def _factor_table(gamma: np.ndarray, lo: int,
     return logs, signs
 
 
-def _gather(shifts: np.ndarray, shell: np.ndarray, floor: np.ndarray):
-    """The points u >= floor as floats, their shell mask, lo, hi and each
-    factor's flat index into the raveled factor table over x = lo..hi."""
-    keep = (shifts >= floor).all(axis=1)
-    shifts, shell = shifts[keep], shell[keep]
-    lo, hi = int(shifts.min(initial=0)), int(shifts.max(initial=0))
-    rows = np.arange(-lo, shifts.shape[1] * (hi - lo + 1) - lo, hi - lo + 1)
-    return shifts.astype(float), shell, lo, hi, (shifts + rows).astype(np.intp)
+def _gather(parts, floor: np.ndarray):
+    """Each series' part (points u, shell mask) cut to u >= its floor row:
+    the kept points as floats, shell mask and owning series, lo, hi and each
+    factor's flat index into the raveled factor table over x = lo..hi, whose
+    rows are the series' components in turn.  Each part is cut and indexed
+    alone, so no temporary spans every series' terms."""
+    parts = [(u[keep], shell[keep]) for (u, shell), row in zip(parts, floor)
+             for keep in [(u >= row).all(axis=1)]]
+    lo = min(int(u.min(initial=0)) for u, _ in parts)
+    hi = max(int(u.max(initial=0)) for u, _ in parts)
+    rows = np.arange(floor.size).reshape(floor.shape) * (hi - lo + 1) - lo
+    return (np.concatenate([u.astype(float) for u, _ in parts]),
+            np.concatenate([shell for _, shell in parts]),
+            np.concatenate([np.full(len(u), i)
+                            for i, (u, _) in enumerate(parts)]),
+            lo, hi, np.concatenate([(u + r).astype(np.intp)
+                                    for (u, _), r in zip(parts, rows)]))
 
 
 @dataclass
@@ -87,14 +97,11 @@ class HypergeometricForm:
     argument_signs: List[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "upper": [str(p) for p in self.upper],
-            "lower": [str(p) for p in self.lower],
-            "argument": self.arguments[0] if len(self.arguments) == 1
-            else self.arguments,
-            "argument_signs": self.argument_signs,
-        }
+        args = self.arguments
+        return {"kind": self.kind, "upper": [str(p) for p in self.upper],
+                "lower": [str(p) for p in self.lower],
+                "argument": args[0] if len(args) == 1 else args,
+                "argument_signs": self.argument_signs}
 
 
 def _argument_monomial(u: Sequence[int]) -> str:
@@ -114,7 +121,6 @@ class CanonicalSeries:
         self.weight = tuple(weight)
         self.lattice = [self._orient(tuple(v)) for v in lattice]
         self.nvars = len(gamma.components)
-        self._plans = {}              # order -> terms, see ``_terms``
         if self.rank == 1:
             self.form = self._classify_rank1()
         elif self.rank == 2 and (f4 := self._classify_f4()) is not None:
@@ -174,11 +180,9 @@ class CanonicalSeries:
         gen = self.lattice[0]
         if any(abs(x) > 1 for x in gen):
             return HypergeometricForm(kind="RawSeries")
-        gamma = self.gamma.components
+        gamma, one = self.gamma.components, ParamLinear.const(1)
         upper = [-gamma[i] for i, x in enumerate(gen) if x < 0]
-        lower = [gamma[i] + ParamLinear.const(1)
-                 for i, x in enumerate(gen) if x > 0]
-        one = ParamLinear.const(1)
+        lower = [gamma[i] + one for i, x in enumerate(gen) if x > 0]
         if one not in lower:
             return HypergeometricForm(kind="RawSeries")
         lower.remove(one)  # the (1)_n slot is the factorial
@@ -192,21 +196,18 @@ class CanonicalSeries:
         gamma = self.gamma.components
         one = ParamLinear.const(1)
         for v1, v2 in self._f4_candidates():
-            shared = [i for i, x in enumerate(v1) if x < 0]
             lower = []
             for v in (v1, v2):
                 params = [gamma[i] + one for i, x in enumerate(v) if x > 0]
-                if one not in params:
-                    break
-                params.remove(one)
-                lower.append(params[0])
-            if len(lower) != 2:
-                continue
-            return HypergeometricForm(
-                kind="AppellF4", upper=[-gamma[i] for i in shared],
-                lower=lower,
-                arguments=[_argument_monomial(v1), _argument_monomial(v2)],
-                argument_signs=[1, 1]), [v1, v2]
+                if one in params:
+                    params.remove(one)
+                    lower.append(params[0])
+            if len(lower) == 2:
+                return HypergeometricForm(
+                    kind="AppellF4", lower=lower,
+                    upper=[-gamma[i] for i, x in enumerate(v1) if x < 0],
+                    arguments=[_argument_monomial(v1), _argument_monomial(v2)],
+                    argument_signs=[1, 1]), [v1, v2]
         return None
 
     def _f4_candidates(self):
@@ -214,58 +215,25 @@ class CanonicalSeries:
         generators sharing a 2-element negative support, disjoint 2-element
         positive supports, all entries in {-1, 0, 1}."""
         l1, l2 = self.lattice
-
-        def shaped(v):
-            return (all(abs(x) <= 1 for x in v)
-                    and sum(1 for x in v if x < 0) == 2
-                    and sum(1 for x in v if x > 0) == 2)
-
         candidates = []
         for p, q in itertools.product(range(-2, 3), repeat=2):
             v = tuple(p * a + q * b for a, b in zip(l1, l2))
-            if any(v) and shaped(v):
-                candidates.append(((p, q), v))
-        for (pq1, v1), (pq2, v2) in itertools.permutations(candidates, 2):
-            if abs(pq1[0] * pq2[1] - pq1[1] * pq2[0]) != 1:
-                continue
-            neg1 = {i for i, x in enumerate(v1) if x < 0}
-            neg2 = {i for i, x in enumerate(v2) if x < 0}
-            pos1 = {i for i, x in enumerate(v1) if x > 0}
-            pos2 = {i for i, x in enumerate(v2) if x > 0}
-            if neg1 == neg2 and not pos1 & pos2:
+            if all(abs(x) <= 1 for x in v):
+                neg = {i for i, x in enumerate(v) if x < 0}
+                pos = {i for i, x in enumerate(v) if x > 0}
+                if len(neg) == len(pos) == 2:
+                    candidates.append(((p, q), v, neg, pos))
+        pairs = itertools.permutations(candidates, 2)
+        for (pq1, v1, neg1, pos1), (pq2, v2, neg2, pos2) in pairs:
+            if (abs(pq1[0] * pq2[1] - pq1[1] * pq2[0]) == 1
+                    and neg1 == neg2 and not pos1 & pos2):
                 yield v1, v2
 
     # -- numeric evaluation ------------------------------------------------
 
-    def _terms(self, order: int):
-        """The plan at this order, built on first use: the box less the terms
-        past the zero (x < -g) of [g]_{-x} for each constant integer g >= 0.
-        The first call also builds gamma's float map, that floor and the
-        float basis."""
-        if not self._plans:
-            self._gamma_map = FloatMap(self.gamma.components)
-            self._floor = np.array(
-                [-c if not pairs and c >= 0 and c == int(c) else -np.inf
-                 for c, pairs in self._gamma_map.rows])
-            self._float_basis = self._basis().astype(float)
-        if order not in self._plans:
-            indices, shifts = self._box(order)
-            shell = np.abs(indices).max(axis=1, initial=0) == order
-            self._plans[order] = _gather(shifts, shell, self._floor)
-        return self._plans[order]
-
-    def _check_region(self, log_points: np.ndarray):
-        """Raise DivergentArgument if any coefficient point, given as log c,
-        puts the lattice arguments outside the convergence region: |x| < 1
-        in rank 1, sqrt|x| + sqrt|y| < 1 for Appell F4."""
-        args = np.exp(log_points @ self._float_basis.T)
-        if self.rank == 1:
-            worst = float(args.max(initial=0))
-            if worst >= 1:
-                raise DivergentArgument(f"|argument| = {worst:.4g} >= 1")
-        elif self.form.kind == "AppellF4":
-            if np.any(np.sqrt(args).sum(axis=1) >= 1):
-                raise DivergentArgument("sqrt|x| + sqrt|y| >= 1")
+    @cached_property
+    def _sum(self) -> "SeriesSum":
+        return SeriesSum([self])
 
     def evaluate(self, assignment: Mapping[str, float],
                  coeffs: Sequence[float], order: int) -> Tuple[float, float]:
@@ -277,15 +245,52 @@ class CanonicalSeries:
     def evaluate_points(self, assignment: Mapping[str, float],
                         points: Sequence[Sequence[float]],
                         order: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(values, tail_estimates), one entry per point of positive
-        coefficients; raises DimensionMismatch unless each point has one
-        coefficient per component, NonPositiveCoefficient for a coefficient
-        <= 0 or not finite, DivergentArgument if any point lies outside the
-        convergence region, then UnassignedParameter and PoleError.  The
-        terms come from the plan and gamma's factor table is built once per
-        call: each term is a product of one factor per component, gathered
-        from that table, and the points enter only through
-        log c . (u + gamma), summed in log space with one exp per term."""
+        """(values, tail_estimates), one per point: ``SeriesSum`` of this
+        series alone, with constant 1."""
+        return self._sum.evaluate_points(assignment, points, order, [1.0])
+
+
+class SeriesSum:
+    """sum_i K_i phi_i over series with one number of coefficients, summed as
+    one set of terms.  The plan per order, built on first use, holds each
+    series' terms after its own floor prune, in turn, with their series and
+    their factors' flat indices into one table stacking every series' rows."""
+
+    def __init__(self, series: Sequence[CanonicalSeries]):
+        self.series = list(series)
+        self.nvars = self.series[0].nvars
+        self._gamma_map = FloatMap([g for phi in self.series
+                                    for g in phi.gamma.components])
+        # [g]_{-x} vanishes past x = -g for each constant integer g >= 0
+        self._floor = np.array(
+            [-c if not pairs and c >= 0 and c == int(c) else -np.inf
+             for c, pairs in self._gamma_map.rows]).reshape(len(series), -1)
+        self._regions = {(tuple(phi.lattice), phi.form.kind):
+                         phi._basis().astype(float) for phi in self.series}
+        self._plans = {}              # order -> terms, see ``_terms``
+
+    def _terms(self, order: int):
+        """The plan at this order, from one box per distinct lattice."""
+        if order not in self._plans:
+            boxes = {tuple(phi.lattice): phi for phi in self.series}
+            for key, phi in boxes.items():
+                indices, points = phi._box(order)
+                shell = np.abs(indices).max(axis=1, initial=0) == order
+                boxes[key] = points, shell
+            self._plans[order] = _gather(
+                [boxes[tuple(phi.lattice)] for phi in self.series], self._floor)
+        return self._plans[order]
+
+    def evaluate_points(self, assignment: Mapping[str, float],
+                        points: Sequence[Sequence[float]], order: int,
+                        constants: Sequence[float]
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """(values, tail_estimates) of sum_i K_i phi_i, K = constants, one per
+        point of positive coefficients; raises DimensionMismatch unless each
+        point has one coefficient per component, NonPositiveCoefficient for
+        a coefficient <= 0 or not finite, DivergentArgument if any point lies
+        outside some series' region, then UnassignedParameter and PoleError.
+        One factor table per call serves every term, one exp per term."""
         points = np.array(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.nvars:
             raise DimensionMismatch(f"need points of {self.nvars} "
@@ -293,23 +298,35 @@ class CanonicalSeries:
         if not 0 < points.min(initial=1) <= points.max(initial=1) < np.inf:
             raise NonPositiveCoefficient("coefficients must be positive and "
                                          f"finite, got {points.tolist()}")
-        shifts, shell, lo, hi, flat = self._terms(order)
+        shifts, shell, owner, lo, hi, flat = self._terms(order)
         log_points = np.log(points)
-        self._check_region(log_points)
-        gamma = np.array(self._gamma_map(assignment))
+        for (_, kind), basis in self._regions.items():
+            # |x| < 1 in rank 1, sqrt|x| + sqrt|y| < 1 for Appell F4
+            args = np.exp(log_points @ basis.T)
+            if len(basis) == 1 and (worst := float(args.max(initial=0))) >= 1:
+                raise DivergentArgument(f"|argument| = {worst:.4g} >= 1")
+            if kind == "AppellF4" and np.any(np.sqrt(args).sum(axis=1) >= 1):
+                raise DivergentArgument("sqrt|x| + sqrt|y| >= 1")
+        gamma = np.array(self._gamma_map(assignment)).reshape(self._floor.shape)
         rounded = np.rint(gamma)
         integer = np.abs(gamma - rounded) < _INT_TOL
         if (integer & (self._floor == -np.inf)).any():   # not in the plan
             # the falling factorial [g]_{-x} passes through 0 once x < -g
             floor = np.where(integer & (rounded >= 0), -rounded, -np.inf)
-            shifts, shell, lo, hi, flat = _gather(shifts, shell, floor)
+            cuts = np.cumsum(np.bincount(owner, minlength=len(floor)))[:-1]
+            shifts, shell, owner, lo, hi, flat = _gather(
+                zip(np.split(shifts, cuts), np.split(shell, cuts)), floor)
             # the rising factorial (g+1)_x passes through 0 once x >= -g
-            reach = shifts.max(axis=0, initial=0)
-            if (integer & (rounded < 0) & (reach >= -rounded)).any():
-                raise PoleError(f"vanishing denominator factor in {self.gamma}")
-        logs, signs = _factor_table(gamma, lo, hi)
-        # log c^(u + gamma) for every point and term, prefactor included
-        exponents = log_points @ shifts.T + (log_points @ gamma)[:, None]
-        values = (signs.take(flat).prod(axis=1)
+            pole = np.where(integer & (rounded < 0), -rounded, np.inf)
+            if (hit := (shifts >= pole[owner]).any(axis=1)).any():
+                raise PoleError("vanishing denominator factor in "
+                                f"{self.series[owner[hit][0]].gamma}")
+        logs, signs = _factor_table(gamma.ravel(), lo, hi)
+        with np.errstate(divide="ignore"):
+            log_k = np.log(np.abs(constants))
+        # log K_i c^(u + gamma_i) for every point and term
+        exponents = (log_points @ shifts.T
+                     + (log_points @ gamma.T + log_k)[:, owner])
+        values = (signs.take(flat).prod(axis=1) * np.sign(constants)[owner]
                   * np.exp(logs.take(flat).sum(axis=1) + exponents))
         return values.sum(axis=1), np.abs(values[:, shell]).sum(axis=1)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from first principles (plain term
 recurrences, brute-force enumeration) so it shares no code with the package
-machinery it checks.
+machinery it checks; the one exception is ``bundle_reference``, which keeps
+the per-series sum that the fused bundle kernel replaced.
 """
 
 from __future__ import annotations
@@ -10,6 +11,16 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+
+def bundle_reference(bundle, assignment, points, order):
+    """sum_i K_i phi_i at each point, one ``evaluate_points`` call per
+    series, in series order after the constants."""
+    total = [0.0] * len(points)
+    for phi, k in zip(bundle.series, bundle.constant_values(assignment)):
+        values, _ = phi.evaluate_points(assignment, points, order)
+        total = [t + k * v for t, v in zip(total, values)]
+    return total
 
 
 def rising(a: float, m: int) -> float:

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, JSON output, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -197,8 +198,13 @@ def test_usage_error_without_input(capsys):
     (["symanzik", "--fixture", "2f1-double"], "the spec has no graph"),
     (["fixtures", "--name", "nope"], "unknown fixture 'nope'"),
     (["verify", "--fixture", "2f1-double", "--order", "-1"],
-     "argument --order: invalid series_order value: '-1'")],
-    ids=["unknown-fixture", "no-graph", "unknown-name", "negative-order"])
+     "argument --order: invalid series_order value: '-1'")] + [
+    (["verify", "--fixture", "2f1-double", "--tolerance", text],
+     f"argument --tolerance: invalid relative_tolerance value: '{text}'")
+    for text in ("-1", "0", "nan", "inf")],
+    ids=["unknown-fixture", "no-graph", "unknown-name", "negative-order",
+         "negative-tolerance", "zero-tolerance", "nan-tolerance",
+         "inf-tolerance"])
 def test_usage_mistakes_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
@@ -219,9 +225,15 @@ _TERMS = [{"exponents": [0, 0]}, {"exponents": [1, 0]},
     [_TERMS],
     {"amatrix": [[1, 1, 1], [0, 1]], "kappa": ["b1", "b2"]},
     {"polynomial": [{"exponents": [0, 0]}, {"exponents": [1]}]},
-    {"polynomial": _TERMS, "order": -3}],
+    {"polynomial": _TERMS, "order": -3},
+    {"polynomial": _TERMS, "order": 2.5},
+    {"polynomial": _TERMS, "order": True}] + [
+    {"polynomial": _TERMS, "tolerance": value}
+    for value in (-1, 0, math.nan, math.inf)],
     ids=["empty-polynomial", "alpha", "coeff", "graph", "kappa", "list",
-         "ragged-amatrix", "ragged-exponents", "negative-order"])
+         "ragged-amatrix", "ragged-exponents", "negative-order",
+         "fractional-order", "bool-order", "negative-tolerance",
+         "zero-tolerance", "nan-tolerance", "inf-tolerance"])
 def test_malformed_spec_is_a_typed_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

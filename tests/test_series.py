@@ -8,9 +8,11 @@ import pytest
 
 import helpers
 from feyngkz import gammafn, pipeline, pochhammer, series as series_module
+from feyngkz.constants import SolutionBundle
 from feyngkz.errors import (DimensionMismatch, DivergentArgument,
                             NonPositiveCoefficient, PoleError)
 from feyngkz.fixtures import fixtures
+from feyngkz.gammafn import GammaFactor
 from feyngkz.params import ParamLinear
 from feyngkz.pochhammer import log_poch
 from feyngkz.series import (_argument_monomial, _factor_table,
@@ -394,9 +396,11 @@ def test_non_finite_coefficient_raises_typed_error():
 def test_plan_keeps_no_per_call_state(monkeypatch):
     """A parameter-dependent gamma component at a non-negative integer
     prunes the plan's terms for that call only: later calls at a generic
-    assignment and at a second order match a freshly built series."""
+    assignment and at a second order match a freshly built series, and the
+    same holds for a bundle's joint plan."""
     spec = fixtures()["2f1-double"]
-    series = pipeline.run(spec).series[0]
+    rep = pipeline.run(spec)
+    series = rep.series[0]
     generic = spec.assignment()
     # gamma_1 = -beta + a1 = 2: the falling factorial [2]_k ends the sum
     integer = dict(generic, a1=generic["beta"] + 2)
@@ -424,10 +428,23 @@ def test_plan_keeps_no_per_call_state(monkeypatch):
         if assignment is integer:
             reference = _reference_sum(series, assignment, coeffs, order)
             assert value == pytest.approx(reference, rel=1e-12)
+    # unit constants: the Gamma prescription has a pole at gamma_1 = 2
+    ones = [GammaFactor()] * len(rep.series)
+    bundle = SolutionBundle(rep.series, ones)
+    for assignment, order, count in steps:
+        gathers.clear()
+        total = bundle.evaluate(assignment, coeffs, order)
+        assert len(gathers) == count
+        fresh = SolutionBundle(pipeline.run(spec).series, ones)
+        assert total == pytest.approx(
+            fresh.evaluate(assignment, coeffs, order), rel=1e-14)
+        assert total == pytest.approx(helpers.bundle_reference(
+            bundle, assignment, [coeffs], order)[0], rel=1e-13)
 
 
 def test_plan_is_built_once_per_order_and_never_by_run(monkeypatch):
-    """The exact chain builds no plan; evaluation builds one per order."""
+    """The exact chain builds no plan; evaluation builds one per order, and
+    a bundle's joint plan one box per distinct lattice."""
     calls = []
     real = series_module.CanonicalSeries._box
 
@@ -446,6 +463,19 @@ def test_plan_is_built_once_per_order_and_never_by_run(monkeypatch):
     assert calls == [spec.order]
     series.evaluate(spec.assignment(), [1.0, 1.0, 1.0, 2.0], 2 * spec.order)
     assert calls == [spec.order, 2 * spec.order]
+    calls.clear()
+    bundle = pipeline.run(spec).bundle
+    assert len({tuple(phi.lattice) for phi in bundle.series}) == 1
+    for order in (spec.order, spec.order, 2 * spec.order):
+        bundle.evaluate(spec.assignment(), [1.0, 1.0, 1.0, 2.0], order)
+    assert calls == [spec.order, 2 * spec.order]
+    spec.weight = (0, 0, 0, 1)                  # the opposite orientation
+    mixed = SolutionBundle([series, pipeline.run(spec).series[0]],
+                           [GammaFactor()] * 2)
+    calls.clear()
+    with pytest.raises(DivergentArgument):      # the plan comes first
+        mixed.evaluate(spec.assignment(), [1.0, 1.0, 1.0, 2.0], spec.order)
+    assert calls == [spec.order] * 2
 
 
 def test_evaluate_points_rejects_points_of_the_wrong_length():
