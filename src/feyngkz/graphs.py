@@ -1,13 +1,14 @@
 """Lee-Pomeransky data from a momentum-space graph description.
 
 A graph is given propagator-by-propagator: D_i = k.M_i.k + 2 Q_i.(k|p) + J_i
-with M_i an L x L bilinear form in the loop momenta, Q_i an L x E coupling to
-the external momenta and J_i a kinematic scalar.  From the z-weighted sums
-M, Q, J the two Symanzik polynomials are
+with M_i a symmetric L x L bilinear form in the loop momenta, Q_i an L x E
+coupling to the external momenta (zero when omitted) and J_i a kinematic
+scalar.  From the z-weighted sums M, Q, J the two Symanzik polynomials are
 
-    U = det(M),      F = det(M) * J - adj(M)^{rr'} Q^r . Q^{r'}
+    U = det(M),   F = U J + sum_{s,t} (p_s.p_t) det[[M, Q_t], [Q_s^T, 0]]
 
-and the integrand polynomial is g = U + F.  Scalar products p_s.p_t are
+with Q_t column t of Q; each bordered determinant is -Q_s^T adj(M) Q_t.
+The integrand polynomial is g = U + F.  Scalar products p_s.p_t are
 expanded over a user-supplied table of invariant symbols.
 """
 
@@ -19,8 +20,8 @@ from typing import List, Mapping
 
 from .errors import DimensionMismatch, SingularM
 from .gammafn import GammaFactor
-from .kpoly import (Coeff, KPoly, adjugate, coeff_const, coeff_from,
-                    coeff_to_dict, det, rational_json)
+from .kpoly import (Coeff, KPoly, coeff_const, coeff_from, coeff_to_dict,
+                    det, rational_json)
 from .params import ParamLinear
 
 
@@ -44,6 +45,8 @@ class GraphSpec:
         for prop in self.propagators:
             if len(prop.M) != self.L or any(len(r) != self.L for r in prop.M):
                 raise DimensionMismatch("M block must be L x L")
+            if list(map(list, zip(*prop.M))) != list(map(list, prop.M)):
+                raise DimensionMismatch("M block must be symmetric")
             if len(prop.Q) != self.L or any(len(r) != self.E for r in prop.Q):
                 raise DimensionMismatch("Q block must be L x E")
         if not self.momentum_products:
@@ -56,19 +59,19 @@ class GraphSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GraphSpec":
+        L, E = data["L"], data["E"]
         props = [Propagator(
             M=[[Fraction(x) for x in row] for row in p["M"]],
-            Q=[[Fraction(x) for x in row] for row in p.get("Q", [[]] * data["L"])],
+            Q=[[Fraction(x) for x in row] for row in p.get("Q", [[0] * E] * L)],
             J=coeff_from(p.get("J", {})),
         ) for p in data["propagators"]]
-        E = data["E"]
         mp = [[{} for _ in range(E)] for _ in range(E)]
         for key, expr in data.get("momentum_products", {}).items():
             s_name, t_name = key.split(".")
             s, t = int(s_name.lstrip("p")) - 1, int(t_name.lstrip("p")) - 1
             mp[s][t] = coeff_from(expr)
             mp[t][s] = coeff_from(expr)
-        return cls(L=data["L"], E=E, propagators=props,
+        return cls(L=L, E=E, propagators=props,
                    invariants=list(data.get("invariants", [])),
                    momentum_products=mp)
 
@@ -89,23 +92,19 @@ class GraphSpec:
 
 
 def assemble_mqj(spec: GraphSpec):
-    """z-weighted sums (M, Q, J) as polynomial matrices in z1..zn."""
-    n = spec.n
-    M = [[KPoly.zero(n) for _ in range(spec.L)] for _ in range(spec.L)]
-    Q = [[KPoly.zero(n) for _ in range(spec.E)] for _ in range(spec.L)]
-    J = KPoly.zero(n)
-    for i, prop in enumerate(spec.propagators):
-        zi = KPoly.variable(n, i)
-        for r in range(spec.L):
-            for c in range(spec.L):
-                if prop.M[r][c]:
-                    M[r][c] = M[r][c] + zi.scale(coeff_const(prop.M[r][c]))
-            for s in range(spec.E):
-                if prop.Q[r][s]:
-                    Q[r][s] = Q[r][s] + zi.scale(coeff_const(prop.Q[r][s]))
-        if prop.J:
-            J = J + zi.scale(prop.J)
-    return M, Q, J
+    """z-weighted sums (M, Q, J) as polynomial matrices in z1..zn: each
+    entry is sum_i z_i x_i over its per-propagator entries x_i."""
+    n, props = spec.n, spec.propagators
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+
+    def linear(entries) -> KPoly:
+        return KPoly(n, dict(zip(units, entries)))
+
+    M = [[linear(coeff_const(p.M[r][c]) for p in props)
+          for c in range(spec.L)] for r in range(spec.L)]
+    Q = [[linear(coeff_const(p.Q[r][s]) for p in props)
+          for s in range(spec.E)] for r in range(spec.L)]
+    return M, Q, linear(p.J for p in props)
 
 
 def symanzik(spec: GraphSpec):
@@ -114,22 +113,13 @@ def symanzik(spec: GraphSpec):
     U = det(M)
     if U.is_zero():
         raise SingularM("det(M) vanishes identically")
-    adj = adjugate(M)
-    quad = KPoly.zero(spec.n)
-    for r in range(spec.L):
-        for rp in range(spec.L):
-            if adj[r][rp].is_zero():
-                continue
-            # Q^r . Q^{r'} expanded over the momentum-product table
-            dot = KPoly.zero(spec.n)
-            for s in range(spec.E):
-                for t in range(spec.E):
-                    prod = spec.momentum_products[s][t]
-                    if not prod:
-                        continue
-                    dot = dot + (Q[r][s] * Q[rp][t]).scale(prod)
-            quad = quad + adj[r][rp] * dot
-    F = U * J - quad
+    F = U * J
+    for s, products in enumerate(spec.momentum_products):
+        for t, product in enumerate(products):
+            if product:
+                bordered = ([m + [q[t]] for m, q in zip(M, Q)]
+                            + [[q[s] for q in Q] + [KPoly.zero(spec.n)]])
+                F = F + det(bordered).scale(product)
     return U, F, U + F
 
 

@@ -121,16 +121,6 @@ class KPoly:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, nvars: int, coeff: Coeff) -> "KPoly":
-        return cls(nvars, {(0,) * nvars: coeff})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "KPoly":
-        expo = [0] * nvars
-        expo[index] = 1
-        return cls(nvars, {tuple(expo): coeff_const(1)})
-
-    @classmethod
     def monomial(cls, nvars: int, expo: Iterable[int], coeff: Coeff) -> "KPoly":
         return cls(nvars, {tuple(expo): coeff})
 
@@ -221,18 +211,3 @@ def det(matrix: List[List[KPoly]]) -> KPoly:
         out = out + term if j % 2 == 0 else out - term
     return out
 
-
-def adjugate(matrix: List[List[KPoly]]) -> List[List[KPoly]]:
-    """adj(M) with adj(M) @ M = det(M) * I."""
-    size = len(matrix)
-    nvars = matrix[0][0].nvars
-    if size == 1:
-        return [[KPoly.constant(nvars, coeff_const(1))]]
-    adj = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            minor = [[matrix[r][c] for c in range(size) if c != j]
-                     for r in range(size) if r != i]
-            cof = det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj

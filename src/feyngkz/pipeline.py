@@ -66,6 +66,10 @@ class ProblemSpec:
         """Inverse of to_dict; a malformed spec raises DimensionMismatch."""
         try:
             spec = cls(name=data.get("name", ""))
+            if (("graph" in data) + bool(data.get("polynomial"))
+                    + ("amatrix" in data)) > 1:
+                raise DimensionMismatch("a spec gives at most one of graph, "
+                                        "polynomial and amatrix")
             if "graph" in data:
                 spec.graph = GraphSpec.from_dict(data["graph"])
             if data.get("polynomial"):

@@ -3,7 +3,9 @@
 Everything here is deliberately written from first principles (plain term
 recurrences, brute-force enumeration) so it shares no code with the package
 machinery it checks; the one exception is ``bundle_reference``, which keeps
-the per-series sum that the fused bundle kernel replaced.
+the per-series sum that the fused bundle kernel replaced.  Graphs are passed
+as plain ``GraphSpec.to_dict`` data, so the Symanzik reference reads them
+without the package.
 """
 
 from __future__ import annotations
@@ -221,3 +223,79 @@ def random_lp(rng):
         a_eq[-1] = [x + sign * y for x, y in zip(a_eq[i], a_eq[j])]
         b_eq[-1] = b_eq[i] + sign * b_eq[j]
     return [entry() for _ in range(n)], a_eq, b_eq
+
+
+def _linear_form(expr, values) -> Fraction:
+    """Value of a {"s": 1, "1": 2} style invariant combination."""
+    return sum((Fraction(q) * (1 if name in ("", "1") else values[name])
+                for name, q in expr.items()), Fraction(0))
+
+
+def symanzik_reference(graph, z, values):
+    """(U, F) of graph data at rational z and invariant values, from first
+    principles: U = det M(z) and F = U J(z) - sum_st P_st Q_s(z)^T U M(z)^-1
+    Q_t(z), by Gauss-Jordan elimination over Fractions on [M | Q]; Q_s is
+    column s of Q and P_st the value of p_s.p_t.  A singular M(z) gives
+    (0, None)."""
+    L, E, props = graph["L"], graph["E"], graph["propagators"]
+    M = [[sum(zi * Fraction(p["M"][r][c]) for zi, p in zip(z, props))
+          for c in range(L)] for r in range(L)]
+    Q = [[sum(zi * Fraction(p["Q"][r][s]) for zi, p in zip(z, props)
+              if "Q" in p) for s in range(E)] for r in range(L)]
+    J = sum(zi * _linear_form(p.get("J", {}), values)
+            for zi, p in zip(z, props))
+    rows = [list(m) + list(q) for m, q in zip(M, Q)]
+    U = Fraction(1)
+    for col in range(L):
+        pivot = next((r for r in range(col, L) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            rows[col], rows[pivot], U = rows[pivot], rows[col], -U
+        U *= rows[col][col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(L):
+            if r != col and rows[r][col]:
+                rows[r] = [x - rows[r][col] * y
+                           for x, y in zip(rows[r], rows[col])]
+    P = [[Fraction(0)] * E for _ in range(E)]
+    for key, expr in graph.get("momentum_products", {}).items():
+        s, t = (int(name.lstrip("p")) - 1 for name in key.split("."))
+        P[s][t] = P[t][s] = _linear_form(expr, values)
+    quad = sum(P[s][t] * Q[r][s] * U * rows[r][L + t]
+               for s in range(E) for t in range(E) for r in range(L))
+    return U, U * J - quad
+
+
+def random_graph(rng):
+    """Graph data with L 1-3 loops, E 0-3 external momenta and L to L + 3
+    propagators: symmetric M blocks and Q blocks with small integer and
+    half-integer entries (Q omitted from a fifth of the propagators), J and
+    momentum products over the invariants s, t and m2 and the constant 1.
+    Many are singular (det M = 0 identically)."""
+    L, E = rng.randint(1, 3), rng.randint(0, 3)
+
+    def entry(p):
+        if rng.random() >= p:
+            return 0
+        x = rng.choice((-2, -1, 1, 1, 2))
+        return f"{x}/2" if rng.random() < 0.2 else x
+
+    def combination():
+        names = rng.sample(["s", "t", "m2", "1"], rng.randint(0, 2))
+        return {name: entry(1) for name in names}
+
+    props = []
+    for _ in range(rng.randint(L, L + 3)):
+        M = [[0] * L for _ in range(L)]
+        for r in range(L):
+            for c in range(r, L):
+                M[r][c] = M[c][r] = entry(0.6)
+        prop = {"M": M, "J": combination()}
+        if rng.random() < 0.8:
+            prop["Q"] = [[entry(0.4) for _ in range(E)] for _ in range(L)]
+        props.append(prop)
+    products = {f"p{s + 1}.p{t + 1}": combination()
+                for s in range(E) for t in range(s, E) if rng.random() < 0.7}
+    return {"L": L, "E": E, "propagators": props,
+            "invariants": ["s", "t", "m2"], "momentum_products": products}

@@ -214,6 +214,12 @@ def test_usage_mistakes_exit_2(capsys, argv, message):
 
 _TERMS = [{"exponents": [0, 0]}, {"exponents": [1, 0]},
           {"exponents": [0, 1]}, {"exponents": [1, 1]}]
+_BUBBLE = {"L": 1, "E": 1, "invariants": ["s"],
+           "propagators": [{"M": [[1]], "Q": [[0]]},
+                           {"M": [[1]], "Q": [[-1]], "J": {"s": 1}}],
+           "momentum_products": {"p1.p1": {"s": 1}}}
+_AMATRIX = {"amatrix": [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]],
+            "kappa": ["beta1", "beta2", "alpha"]}
 
 
 @pytest.mark.parametrize("spec", [
@@ -229,11 +235,20 @@ _TERMS = [{"exponents": [0, 0]}, {"exponents": [1, 0]},
     {"polynomial": _TERMS, "order": 2.5},
     {"polynomial": _TERMS, "order": True}] + [
     {"polynomial": _TERMS, "tolerance": value}
-    for value in (-1, 0, math.nan, math.inf)],
+    for value in (-1, 0, math.nan, math.inf)] + [
+    {"graph": {"L": 2, "E": 0, "propagators": [
+        {"M": [[1, 2], [0, 1]]}, {"M": [[1, 0], [0, 0]]},
+        {"M": [[0, 0], [0, 1]]}]}},
+    {"graph": _BUBBLE, "polynomial": _TERMS, **_AMATRIX},
+    {"graph": _BUBBLE, "polynomial": _TERMS},
+    {"graph": _BUBBLE, **_AMATRIX},
+    {"polynomial": _TERMS, **_AMATRIX}],
     ids=["empty-polynomial", "alpha", "coeff", "graph", "kappa", "list",
          "ragged-amatrix", "ragged-exponents", "negative-order",
          "fractional-order", "bool-order", "negative-tolerance",
-         "zero-tolerance", "nan-tolerance", "inf-tolerance"])
+         "zero-tolerance", "nan-tolerance", "inf-tolerance", "asymmetric-m",
+         "three-sources", "graph-and-polynomial", "graph-and-amatrix",
+         "polynomial-and-amatrix"])
 def test_malformed_spec_is_a_typed_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
