@@ -11,7 +11,7 @@ from .gammafn import GammaFactor, log_gamma_signed
 from .gkz import (AMatrix, FakeExponent, StandardPair, deform, fake_exponents,
                   initial_ideal, kernel_lattice, standard_kappa,
                   standard_pairs, toric_ideal, toric_matrix)
-from .graphs import GraphSpec, Propagator, assemble_mqj, prefactor, symanzik
+from .graphs import GraphSpec, Propagator, prefactor, symanzik
 from .kpoly import KPoly
 from .params import ParamLinear
 from .pipeline import ProblemSpec, ResultReport, run

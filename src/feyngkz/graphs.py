@@ -5,23 +5,27 @@ with M_i a symmetric L x L bilinear form in the loop momenta, Q_i an L x E
 coupling to the external momenta (zero when omitted) and J_i a kinematic
 scalar.  From the z-weighted sums M, Q, J the two Symanzik polynomials are
 
-    U = det(M),   F = U J + sum_{s,t} (p_s.p_t) det[[M, Q_t], [Q_s^T, 0]]
+    U = det(M),   F = U J + sum_{s<=t} c_st det[[M, Q_t], [Q_s^T, 0]]
 
-with Q_t column t of Q; each bordered determinant is -Q_s^T adj(M) Q_t.
-The integrand polynomial is g = U + F.  Scalar products p_s.p_t are
-expanded over a user-supplied table of invariant symbols.
+with Q_t column t of Q, c_ss = p_s.p_s and c_st = p_s.p_t + p_t.p_s: M is
+symmetric, so the bordered determinants for (s, t) and (t, s) are equal
+and each is taken once.  The integrand polynomial is g = U + F.  Scalar
+products p_s.p_t are expanded over a user-supplied table of invariant
+symbols.  M and Q hold no invariants, so the determinants run on rational
+polynomials in z, and the invariants enter linearly once, through J and
+the c_st, when the terms of F are summed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Mapping
+from typing import Dict, List, Mapping
 
 from .errors import DimensionMismatch, SingularM
 from .gammafn import GammaFactor
-from .kpoly import (Coeff, KPoly, coeff_const, coeff_from, coeff_to_dict,
-                    det, rational_json)
+from .kpoly import (Coeff, KPoly, RPoly, coeff_add, coeff_from,
+                    coeff_to_dict, det, exact, rational_json)
 from .params import ParamLinear
 
 
@@ -65,12 +69,17 @@ class GraphSpec:
             Q=[[Fraction(x) for x in row] for row in p.get("Q", [[0] * E] * L)],
             J=coeff_from(p.get("J", {})),
         ) for p in data["propagators"]]
-        mp = [[{} for _ in range(E)] for _ in range(E)]
+        mp, given = [[{} for _ in range(E)] for _ in range(E)], {}
         for key, expr in data.get("momentum_products", {}).items():
-            s_name, t_name = key.split(".")
-            s, t = int(s_name.lstrip("p")) - 1, int(t_name.lstrip("p")) - 1
-            mp[s][t] = coeff_from(expr)
-            mp[t][s] = coeff_from(expr)
+            s, t = (int(name.lstrip("p")) - 1 for name in key.split("."))
+            if not (0 <= s < E and 0 <= t < E):
+                raise DimensionMismatch(f"momentum product {key!r} names a "
+                                        f"momentum outside p1..p{E}")
+            product = coeff_from(expr)
+            if given.setdefault((min(s, t), max(s, t)), product) != product:
+                raise DimensionMismatch(f"momentum product {key!r} differs "
+                                        "from its mirror")
+            mp[s][t] = mp[t][s] = product
         return cls(L=L, E=E, propagators=props,
                    invariants=list(data.get("invariants", [])),
                    momentum_products=mp)
@@ -91,45 +100,60 @@ class GraphSpec:
                 "momentum_products": products}
 
 
-def assemble_mqj(spec: GraphSpec):
-    """z-weighted sums (M, Q, J) as polynomial matrices in z1..zn: each
-    entry is sum_i z_i x_i over its per-propagator entries x_i."""
-    n, props = spec.n, spec.propagators
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-
-    def linear(entries) -> KPoly:
-        return KPoly(n, dict(zip(units, entries)))
-
-    M = [[linear(coeff_const(p.M[r][c]) for p in props)
-          for c in range(spec.L)] for r in range(spec.L)]
-    Q = [[linear(coeff_const(p.Q[r][s]) for p in props)
-          for s in range(spec.E)] for r in range(spec.L)]
-    return M, Q, linear(p.J for p in props)
-
-
 def symanzik(spec: GraphSpec):
     """Return (U, F, g) with g = U + F."""
-    M, Q, J = assemble_mqj(spec)
+    n, props = spec.n, spec.propagators
+    # a monomial in z1..zn is one int, width bits per exponent, so that
+    # monomials multiply by adding; no exponent in U or F exceeds L + 1
+    width = (spec.L + 1).bit_length()
+    units, mask = [1 << width * i for i in range(n)], (1 << width) - 1
+
+    def linear(entries) -> RPoly:
+        return {unit: exact(x) for unit, x in zip(units, entries) if x}
+
+    M = [[linear(p.M[r][c] for p in props) for c in range(spec.L)]
+         for r in range(spec.L)]
+    Q = [[linear(p.Q[r][s] for p in props) for s in range(spec.E)]
+         for r in range(spec.L)]
     U = det(M)
-    if U.is_zero():
+    if not U:
         raise SingularM("det(M) vanishes identically")
-    F = U * J
-    for s, products in enumerate(spec.momentum_products):
-        for t, product in enumerate(products):
-            if product:
-                bordered = ([m + [q[t]] for m, q in zip(M, Q)]
-                            + [[q[s] for q in Q] + [KPoly.zero(spec.n)]])
-                F = F + det(bordered).scale(product)
+    F: Dict[int, Coeff] = {}
+
+    def add(poly: RPoly, coeff: Coeff, shift: int = 0):
+        for expo, q in poly.items():
+            term = F.setdefault(expo + shift, {})
+            for mono, c in coeff.items():
+                term[mono] = term.get(mono, 0) + q * c
+
+    for unit, prop in zip(units, props):
+        if prop.J:
+            add(U, prop.J, unit)
+    products = spec.momentum_products
+    for s in range(spec.E):
+        for t in range(s, spec.E):
+            # D_st = D_ts as M is symmetric: one determinant per pair
+            pair = (products[s][s] if s == t
+                    else coeff_add(products[s][t], products[t][s]))
+            if pair:
+                add(det([m + [q[t]] for m, q in zip(M, Q)]
+                        + [[q[s] for q in Q] + [{}]]), pair)
+
+    def unpacked(terms) -> KPoly:
+        return KPoly(n, {tuple(key >> width * i & mask for i in range(n)):
+                         {mono: exact(q) for mono, q in coeff.items() if q}
+                         for key, coeff in terms.items()})
+
+    U, F = unpacked({key: {(): q} for key, q in U.items()}), unpacked(F)
     return U, F, U + F
 
 
 def prefactor(L: int, nprop: int) -> GammaFactor:
     """Gamma(d/2) / [Gamma((L+1)d/2 - sum(alpha)) * prod Gamma(alpha_i)]
     written with beta = d/2."""
-    beta = ParamLinear.param("beta")
-    alphas = [ParamLinear.param(f"a{i + 1}") for i in range(nprop)]
-    total = ParamLinear()
-    for a in alphas:
-        total = total + a
-    return GammaFactor(numerator=[beta],
-                       denominator=[beta * (L + 1) - total] + alphas)
+    names = [f"a{i + 1}" for i in range(nprop)]
+    exponent = ParamLinear.from_integers(
+        {"beta": L + 1, **dict.fromkeys(names, -1)}, 0)
+    return GammaFactor(numerator=[ParamLinear.param("beta")],
+                       denominator=[exponent] + list(map(ParamLinear.param,
+                                                         names)))

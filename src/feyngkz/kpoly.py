@@ -4,7 +4,9 @@ A KPoly maps z-exponent tuples to coefficients; a coefficient is itself a map
 from a monomial in invariant symbols (a sorted tuple of names, () = 1) to a
 rational number: an int when it is integral, else a Fraction (such as the
 1/2 of s/2).  That is enough to carry Symanzik polynomials exactly:
-invariants only ever enter polynomially with rational weights.
+invariants only ever enter linearly with rational weights, so no two
+coefficients are ever multiplied.  The determinants behind them run on
+plain rational polynomials (``RPoly``) and ``det`` takes that form.
 """
 
 from __future__ import annotations
@@ -12,18 +14,24 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
-Coeff = Dict[Tuple[str, ...], Union[int, Fraction]]  # int when integral
+from .errors import UnassignedParameter
+
+Rational = Union[int, Fraction]
+Coeff = Dict[Tuple[str, ...], Rational]  # int when integral
 Expo = Tuple[int, ...]
+# {exponent key: rational}, where the key of a product of two monomials is
+# the sum of their keys: graphs packs each exponent vector into one int
+RPoly = Dict[int, Rational]
 
 
-def _exact(value) -> Union[int, Fraction]:
+def exact(value) -> Rational:
     """value as an int when it is integral, else as a Fraction."""
     value = value if isinstance(value, (int, Fraction)) else Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 
 def coeff_const(value) -> Coeff:
-    value = _exact(value)
+    value = exact(value)
     return {(): value} if value else {}
 
 
@@ -31,11 +39,11 @@ def coeff_from(spec: Mapping[str, object]) -> Coeff:
     """Build a coefficient from {"s": 1, "m2": -1, "1": 2} style dicts."""
     out: Coeff = {}
     for name, q in spec.items():
-        q = _exact(q)
+        q = exact(q)
         if q == 0:
             continue
         key = () if name in ("", "1") else (name,)
-        out[key] = _exact(out.get(key, 0) + q)
+        out[key] = exact(out.get(key, 0) + q)
     return {k: v for k, v in out.items() if v}
 
 
@@ -52,29 +60,12 @@ def coeff_to_dict(a: Coeff) -> Dict[str, object]:
 def coeff_add(a: Coeff, b: Coeff) -> Coeff:
     out = dict(a)
     for mono, q in b.items():
-        q2 = _exact(out.get(mono, 0) + q)
+        q2 = exact(out.get(mono, 0) + q)
         if q2:
             out[mono] = q2
         else:
             out.pop(mono, None)
     return out
-
-
-def coeff_mul(a: Coeff, b: Coeff) -> Coeff:
-    out: Coeff = {}
-    for ma, qa in a.items():
-        for mb, qb in b.items():
-            mono = tuple(sorted(ma + mb))
-            q = _exact(out.get(mono, 0) + qa * qb)
-            if q:
-                out[mono] = q
-            else:
-                out.pop(mono, None)
-    return out
-
-
-def coeff_neg(a: Coeff) -> Coeff:
-    return {m: -q for m, q in a.items()}
 
 
 def coeff_str(a: Coeff) -> str:
@@ -96,12 +87,17 @@ def coeff_str(a: Coeff) -> str:
 
 
 def coeff_evaluate(a: Coeff, values: Mapping[str, float]) -> float:
+    """a's value; raises UnassignedParameter for a missing invariant."""
     total = 0.0
-    for mono, q in a.items():
-        term = float(q)
-        for name in mono:
-            term *= float(values[name])
-        total += term
+    try:
+        for mono, q in a.items():
+            term = float(q)
+            for name in mono:
+                term *= float(values[name])
+            total += term
+    except KeyError as missing:
+        raise UnassignedParameter(
+            f"no value for invariant {missing.args[0]!r}") from None
     return total
 
 
@@ -139,37 +135,6 @@ class KPoly:
                 out.terms.pop(expo, None)
         return out
 
-    def __sub__(self, other: "KPoly") -> "KPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "KPoly":
-        return KPoly(self.nvars,
-                     {e: coeff_neg(c) for e, c in self.terms.items()})
-
-    def __mul__(self, other: "KPoly") -> "KPoly":
-        self._check(other)
-        out = KPoly(self.nvars)
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                expo = tuple(x + y for x, y in zip(ea, eb))
-                merged = coeff_add(out.terms.get(expo, {}), coeff_mul(ca, cb))
-                if merged:
-                    out.terms[expo] = merged
-                else:
-                    out.terms.pop(expo, None)
-        return out
-
-    def scale(self, coeff: Coeff) -> "KPoly":
-        out = KPoly(self.nvars)
-        for expo, c in self.terms.items():
-            merged = coeff_mul(c, coeff)
-            if merged:
-                out.terms[expo] = merged
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def ordered_exponents(self) -> List[Expo]:
         """Deterministic term order: total degree, then lexicographically
         descending exponents (z1 before z2 at equal degree)."""
@@ -196,18 +161,21 @@ class KPoly:
     __repr__ = __str__
 
 
-def det(matrix: List[List[KPoly]]) -> KPoly:
-    """Determinant by Laplace expansion (loop counts are small)."""
+def det(matrix: List[List[RPoly]]) -> RPoly:
+    """Determinant by Laplace expansion along the first row (loop counts
+    are small), skipping zero entries."""
     size = len(matrix)
     if size == 0:
         raise ValueError("empty matrix")
-    nvars = matrix[0][0].nvars
     if size == 1:
         return matrix[0][0]
-    out = KPoly.zero(nvars)
-    for j in range(size):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * det(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
-
+    out: RPoly = {}
+    for j, entry in enumerate(matrix[0]):
+        if not entry:
+            continue
+        minor = det([row[:j] + row[j + 1:] for row in matrix[1:]])
+        for ea, qa in entry.items():
+            qa = -qa if j % 2 else qa
+            for eb, qb in minor.items():
+                out[ea + eb] = out.get(ea + eb, 0) + qa * qb
+    return {e: q for e, q in out.items() if q}

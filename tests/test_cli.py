@@ -220,6 +220,10 @@ _BUBBLE = {"L": 1, "E": 1, "invariants": ["s"],
            "momentum_products": {"p1.p1": {"s": 1}}}
 _AMATRIX = {"amatrix": [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]],
             "kappa": ["beta1", "beta2", "alpha"]}
+_TRIANGLE = {"L": 1, "E": 2, "invariants": ["s"],
+             "propagators": [{"M": [[1]], "Q": [[-1, 0]]},
+                             {"M": [[1]], "Q": [[0, 1]]},
+                             {"M": [[1]], "Q": [[0, 0]]}]}
 
 
 @pytest.mark.parametrize("spec", [
@@ -242,19 +246,34 @@ _AMATRIX = {"amatrix": [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]],
     {"graph": _BUBBLE, "polynomial": _TERMS, **_AMATRIX},
     {"graph": _BUBBLE, "polynomial": _TERMS},
     {"graph": _BUBBLE, **_AMATRIX},
-    {"polynomial": _TERMS, **_AMATRIX}],
+    {"polynomial": _TERMS, **_AMATRIX}] + [
+    {"graph": {**_TRIANGLE, "momentum_products": products}}
+    for products in ({"p0.p1": {"s": "1/2"}}, {"p1.p3": {"s": "1/2"}},
+                     {"p1.p2": {"s": "1/2"}, "p2.p1": {"s": 1}})],
     ids=["empty-polynomial", "alpha", "coeff", "graph", "kappa", "list",
          "ragged-amatrix", "ragged-exponents", "negative-order",
          "fractional-order", "bool-order", "negative-tolerance",
          "zero-tolerance", "nan-tolerance", "inf-tolerance", "asymmetric-m",
          "three-sources", "graph-and-polynomial", "graph-and-amatrix",
-         "polynomial-and-amatrix"])
+         "polynomial-and-amatrix", "momentum-index-0",
+         "momentum-index-past-e", "conflicting-products"])
 def test_malformed_spec_is_a_typed_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code, out, err = _run(capsys, "gkz", "--spec", str(path))
     assert code == cli.EXIT_ENGINE
     assert err.startswith("error: ") and "Traceback" not in err + out
+
+
+def test_missing_kinematic_value_is_a_typed_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"graph": {
+        **_TRIANGLE, "momentum_products": {"p1.p2": {"s": "1/2"}}},
+        "weight": [1, 0, 0, 0, 0], "alpha": [0.9, 0.9, 0.7], "d": 3.8,
+        "kinematics": {}}))
+    code, out, err = _run(capsys, "verify", "--spec", str(path))
+    assert code == cli.EXIT_ENGINE
+    assert err == "error: no value for invariant 's'\n" and out == ""
 
 
 def test_fixture_dump_loads_back_as_spec(tmp_path, capsys):

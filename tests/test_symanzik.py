@@ -10,6 +10,7 @@ import pytest
 
 from helpers import random_graph, symanzik_reference
 
+from feyngkz import graphs
 from feyngkz.errors import SingularM
 from feyngkz.fixtures import fixtures
 from feyngkz.graphs import GraphSpec, prefactor, symanzik
@@ -96,6 +97,93 @@ def test_omitted_q_means_no_external_momentum():
     omitted = symanzik(GraphSpec.from_dict(data))
     assert [str(p) for p in omitted] == [str(p) for p in explicit]
     assert [p.terms for p in omitted] == [p.terms for p in explicit]
+
+
+# str(U), str(F), U's exponents (each with coefficient 1) and F's terms of
+# every graph fixture, as computed by the KPoly Laplace expansion
+_PINNED = {
+    "massless-bubble": ("z1 + z2", "s*z1*z2", [(1, 0), (0, 1)],
+                        {(1, 1): {("s",): 1}}),
+    "one-mass-bubble": ("z1 + z2", "(m2 + s)*z1*z2 + m2*z2^2",
+                        [(1, 0), (0, 1)],
+                        {(1, 1): {("s",): 1, ("m2",): 1},
+                         (0, 2): {("m2",): 1}}),
+    "triangle-1scale": ("z1 + z2 + z3", "s*z1*z2",
+                        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                        {(1, 1, 0): {("s",): 1}}),
+    "triangle-3scale": ("z1 + z2 + z3", "s3*z1*z2 + s1*z1*z3 + s2*z2*z3",
+                        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                        {(1, 1, 0): {("s3",): 1}, (1, 0, 1): {("s1",): 1},
+                         (0, 1, 1): {("s2",): 1}}),
+    "cantaloupe-2": ("z1*z2 + z1*z3 + z2*z3", "s*z1*z2*z3",
+                     [(1, 1, 0), (1, 0, 1), (0, 1, 1)],
+                     {(1, 1, 1): {("s",): 1}}),
+    "sunset-1mass": ("z1*z2 + z1*z3 + z2*z3", "m2*z1*z2^2 + m2*z2^2*z3",
+                     [(1, 1, 0), (1, 0, 1), (0, 1, 1)],
+                     {(1, 2, 0): {("m2",): 1}, (0, 2, 1): {("m2",): 1}}),
+    "party-hat": ("z1*z3 + z1*z4 + z2*z3 + z2*z4 + z3*z4", "s*z2*z3*z4",
+                  [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1),
+                   (0, 0, 1, 1)],
+                  {(0, 1, 1, 1): {("s",): 1}}),
+    "box": ("z1 + z2 + z3 + z4", "s*z1*z3 + t*z2*z4",
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+            {(1, 0, 1, 0): {("s",): 1}, (0, 1, 0, 1): {("t",): 1}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_fixture_polynomials_are_pinned(name):
+    u_text, f_text, u_expos, f_terms = _PINNED[name]
+    u_terms = {expo: {(): 1} for expo in u_expos}
+    polys = symanzik(fixtures()[name].graph)
+    assert [str(p) for p in polys] == [u_text, f_text, f"{u_text} + {f_text}"]
+    assert [p.terms for p in polys] == [u_terms, f_terms,
+                                        {**u_terms, **f_terms}]
+    for poly in polys:
+        _coefficient_types_are_exact(poly)
+
+
+def test_one_bordered_determinant_per_unordered_pair(monkeypatch):
+    """M is symmetric, so det[[M, Q_t], [Q_s^T, 0]] is taken once for
+    (s, t) and (t, s): 3 for the box, and on 200 random graphs one per
+    s <= t with p_s.p_t nonzero, next to the one det M."""
+    sizes = []
+
+    def counted(matrix):
+        sizes.append(len(matrix))
+        return real(matrix)
+
+    real = graphs.det
+    monkeypatch.setattr(graphs, "det", counted)
+
+    def bordered(graph):
+        sizes.clear()
+        symanzik(graph)
+        assert sizes.count(graph.L) == 1
+        return len(sizes) - 1
+
+    assert bordered(fixtures()["box"].graph) == 3
+    rng, checked = random.Random(23), 0
+    while checked < 200:
+        graph = GraphSpec.from_dict(random_graph(rng))
+        try:
+            count = bordered(graph)
+        except SingularM:
+            continue
+        products = graph.momentum_products
+        assert count == sum(1 for s in range(graph.E)
+                            for t in range(s, graph.E) if products[s][t])
+        checked += 1
+
+
+def test_mirrored_momentum_products_may_repeat_when_equal():
+    data = fixtures()["box"].graph.to_dict()
+    once = symanzik(GraphSpec.from_dict(data))
+    data["momentum_products"].update(
+        {".".join(key.split(".")[::-1]): value
+         for key, value in data["momentum_products"].items()})
+    twice = symanzik(GraphSpec.from_dict(data))
+    assert [p.terms for p in twice] == [p.terms for p in once]
 
 
 def _exact_value(poly, z, values):
