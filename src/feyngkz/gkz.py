@@ -4,8 +4,11 @@ The chain implemented here: configuration matrix A of the monomial support,
 codimension, deformation of codimension-zero inputs, the integer kernel
 lattice of A, the toric ideal I_A (a rank-1 lattice's binomial, else the
 basis binomials saturated at every variable), its w-initial monomial ideal,
-the standard pairs of that ideal and the exponent vectors: A.theta = kappa
-solved exactly by fraction-free integer elimination on each face.
+the top-dimensional standard pairs of that ideal, one set of roots on each
+facet of the regular triangulation Delta_w, and the exponent vectors:
+A.theta = kappa solved exactly by fraction-free integer elimination on each
+facet.  ``standard_pairs`` is the general decomposition of any monomial
+ideal, kept as the reference the facet walk is tested against.
 """
 
 from __future__ import annotations
@@ -195,6 +198,37 @@ def standard_pairs(gens: Sequence[Mono], nvars: int) -> List[StandardPair]:
             if all(any(all(g[i] <= a[i] for i in off if i != l) for g in gens)
                    for l in off):
                 pairs.append(StandardPair(tuple(a), face))
+    pairs.sort(key=lambda p: (p.face, p.root))
+    return pairs
+
+
+def facet_pairs(gens: Sequence[Mono], nvars: int,
+                rank: int) -> List[StandardPair]:
+    """The top-dimensional standard pairs of in_w(I_A) from its generators,
+    sorted by (face, root): the only pairs that give exponents for generic
+    parameters, vol(sigma) of them on each facet sigma of Delta_w (SST,
+    ch. 3).  rad(in_w I_A) is Delta_w's Stanley-Reisner ideal (Sturmfels,
+    ch. 8), so the facets are the rank-subsets holding no generator's
+    support, and sigma's roots are the monomials off sigma that no
+    generator's off-sigma part divides, walked breadth-first up from 1."""
+    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in gens]
+    pairs = []
+    for face in itertools.combinations(range(nvars), rank):
+        inside = sum(1 << i for i in face)
+        if any(not support & ~inside for support in supports):
+            continue
+        off = [i for i in range(nvars) if not inside >> i & 1]
+        parts = [[(i, g[i]) for i in off if g[i]] for g in gens]
+        roots = [(0,) * nvars]
+        seen = set(roots)
+        for a in roots:
+            for i in off:
+                b = a[:i] + (a[i] + 1,) + a[i + 1:]
+                if b not in seen and not any(
+                        all(b[j] >= e for j, e in part) for part in parts):
+                    seen.add(b)
+                    roots.append(b)
+        pairs.extend(StandardPair(a, face) for a in roots)
     pairs.sort(key=lambda p: (p.face, p.root))
     return pairs
 

@@ -18,6 +18,7 @@ the c_st, when the terms of F are summed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping
@@ -63,19 +64,33 @@ class GraphSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GraphSpec":
+        """Inverse of to_dict; DimensionMismatch for a momentum product not
+        keyed p<s>.p<t> with 1 <= s, t <= E, or a symbol in J or a momentum
+        product that is neither "1" nor one of the declared invariants."""
         L, E = data["L"], data["E"]
+        declared = {"1", *data.get("invariants", [])}
+
+        def coeff(expr: Mapping) -> Coeff:
+            if undeclared := sorted(set(expr) - declared):
+                raise DimensionMismatch("undeclared invariant "
+                                        + ", ".join(map(repr, undeclared)))
+            return coeff_from(expr)
+
         props = [Propagator(
             M=[[Fraction(x) for x in row] for row in p["M"]],
             Q=[[Fraction(x) for x in row] for row in p.get("Q", [[0] * E] * L)],
-            J=coeff_from(p.get("J", {})),
+            J=coeff(p.get("J", {})),
         ) for p in data["propagators"]]
         mp, given = [[{} for _ in range(E)] for _ in range(E)], {}
         for key, expr in data.get("momentum_products", {}).items():
-            s, t = (int(name.lstrip("p")) - 1 for name in key.split("."))
+            if not (match := re.fullmatch(r"p(\d+)\.p(\d+)", key)):
+                raise DimensionMismatch(f"momentum product {key!r} is not "
+                                        "written p<s>.p<t>")
+            s, t = (int(index) - 1 for index in match.groups())
             if not (0 <= s < E and 0 <= t < E):
                 raise DimensionMismatch(f"momentum product {key!r} names a "
                                         f"momentum outside p1..p{E}")
-            product = coeff_from(expr)
+            product = coeff(expr)
             if given.setdefault((min(s, t), max(s, t)), product) != product:
                 raise DimensionMismatch(f"momentum product {key!r} differs "
                                         "from its mirror")

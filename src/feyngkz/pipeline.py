@@ -21,7 +21,7 @@ from .graphs import GraphSpec
 from .kpoly import Coeff, KPoly, coeff_evaluate, coeff_from, coeff_to_dict
 from .params import ParamLinear
 from .quadrature import QuadratureResult, QuadratureSpec, quadrature
-from .series import CanonicalSeries, HypergeometricForm
+from .series import CanonicalSeries, HypergeometricForm, LatticeShapes
 
 
 def series_order(value) -> int:
@@ -243,9 +243,10 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
     lattice = gkz.kernel_lattice(amat)
     toric = gkz.toric_ideal(amat)
     initial = gkz.initial_ideal(toric, weight)
-    pairs = gkz.standard_pairs(initial, amat.ncols)
+    pairs = gkz.facet_pairs(initial, amat.ncols, amat.rank)
     exponents = gkz.fake_exponents(amat, kappa, pairs)
-    series = [CanonicalSeries(e, lattice, weight) for e in exponents]
+    shapes = LatticeShapes(lattice, weight)
+    series = [CanonicalSeries(e, lattice, weight, shapes) for e in exponents]
     forms = [s.classify() for s in series]
 
     report = ResultReport(

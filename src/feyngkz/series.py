@@ -8,7 +8,10 @@ has falling-factorial numerators over the negative support of u and rising
 ones in the denominator over the positive support.  Terms with w.u < 0 are
 dropped: the weight that selected the initial ideal also selects the support
 half-space, and the remaining coefficients vanish exactly where the falling
-factorials hit nonpositive integers.
+factorials hit nonpositive integers.  A series is named (pFq, Appell F4 or
+raw) from the shapes of its lattice, which ``LatticeShapes`` searches once
+for every series on that lattice; each exponent picks its shape by which of
+its components are zero.
 """
 
 from __future__ import annotations
@@ -112,26 +115,85 @@ def _argument_monomial(u: Sequence[int]) -> str:
     return f"{num}/({den})" if den else num
 
 
+class LatticeShapes:
+    """The shapes of the series on one lattice and weight, searched once for
+    all of them: the basis oriented to w.u >= 0 and, in search order, the
+    candidate bases with each vector's positive support.  A rank-1 basis of
+    {-1, 0, 1} entries is the pFq candidate; rank 2 has its Appell F4 bases."""
+
+    def __init__(self, lattice: Sequence[Sequence[int]],
+                 weight: Sequence[int]):
+        self.lattice = [
+            tuple(-x for x in v) if sum(w * x for w, x in zip(weight, v)) < 0
+            else tuple(v) for v in lattice]
+        self.candidates = []
+        if len(self.lattice) == 2:
+            self.candidates = list(f4_bases(self.lattice))
+        elif len(self.lattice) == 1 and max(map(abs, self.lattice[0])) <= 1:
+            pos = [i for i, x in enumerate(self.lattice[0]) if x > 0]
+            self.candidates = [(self.lattice, [pos])]
+
+    def classify(self, gamma: Sequence[ParamLinear]
+                 ) -> Tuple[HypergeometricForm, List[Tuple[int, ...]]]:
+        """(form, basis) of the series of exponent gamma: the first candidate
+        with a zero component on each positive support, that zero's (1)_n
+        being the factorial; else RawSeries on the oriented basis."""
+        zero = {i for i, g in enumerate(gamma) if g.is_zero()}
+        for basis, supports in self.candidates:
+            if all(zero.intersection(pos) for pos in supports):
+                break
+        else:
+            return HypergeometricForm(kind="RawSeries"), list(self.lattice)
+        one, lower = ParamLinear.const(1), []
+        for pos in supports:
+            slot = min(zero.intersection(pos))
+            lower += [gamma[i] + one for i in pos if i != slot]
+        upper = [-gamma[i] for i, x in enumerate(basis[0]) if x < 0]
+        f4 = len(basis) == 2
+        return HypergeometricForm(
+            kind="AppellF4" if f4 else f"{len(upper)}F{len(lower)}",
+            upper=upper, lower=lower,
+            arguments=[_argument_monomial(v) for v in basis],
+            argument_signs=[1, 1] if f4 else [(-1) ** len(upper)]
+        ), list(basis)
+
+
+def f4_bases(lattice: Sequence[Tuple[int, ...]]):
+    """Small unimodular basis changes of a rank-2 lattice with the Appell
+    F4 shape, in search order, each with its positive supports: two
+    generators sharing a 2-element negative support, disjoint 2-element
+    positive supports, all entries in {-1, 0, 1}."""
+    l1, l2 = lattice
+    candidates = []
+    for p, q in itertools.product(range(-2, 3), repeat=2):
+        v = tuple(p * a + q * b for a, b in zip(l1, l2))
+        if all(abs(x) <= 1 for x in v):
+            neg = {i for i, x in enumerate(v) if x < 0}
+            pos = {i for i, x in enumerate(v) if x > 0}
+            if len(neg) == len(pos) == 2:
+                candidates.append(((p, q), v, neg, pos))
+    pairs = itertools.permutations(candidates, 2)
+    for (pq1, v1, neg1, pos1), (pq2, v2, neg2, pos2) in pairs:
+        if (abs(pq1[0] * pq2[1] - pq1[1] * pq2[0]) == 1
+                and neg1 == neg2 and not pos1 & pos2):
+            yield [v1, v2], [sorted(pos1), sorted(pos2)]
+
+
 class CanonicalSeries:
-    """One canonical series: exponent vector + oriented lattice + weight."""
+    """One canonical series: exponent vector + oriented lattice + weight.
+    ``shapes`` is the search of this lattice and weight when series share
+    it, as ``pipeline.run``'s do; a series built alone searches its own."""
 
     def __init__(self, gamma: FakeExponent, lattice: Sequence[Sequence[int]],
-                 weight: Sequence[int]):
+                 weight: Sequence[int],
+                 shapes: Optional[LatticeShapes] = None):
         self.gamma = gamma
         self.weight = tuple(weight)
-        self.lattice = [self._orient(tuple(v)) for v in lattice]
         self.nvars = len(gamma.components)
-        if self.rank == 1:
-            self.form = self._classify_rank1()
-        elif self.rank == 2 and (f4 := self._classify_f4()) is not None:
-            # prefer the Appell-shaped basis for enumeration and display
-            self.form, self.lattice = f4
-        else:
-            self.form = HypergeometricForm(kind="RawSeries")
-
-    def _orient(self, vector: Tuple[int, ...]) -> Tuple[int, ...]:
-        wdot = sum(w * x for w, x in zip(self.weight, vector))
-        return tuple(-x for x in vector) if wdot < 0 else vector
+        if shapes is None:
+            shapes = LatticeShapes(lattice, weight)
+        # an Appell-shaped basis is preferred for enumeration and display
+        self.form, self.lattice = shapes.classify(gamma.components)
 
     @property
     def rank(self) -> int:
@@ -175,59 +237,6 @@ class CanonicalSeries:
         """The named form, found once at construction; its arguments are
         the monomials of ``lattice``, in order."""
         return self.form
-
-    def _classify_rank1(self) -> HypergeometricForm:
-        gen = self.lattice[0]
-        if any(abs(x) > 1 for x in gen):
-            return HypergeometricForm(kind="RawSeries")
-        gamma, one = self.gamma.components, ParamLinear.const(1)
-        upper = [-gamma[i] for i, x in enumerate(gen) if x < 0]
-        lower = [gamma[i] + one for i, x in enumerate(gen) if x > 0]
-        if one not in lower:
-            return HypergeometricForm(kind="RawSeries")
-        lower.remove(one)  # the (1)_n slot is the factorial
-        sign = -1 if sum(1 for x in gen if x < 0) % 2 else 1
-        return HypergeometricForm(
-            kind=f"{len(upper)}F{len(lower)}", upper=upper, lower=lower,
-            arguments=[_argument_monomial(gen)], argument_signs=[sign])
-
-    def _classify_f4(self) -> Optional[Tuple[HypergeometricForm,
-                                             List[Tuple[int, ...]]]]:
-        gamma = self.gamma.components
-        one = ParamLinear.const(1)
-        for v1, v2 in self._f4_candidates():
-            lower = []
-            for v in (v1, v2):
-                params = [gamma[i] + one for i, x in enumerate(v) if x > 0]
-                if one in params:
-                    params.remove(one)
-                    lower.append(params[0])
-            if len(lower) == 2:
-                return HypergeometricForm(
-                    kind="AppellF4", lower=lower,
-                    upper=[-gamma[i] for i, x in enumerate(v1) if x < 0],
-                    arguments=[_argument_monomial(v1), _argument_monomial(v2)],
-                    argument_signs=[1, 1]), [v1, v2]
-        return None
-
-    def _f4_candidates(self):
-        """Small unimodular basis changes with the Appell F4 shape: two
-        generators sharing a 2-element negative support, disjoint 2-element
-        positive supports, all entries in {-1, 0, 1}."""
-        l1, l2 = self.lattice
-        candidates = []
-        for p, q in itertools.product(range(-2, 3), repeat=2):
-            v = tuple(p * a + q * b for a, b in zip(l1, l2))
-            if all(abs(x) <= 1 for x in v):
-                neg = {i for i, x in enumerate(v) if x < 0}
-                pos = {i for i, x in enumerate(v) if x > 0}
-                if len(neg) == len(pos) == 2:
-                    candidates.append(((p, q), v, neg, pos))
-        pairs = itertools.permutations(candidates, 2)
-        for (pq1, v1, neg1, pos1), (pq2, v2, neg2, pos2) in pairs:
-            if (abs(pq1[0] * pq2[1] - pq1[1] * pq2[0]) == 1
-                    and neg1 == neg2 and not pos1 & pos2):
-                yield v1, v2
 
     # -- numeric evaluation ------------------------------------------------
 

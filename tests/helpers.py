@@ -299,3 +299,67 @@ def random_graph(rng):
                 for s in range(E) for t in range(s, E) if rng.random() < 0.7}
     return {"L": L, "E": E, "propagators": props,
             "invariants": ["s", "t", "m2"], "momentum_products": products}
+
+
+def classify_reference(gamma, lattice, weight):
+    """(kind, upper, lower, arguments, signs, lattice) of one series, by the
+    per-series search that classification used before the lattice's shapes
+    were searched once per run: the lattice oriented to w.u >= 0; rank 1
+    is a pFq when its generator has entries in {-1, 0, 1} and some
+    positive-support component of gamma + 1 equals 1; rank 2 takes the
+    first F4-shaped basis change where each generator has such a
+    component; anything else is a raw series."""
+    def orient(v):
+        return tuple(-x for x in v) if sum(
+            w * x for w, x in zip(weight, v)) < 0 else tuple(v)
+
+    lattice = [orient(v) for v in lattice]
+    one = 1
+    raw = ("RawSeries", [], [], [], [], lattice)
+    if len(lattice) == 1:
+        gen = lattice[0]
+        if any(abs(x) > 1 for x in gen):
+            return raw
+        upper = [-gamma[i] for i, x in enumerate(gen) if x < 0]
+        lower = [gamma[i] + one for i, x in enumerate(gen) if x > 0]
+        if one not in lower:
+            return raw
+        lower.remove(one)
+        sign = -1 if sum(1 for x in gen if x < 0) % 2 else 1
+        return (f"{len(upper)}F{len(lower)}", upper, lower,
+                [_argument_text(gen)], [sign], lattice)
+    if len(lattice) != 2:
+        return raw
+    l1, l2 = lattice
+    candidates = []
+    for p, q in itertools.product(range(-2, 3), repeat=2):
+        v = tuple(p * a + q * b for a, b in zip(l1, l2))
+        if all(abs(x) <= 1 for x in v):
+            neg = {i for i, x in enumerate(v) if x < 0}
+            pos = {i for i, x in enumerate(v) if x > 0}
+            if len(neg) == len(pos) == 2:
+                candidates.append(((p, q), v, neg, pos))
+    for (pq1, v1, neg1, pos1), (pq2, v2, neg2, pos2) in \
+            itertools.permutations(candidates, 2):
+        if not (abs(pq1[0] * pq2[1] - pq1[1] * pq2[0]) == 1
+                and neg1 == neg2 and not pos1 & pos2):
+            continue
+        lower = []
+        for v in (v1, v2):
+            params = [gamma[i] + one for i, x in enumerate(v) if x > 0]
+            if one in params:
+                params.remove(one)
+                lower.append(params[0])
+        if len(lower) == 2:
+            return ("AppellF4", [-gamma[i] for i, x in enumerate(v1) if x < 0],
+                    lower, [_argument_text(v1), _argument_text(v2)], [1, 1],
+                    [v1, v2])
+    return raw
+
+
+def _argument_text(u):
+    num = "*".join(f"c{i + 1}" + (f"^{x}" if x > 1 else "")
+                   for i, x in enumerate(u) if x > 0) or "1"
+    den = "*".join(f"c{i + 1}" + (f"^{-x}" if x < -1 else "")
+                   for i, x in enumerate(u) if x < 0)
+    return f"{num}/({den})" if den else num

@@ -249,20 +249,45 @@ _TRIANGLE = {"L": 1, "E": 2, "invariants": ["s"],
     {"polynomial": _TERMS, **_AMATRIX}] + [
     {"graph": {**_TRIANGLE, "momentum_products": products}}
     for products in ({"p0.p1": {"s": "1/2"}}, {"p1.p3": {"s": "1/2"}},
-                     {"p1.p2": {"s": "1/2"}, "p2.p1": {"s": 1}})],
+                     {"p1.p2": {"s": "1/2"}, "p2.p1": {"s": 1}},
+                     {"1.pp2": {"s": "1/2"}}, {"1.2": {"s": "1/2"}})],
     ids=["empty-polynomial", "alpha", "coeff", "graph", "kappa", "list",
          "ragged-amatrix", "ragged-exponents", "negative-order",
          "fractional-order", "bool-order", "negative-tolerance",
          "zero-tolerance", "nan-tolerance", "inf-tolerance", "asymmetric-m",
          "three-sources", "graph-and-polynomial", "graph-and-amatrix",
          "polynomial-and-amatrix", "momentum-index-0",
-         "momentum-index-past-e", "conflicting-products"])
+         "momentum-index-past-e", "conflicting-products", "momentum-key-pp",
+         "momentum-key-without-p"])
 def test_malformed_spec_is_a_typed_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code, out, err = _run(capsys, "gkz", "--spec", str(path))
     assert code == cli.EXIT_ENGINE
     assert err.startswith("error: ") and "Traceback" not in err + out
+
+
+@pytest.mark.parametrize("graph", [
+    {**_TRIANGLE, "momentum_products": {"p1.p2": {"ss": "1/2"}}},
+    {**_BUBBLE, "propagators": [{"M": [[1]], "Q": [[0]]},
+                                {"M": [[1]], "Q": [[-1]], "J": {"S": 1}}]}],
+    ids=["momentum-product", "propagator-j"])
+def test_misspelt_invariant_is_a_typed_error(tmp_path, capsys, graph):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"graph": graph}))
+    code, out, err = _run(capsys, "gkz", "--spec", str(path))
+    assert code == cli.EXIT_ENGINE and out == ""
+    assert err.startswith("error: ") and "undeclared invariant" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, code", [
+    ("2f1-double", 0), ("box", 5), ("triangle-3scale", 5),
+    ("massless-bubble", 6), ("triangle-1scale", 6), ("cantaloupe-2", 6),
+    ("one-mass-bubble", 6), ("sunset-1mass", 6), ("party-hat", 6),
+    ("2f1-single", 7)])
+def test_verify_exit_code_at_each_stated_point(capsys, name, code):
+    assert _run(capsys, "verify", "--fixture", name)[0] == code
 
 
 def test_missing_kinematic_value_is_a_typed_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from feyngkz.errors import (DimensionMismatch, DivergentArgument,
                             NonPositiveCoefficient, PoleError)
 from feyngkz.fixtures import fixtures
 from feyngkz.gammafn import GammaFactor
+from feyngkz.gkz import FakeExponent, StandardPair
 from feyngkz.params import ParamLinear
 from feyngkz.pochhammer import log_poch
 from feyngkz.series import (_argument_monomial, _factor_table,
@@ -484,3 +486,101 @@ def test_evaluate_points_rejects_points_of_the_wrong_length():
     for points in ([[1.0, 1.0], [1.0, 2.0]], [1.0, 1.0, 1.0, 2.0]):
         with pytest.raises(DimensionMismatch):
             series.evaluate_points(spec.assignment(), points, 10)
+
+
+def _form_key(form, lattice):
+    return (form.kind, [str(p) for p in form.upper],
+            [str(p) for p in form.lower], form.arguments,
+            form.argument_signs, [tuple(v) for v in lattice])
+
+
+def _reference_key(gamma, lattice, weight):
+    kind, upper, lower, arguments, signs, basis = helpers.classify_reference(
+        gamma, lattice, weight)
+    return (kind, [str(p) for p in upper], [str(p) for p in lower],
+            arguments, signs, [tuple(v) for v in basis])
+
+
+def test_classification_matches_per_series_reference_on_fixtures():
+    for name, spec in fixtures().items():
+        rep = pipeline.run(spec)
+        for phi, exponent in zip(rep.series, rep.exponents):
+            want = _reference_key(exponent.components, rep.lattice,
+                                  rep.weight)
+            assert _form_key(phi.form, phi.lattice) == want, name
+            alone = series_module.CanonicalSeries(exponent, rep.lattice,
+                                                  rep.weight)
+            assert _form_key(alone.form, alone.lattice) == want, name
+
+
+def _random_lattice(rng, nvars, rank):
+    """A rank-1 vector, mostly of {-1, 0, 1} entries, or a rank-2 basis:
+    half the time an Appell F4 pair under a small unimodular change."""
+    if rank == 1:
+        return [tuple(rng.choice((-2, -1, -1, 0, 0, 1, 1, 2) if
+                                 rng.random() < 0.2 else (-1, 0, 1))
+                      for _ in range(nvars))]
+    if nvars >= 6 and rng.random() < 0.5:
+        a, b, c, d, e, f = rng.sample(range(nvars), 6)
+        v1 = [0] * nvars
+        v2 = [0] * nvars
+        for v, pos in ((v1, (c, d)), (v2, (e, f))):
+            v[a] = v[b] = -1
+            for i in pos:
+                v[i] = 1
+        p, q, r, s = rng.choice(((1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1),
+                                 (1, 0, -1, 1), (-1, 0, 1, 1), (1, -1, 0, -1)))
+        return [tuple(p * x + q * y for x, y in zip(v1, v2)),
+                tuple(r * x + s * y for x, y in zip(v1, v2))]
+    return [tuple(rng.choice((-1, 0, 1)) for _ in range(nvars))
+            for _ in range(2)]
+
+
+def _random_component(rng, i):
+    choice = rng.random()
+    if choice < 0.4:
+        return ParamLinear.const(0)
+    if choice < 0.55:
+        return ParamLinear.const(rng.choice((-2, -1, 1, 2)))
+    if choice < 0.65:
+        return ParamLinear.const(Fraction(rng.choice((-3, -1, 1)), 2))
+    return ParamLinear.param(f"a{i + 1}") + rng.choice(
+        (0, 0, -1, Fraction(1, 2)))
+
+
+def test_classification_matches_per_series_reference_on_random_lattices():
+    """300 seeded lattices, rank 1 and 2, each classified for three
+    exponents through one shared LatticeShapes and through a series built
+    alone; both give the per-series reference's form and basis."""
+    rng = random.Random(2107)
+    kinds = set()
+    for trial in range(300):
+        nvars, rank = rng.randint(3, 8), 1 + trial % 2
+        lattice = _random_lattice(rng, nvars, rank)
+        weight = [rng.randint(-1, 2) for _ in range(nvars)]
+        shapes = series_module.LatticeShapes(lattice, weight)
+        for _ in range(3):
+            gamma = tuple(_random_component(rng, i) for i in range(nvars))
+            want = _reference_key(gamma, lattice, weight)
+            kinds.add(want[0])
+            exponent = FakeExponent(gamma, StandardPair((0,) * nvars, ()))
+            shared = series_module.CanonicalSeries(exponent, lattice, weight,
+                                                   shapes)
+            alone = series_module.CanonicalSeries(exponent, lattice, weight)
+            assert _form_key(shared.form, shared.lattice) == want, trial
+            assert _form_key(alone.form, alone.lattice) == want, trial
+    assert {"AppellF4", "RawSeries", "2F1", "3F2"} <= kinds
+
+
+def test_one_f4_shape_search_per_run(monkeypatch):
+    calls = []
+    search = series_module.f4_bases
+
+    def counted(lattice):
+        calls.append(lattice)
+        return search(lattice)
+
+    monkeypatch.setattr(series_module, "f4_bases", counted)
+    rep = pipeline.run(fixtures()["triangle-3scale"])
+    assert [f.kind for f in rep.forms] == ["AppellF4"] * 4
+    assert len(calls) == 1
