@@ -53,3 +53,7 @@ class DivergentArgument(FeynGKZError):
 
 class NonFiniteValue(FeynGKZError):
     """A series or oracle value came out as inf or nan."""
+
+
+class ExponentOverflow(FeynGKZError):
+    """An exponent outgrew the field Buchberger packs it in."""

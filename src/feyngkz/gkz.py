@@ -3,7 +3,7 @@
 The chain implemented here: configuration matrix A of the monomial support,
 codimension, deformation of codimension-zero inputs, the integer kernel
 lattice of A, the toric ideal I_A (a rank-1 lattice's binomial, else the
-basis binomials saturated at every variable), its w-initial monomial ideal,
+basis binomials saturated where they need it), its w-initial monomial ideal,
 the top-dimensional standard pairs of that ideal, one set of roots on each
 facet of the regular triangulation Delta_w, and the exponent vectors:
 A.theta = kappa solved exactly by fraction-free integer elimination on each
@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DeformationFailed, InconsistentPair, UnderdeterminedPair
-from .groebner import (Binomial, buchberger, grevlex_key, interreduce,
-                       mono_divides, orient, saturate_all_variables,
-                       weighted_key)
+from .groebner import (Binomial, TermOrder, buchberger, grevlex_key,
+                       interreduce, mono_divides, orient,
+                       saturate_all_variables)
 # perfbench's tracer wraps gkz.integer_rank, so it stays imported here
 from .intlinalg import eliminate, integer_rank, kernel_basis
 from .kpoly import KPoly, coeff_const
@@ -119,15 +119,12 @@ def toric_ideal(amat: AMatrix) -> List[Binomial]:
     """Generators of I_A as a reduced grevlex basis of (lead, trail) pairs.
     For a rank-1 lattice Zu the binomial x^(u+) - x^(u-) divides every
     x^(ku+) - x^(ku-), so it is I_A's basis by itself (Sturmfels, ch. 12);
-    a larger lattice's basis binomials are saturated at each variable."""
+    a larger lattice's basis binomials are saturated where they need it."""
     gens = [(tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u))
             for u in amat.kernel]
     if len(gens) <= 1:
         return [orient(plus, minus, grevlex_key) for plus, minus in gens]
-    # the last saturation runs in grevlex itself (its variable is already
-    # the cheapest), so its basis is a grevlex basis, oriented lead first
-    saturated = saturate_all_variables(gens, amat.ncols)
-    return interreduce(saturated, grevlex_key)
+    return interreduce(saturate_all_variables(gens, amat.ncols), grevlex_key)
 
 
 def binomial_exponents(basis: Sequence[Binomial]) -> List[Tuple[Mono, Mono]]:
@@ -142,7 +139,7 @@ def initial_ideal(generators: Sequence[Binomial],
                   weight: Sequence[int]) -> List[Mono]:
     """Minimal generators of in_w(I) for the weight refined by grevlex: where
     w ties the two monomials of a basis element, grevlex picks the lead."""
-    basis = buchberger(generators, weighted_key(weight))
+    basis = buchberger(generators, TermOrder(weight))
     return minimal_monomial_generators([lead for lead, _ in basis])
 
 

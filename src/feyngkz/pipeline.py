@@ -240,6 +240,9 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
     weight = spec.weight or default_weight(amat.ncols, deformation.applied)
     if len(weight) != amat.ncols:
         raise DimensionMismatch(f"weight {list(weight)} needs one entry per column of A")
+    if amat.rank < amat.nrows:
+        raise DimensionMismatch(f"A has rank {amat.rank} < {amat.nrows} rows, so "
+                                "A.theta = kappa has no generic solution")
     lattice = gkz.kernel_lattice(amat)
     toric = gkz.toric_ideal(amat)
     initial = gkz.initial_ideal(toric, weight)

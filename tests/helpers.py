@@ -2,8 +2,12 @@
 
 Everything here is deliberately written from first principles (plain term
 recurrences, brute-force enumeration) so it shares no code with the package
-machinery it checks; the one exception is ``bundle_reference``, which keeps
-the per-series sum that the fused bundle kernel replaced.  Graphs are passed
+machinery it checks.  Some keep a route that a faster one replaced:
+``bundle_reference``, the per-series sum of the fused bundle kernel; the
+division of binomials on exponent tuples (``normal_form``,
+``s_polynomial``) that the packed Buchberger kernel replaced; and
+``saturated_toric_ideal``, the saturation at every variable that the lead
+test now skips where it can.  Graphs are passed
 as plain ``GraphSpec.to_dict`` data, so the Symanzik reference reads them
 without the package.
 """
@@ -14,6 +18,11 @@ import itertools
 import math
 from fractions import Fraction
 
+from feyngkz.groebner import (TermOrder, buchberger, grevlex_key, interreduce,
+                              mono_divides, orient)
+from feyngkz.intlinalg import kernel_basis
+from feyngkz.kpoly import KPoly, coeff_const
+
 
 def bundle_reference(bundle, assignment, points, order):
     """sum_i K_i phi_i at each point, one ``evaluate_points`` call per
@@ -23,6 +32,79 @@ def bundle_reference(bundle, assignment, points, order):
         values, _ = phi.evaluate_points(assignment, points, order)
         total = [t + k * v for t, v in zip(total, values)]
     return total
+
+
+def _rewrite(mono, g):
+    """mono with g's lead (which divides it) replaced by g's trail."""
+    return tuple(m - l + t for m, l, t in zip(mono, g[0], g[1]))
+
+
+def _reduce_monomial(mono, basis):
+    while True:
+        for g in basis:
+            if mono_divides(g[0], mono):
+                mono = _rewrite(mono, g)
+                break
+        else:
+            return mono
+
+
+def normal_form(f, basis, order):
+    """Remainder of the binomial f under division by basis (oriented under
+    order): each monomial is rewritten lead -> trail by the first element
+    whose lead divides it, until no lead does; None for zero."""
+    return orient(_reduce_monomial(f[0], basis),
+                  _reduce_monomial(f[1], basis), order)
+
+
+def s_polynomial(f, g, order):
+    lcm = tuple(max(x, y) for x, y in zip(f[0], g[0]))
+    return orient(_rewrite(lcm, f), _rewrite(lcm, g), order)
+
+
+def saturate_variable(generators, index: int, nvars: int):
+    """(I : x_index^inf) for a homogeneous ideal I: with the chosen variable
+    cheapest in grevlex, every element of a Groebner basis divided by its
+    largest x_index power (Bayer)."""
+    out = []
+    for g in buchberger(generators, TermOrder(cheapest=index)):
+        drop = min(m[index] for m in g)
+        out.append(tuple(m[:index] + (m[index] - drop,) + m[index + 1:]
+                         for m in g))
+    return out
+
+
+def saturated_toric_ideal(rows):
+    """I_A as a reduced grevlex basis: the lattice-basis binomials saturated
+    at x_1, ..., x_n in turn, one saturate_variable pass each whatever the
+    leads say, then interreduced."""
+    nvars = len(rows[0])
+    gens = [(tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u))
+            for u in kernel_basis(rows)]
+    for index in range(nvars):
+        gens = saturate_variable(gens, index, nvars)
+    return interreduce(gens, grevlex_key)
+
+
+def random_configuration(rng, codim: int):
+    """A random A: a row of ones over rows of entries 0..3, codimension at
+    least ``codim``."""
+    while True:
+        n = rng.randint(codim + 2, 7)
+        rows = [[1] * n] + [[rng.randint(0, 3) for _ in range(n)]
+                            for _ in range(rng.randint(1, n - codim - 1))]
+        if len(kernel_basis(rows)) >= codim:
+            return rows
+
+
+def massive_ngon(n):
+    """The support of U + F for the fully massive one-loop n-gon: every
+    monomial of degree 1 and of degree 2 in n variables."""
+    ones = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    twos = [tuple(map(sum, zip(u, v)))
+            for u, v in itertools.combinations_with_replacement(ones, 2)]
+    return sum((KPoly.monomial(n, e, coeff_const(1)) for e in ones + twos),
+               KPoly.zero(n))
 
 
 def rising(a: float, m: int) -> float:

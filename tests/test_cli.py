@@ -329,3 +329,19 @@ def test_spec_file_that_is_not_json_is_a_typed_error(tmp_path, capsys):
     assert code == cli.EXIT_ENGINE
     assert err.startswith("error: malformed spec: ")
     assert "Traceback" not in err + out
+
+
+@pytest.mark.parametrize("verb", ["gkz", "verify"])
+def test_dependent_rows_of_a_are_a_typed_error(tmp_path, capsys, verb):
+    """A homogeneous g has an A with dependent rows, so A.theta = kappa has
+    no solution for generic parameters: run stops before the toric ideal
+    with one error line (it used to end in an IndexError)."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "polynomial": [{"exponents": [2, 0]}, {"exponents": [1, 1]},
+                       {"exponents": [0, 2]}],
+        "deformation": "none", "alpha": [0.3, 0.4], "d": 2}))
+    code, out, err = _run(capsys, verb, "--spec", str(path))
+    assert code == cli.EXIT_ENGINE and out == ""
+    assert err == ("error: A has rank 2 < 3 rows, so A.theta = kappa has no "
+                   "generic solution\n")

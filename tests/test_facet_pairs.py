@@ -1,6 +1,7 @@
 """Top-dimensional standard pairs from the facets of the triangulation
 Delta_w, against the general standard-pair decomposition."""
 
+import hashlib
 import itertools
 import random
 import warnings
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from feyngkz import gkz, pipeline
 from feyngkz.fixtures import fixtures
 from feyngkz.gkz import (facet_pairs, fake_exponents, initial_ideal,
@@ -21,15 +23,6 @@ def _poly(exponents):
     nvars = len(exponents[0])
     return sum((KPoly.monomial(nvars, e, coeff_const(1)) for e in exponents),
                KPoly.zero(nvars))
-
-
-def _massive_ngon(n):
-    """The support of U + F for the fully massive one-loop n-gon: every
-    monomial of degree 1 and of degree 2 in n variables."""
-    ones = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    twos = [tuple(map(sum, zip(u, v)))
-            for u, v in itertools.combinations_with_replacement(ones, 2)]
-    return _poly(ones + twos)
 
 
 def _reference(amat, kappa, initial):
@@ -81,7 +74,7 @@ def test_fixture_exponents_match_the_reference_route():
     (None, 3)], ids=["1+z+z^3", "1+z1+z2+z1^2z2^3", "massive-triangle"])
 def test_exponents_match_the_reference_route_at_seeded_weights(exponents,
                                                                count):
-    poly = _massive_ngon(3) if exponents is None else _poly(exponents)
+    poly = helpers.massive_ngon(3) if exponents is None else _poly(exponents)
     amat, _ = toric_matrix(poly)
     kappa = standard_kappa(poly.nvars)
     basis = toric_ideal(amat)
@@ -111,10 +104,20 @@ def _det(rows):
 
 @pytest.fixture(scope="module", params=[3, 4], ids=["triangle", "box"])
 def massive_ngon(request):
-    """A, its toric ideal (computed once for both weights, ~2 s for the
-    box) and n for the fully massive one-loop triangle and box."""
-    amat, _ = toric_matrix(_massive_ngon(request.param))
+    """A, its toric ideal (computed once for both weights) and n for the
+    fully massive one-loop triangle and box."""
+    amat, _ = toric_matrix(helpers.massive_ngon(request.param))
     return amat, toric_ideal(amat), request.param
+
+
+def test_massive_toric_basis_is_pinned(massive_ngon):
+    """The reduced grevlex basis of I_A is unique: the massive triangle's
+    and box's are the 14 and 40 binomials that saturating the lattice-basis
+    ideal at every variable gave, pinned by a digest of their repr."""
+    _, basis, n = massive_ngon
+    size, digest = {3: (14, "69433dc4e57fc91e"), 4: (40, "e8643807ff77aa4e")}[n]
+    assert len(basis) == size
+    assert hashlib.sha256(repr(basis).encode()).hexdigest()[:16] == digest
 
 
 def test_each_facet_has_its_volume_in_roots(massive_ngon):

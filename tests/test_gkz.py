@@ -1,21 +1,23 @@
 """Configuration matrices, toric ideals, initial ideals, exponent vectors."""
 
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from feyngkz import gkz, pipeline
+import helpers
+from feyngkz import gkz, groebner, pipeline
 from feyngkz.errors import UnderdeterminedPair
 from feyngkz.fixtures import fixtures
 from feyngkz.gkz import (AMatrix, StandardPair, deform, fake_exponents,
                          initial_ideal, kernel_lattice, standard_kappa,
                          standard_pairs, toric_ideal, toric_matrix)
-from feyngkz.groebner import (grevlex_key, interreduce, mono_divides,
-                              normal_form, s_polynomial,
-                              saturate_all_variables)
+from feyngkz.groebner import buchberger, grevlex_key, mono_divides
 from feyngkz.intlinalg import integer_rank, kernel_basis
 from feyngkz.params import ParamLinear
+from helpers import normal_form, s_polynomial
 
 
 def _run(name):
@@ -270,15 +272,6 @@ def test_amatrix_rejects_ones_outside_row_span():
         AMatrix([[1, 1, 1], [0, 1]])
 
 
-def _saturated_toric_ideal(rows):
-    """I_A by the general route: the lattice-basis binomials saturated at
-    every variable, interreduced in grevlex."""
-    gens = [(tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u))
-            for u in kernel_basis(rows)]
-    return interreduce(saturate_all_variables(gens, len(rows[0])),
-                       grevlex_key)
-
-
 def test_rank_one_toric_ideal_is_the_saturated_ideal():
     """A rank-1 lattice's binomial equals the saturation of itself, on every
     rank-1 fixture and on random codimension-1 configurations."""
@@ -293,7 +286,60 @@ def test_rank_one_toric_ideal_is_the_saturated_ideal():
         if integer_rank(rows) == n - 1:
             rank_one.append(AMatrix(rows))
     for amat in rank_one:
-        assert toric_ideal(amat) == _saturated_toric_ideal(amat.rows), amat.rows
+        assert toric_ideal(amat) == helpers.saturated_toric_ideal(
+            amat.rows), amat.rows
+
+
+CUBIC = os.path.join(os.path.dirname(__file__), "cubic_spec.json")
+
+
+def _cubic_amatrix():
+    """A = [[1,1,1,1],[0,1,2,3]] of 1 + z + z^2 + z^3, from the spec that
+    CI also runs through ``feyngkz gkz``."""
+    with open(CUBIC) as handle:
+        spec = pipeline.ProblemSpec.from_dict(json.load(handle))
+    return toric_matrix(spec.polynomial())[0]
+
+
+def test_toric_ideal_equals_saturation_at_every_variable():
+    """Skipping the variables that divide no lead changes nothing: on all
+    fixtures, the massive triangle, the twisted cubic and seeded random
+    configurations of codimension >= 2."""
+    amats = [_run(name).amatrix for name in fixtures()]
+    amats += [toric_matrix(helpers.massive_ngon(3))[0], _cubic_amatrix()]
+    rng = random.Random(2201)
+    amats += [AMatrix(helpers.random_configuration(rng, 2))
+              for _ in range(100)]
+    # codim >= 2: triangle-3scale, the massive triangle, the cubic, 100 random
+    assert sum(amat.codim() >= 2 for amat in amats) == 3 + 100
+    for amat in amats:
+        assert toric_ideal(amat) == helpers.saturated_toric_ideal(amat.rows), \
+            amat.rows
+
+
+def test_twisted_cubic_lattice_ideal_is_not_saturated():
+    """For 1 + z + z^2 + z^3 the lattice-basis binomials miss x1x4 - x2x3,
+    so the toric ideal passes its test only by saturating."""
+    amat = _cubic_amatrix()
+    assert amat.rows == [[1, 1, 1, 1], [0, 1, 2, 3]]
+    basis = toric_ideal(amat)
+    assert ((0, 1, 1, 0), (1, 0, 0, 1)) in basis
+    gens = [(tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u))
+            for u in amat.kernel]
+    assert buchberger(gens, grevlex_key) != basis
+
+
+def test_triangle_3scale_needs_at_most_three_buchberger_passes(monkeypatch):
+    """Its lattice-basis ideal is already I_A; the grevlex pass and two more
+    leave no variable that divides a lead (six passes without the test)."""
+    calls = []
+    run = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda *args: calls.append(1) or run(*args))
+    amat = _run("triangle-3scale").amatrix
+    calls.clear()
+    toric_ideal(amat)
+    assert len(calls) <= 3
 
 
 def test_amatrix_rank_and_ones_check_agree_with_integer_rank():

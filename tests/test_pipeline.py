@@ -10,7 +10,7 @@ from feyngkz.constants import SolutionBundle
 from feyngkz.errors import DimensionMismatch, NonFiniteValue
 from feyngkz.fixtures import fixtures
 from feyngkz.gkz import toric_ideal
-from feyngkz.groebner import buchberger, weighted_key
+from feyngkz.groebner import TermOrder, buchberger
 
 
 def test_sunset_interior_verify():
@@ -45,7 +45,7 @@ def test_triangle_interior_verify_appell_f4():
     assert report.oracle.target_met
     assert report.oracle.dims == 2
     assert report.relative_deviation <= 1e-8
-    basis = buchberger(toric_ideal(report.amatrix), weighted_key(spec.weight))
+    basis = buchberger(toric_ideal(report.amatrix), TermOrder(weight=spec.weight))
     assert any(sum(w * (a - b) for w, a, b in zip(spec.weight, lead, trail)) == 0
                for lead, trail in basis)
 
