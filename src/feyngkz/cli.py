@@ -20,16 +20,14 @@ import sys
 from . import graphs, pipeline
 from .fixtures import fixtures as load_fixtures
 from .errors import (DimensionMismatch, DivergentArgument, FeynGKZError,
-                     NonConvergent, UnderdeterminedPair)
+                     NonConvergent)
 
 EXIT_USAGE = 2
-EXIT_UNDERDETERMINED = 4
 EXIT_NONCONVERGENT = 5
 EXIT_DIVERGENT = 6
 EXIT_VERIFY_FAILED = 7
 EXIT_ENGINE = 1
-_EXIT_CODES = [(UnderdeterminedPair, EXIT_UNDERDETERMINED),
-               (NonConvergent, EXIT_NONCONVERGENT),
+_EXIT_CODES = [(NonConvergent, EXIT_NONCONVERGENT),
                (DivergentArgument, EXIT_DIVERGENT), (FeynGKZError, EXIT_ENGINE)]
 
 

@@ -5,16 +5,16 @@ component of its exponent vector.  The constants are never fitted to the
 quadrature oracle: pipelines cross-check the weighted sum of series against
 that oracle, and a fitted constant could not be checked against it.
 
-A bundle is evaluated as one sum, at one coefficient point (``evaluate``)
-or at many (``evaluate_points``, as in the deformation-limit probe): the
-constants are evaluated once per call, and ``series.SeriesSum`` stacks all
-the series' terms, so one factor table per call serves every series.
+A bundle (``series.SolutionBundle``, re-exported here) is evaluated as one
+sum, at one coefficient point (``evaluate``) or at many
+(``evaluate_points``, as in the deformation-limit probe): the constants are
+evaluated once per call, and all the series' terms are stacked, so one
+factor table per call serves every series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Mapping, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import NoZeroComponent
 from .gammafn import GammaFactor
 from .gkz import FakeExponent
 from .params import ParamLinear
-from .series import CanonicalSeries, SeriesSum
+from .series import SolutionBundle
 
 
 def gamma_constant(gamma: FakeExponent) -> GammaFactor:
@@ -36,33 +36,6 @@ def gamma_constant(gamma: FakeExponent) -> GammaFactor:
     numerator = [-g for g in gamma.components if not g.is_zero()]
     return GammaFactor(numerator=numerator,
                        denominator=[ParamLinear.param("beta")])
-
-
-@dataclass
-class SolutionBundle:
-    """A basis of canonical series with their integration constants."""
-
-    series: List[CanonicalSeries]
-    constants: List[GammaFactor]                  # symbolic prescription
-
-    def constant_values(self, assignment: Mapping[str, float]) -> List[float]:
-        return [k.evaluate(assignment) for k in self.constants]
-
-    @cached_property
-    def _sum(self) -> SeriesSum:
-        return SeriesSum(self.series)
-
-    def evaluate(self, assignment: Mapping[str, float],
-                 coeffs: Sequence[float], order: int = 40) -> float:
-        return float(self.evaluate_points(assignment, [coeffs], order)[0])
-
-    def evaluate_points(self, assignment: Mapping[str, float],
-                        points: Sequence[Sequence[float]],
-                        order: int = 40) -> np.ndarray:
-        """Sum K_i phi_i at every coefficient point: the constants first,
-        then every series' terms in one ``SeriesSum`` call."""
-        return self._sum.evaluate_points(
-            assignment, points, order, self.constant_values(assignment))[0]
 
 
 @dataclass

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DeformationFailed, InconsistentPair, UnderdeterminedPair
+# perfbench's tracer wraps gkz.interreduce and gkz.integer_rank, so they stay
+# imported here
 from .groebner import (Binomial, TermOrder, buchberger, grevlex_key,
                        interreduce, mono_divides, orient,
                        saturate_all_variables)
-# perfbench's tracer wraps gkz.integer_rank, so it stays imported here
 from .intlinalg import eliminate, integer_rank, kernel_basis
 from .kpoly import KPoly, coeff_const
 from .params import ParamLinear
@@ -124,7 +125,7 @@ def toric_ideal(amat: AMatrix) -> List[Binomial]:
             for u in amat.kernel]
     if len(gens) <= 1:
         return [orient(plus, minus, grevlex_key) for plus, minus in gens]
-    return interreduce(saturate_all_variables(gens, amat.ncols), grevlex_key)
+    return saturate_all_variables(gens, amat.ncols)
 
 
 def binomial_exponents(basis: Sequence[Binomial]) -> List[Tuple[Mono, Mono]]:

@@ -174,7 +174,8 @@ def saturate_all_variables(generators: Sequence[Binomial],
     first.  A variable that divides no lead of a pass's basis is a
     non-zero-divisor on in(I), so on I, and stays one, as (I : x_i^inf) :
     x_k^inf = I : (x_i x_k)^inf: it needs no pass.  If no later pass divides
-    anything, the grevlex pass's basis is the answer, else one more run."""
+    anything, the grevlex pass's basis, reduced, is the answer, else one
+    more run."""
     gens, done, first, changed = list(generators), set(), None, False
     for index in [nvars - 1, *range(nvars - 1)]:
         if index in done:
@@ -188,4 +189,6 @@ def saturate_all_variables(generators: Sequence[Binomial],
         changed = changed or gens is not first and any(drops)
         leads = zip(*[lead for lead, _ in gens])
         done.update(i for i, powers in enumerate(leads) if not any(powers))
-    return buchberger(gens, grevlex_key) if changed else first
+    if changed:
+        return buchberger(gens, grevlex_key)
+    return interreduce(first, grevlex_key)

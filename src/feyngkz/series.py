@@ -12,6 +12,9 @@ factorials hit nonpositive integers.  A series is named (pFq, Appell F4 or
 raw) from the shapes of its lattice, which ``LatticeShapes`` searches once
 for every series on that lattice; each exponent picks its shape by which of
 its components are zero.
+
+``SolutionBundle`` is the one evaluator of sum_i K_i phi_i; a single series
+is evaluated as a bundle of one, with K = 1.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DivergentArgument,
                      NonPositiveCoefficient, PoleError)
-from .gammafn import _INT_TOL
+from .gammafn import _INT_TOL, GammaFactor
 from .gkz import FakeExponent
 from .params import FloatMap, ParamLinear
 from .pochhammer import PochhammerProduct
@@ -241,8 +244,8 @@ class CanonicalSeries:
     # -- numeric evaluation ------------------------------------------------
 
     @cached_property
-    def _sum(self) -> "SeriesSum":
-        return SeriesSum([self])
+    def _bundle(self) -> "SolutionBundle":
+        return SolutionBundle([self], [GammaFactor()])
 
     def evaluate(self, assignment: Mapping[str, float],
                  coeffs: Sequence[float], order: int) -> Tuple[float, float]:
@@ -254,60 +257,88 @@ class CanonicalSeries:
     def evaluate_points(self, assignment: Mapping[str, float],
                         points: Sequence[Sequence[float]],
                         order: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(values, tail_estimates), one per point: ``SeriesSum`` of this
-        series alone, with constant 1."""
-        return self._sum.evaluate_points(assignment, points, order, [1.0])
+        """(values, tail_estimates), one per point: this series as a bundle
+        of one, whose constant is the empty Gamma product 1."""
+        return self._bundle._sum(assignment, points, order)
 
 
-class SeriesSum:
-    """sum_i K_i phi_i over series with one number of coefficients, summed as
-    one set of terms.  The plan per order, built on first use, holds each
-    series' terms after its own floor prune, in turn, with their series and
+@dataclass
+class SolutionBundle:
+    """A basis of canonical series with their integration constants, summed
+    as sum_i K_i phi_i over one set of terms.  The plan per order and floor,
+    built on first use like the gammas' floats and the region bases, holds
+    each series' terms u >= its floor row, in turn, with their series and
     their factors' flat indices into one table stacking every series' rows."""
 
-    def __init__(self, series: Sequence[CanonicalSeries]):
-        self.series = list(series)
-        self.nvars = self.series[0].nvars
-        self._gamma_map = FloatMap([g for phi in self.series
-                                    for g in phi.gamma.components])
-        # [g]_{-x} vanishes past x = -g for each constant integer g >= 0
-        self._floor = np.array(
-            [-c if not pairs and c >= 0 and c == int(c) else -np.inf
-             for c, pairs in self._gamma_map.rows]).reshape(len(series), -1)
-        self._regions = {(tuple(phi.lattice), phi.form.kind):
-                         phi._basis().astype(float) for phi in self.series}
-        self._plans = {}              # order -> terms, see ``_terms``
+    series: List[CanonicalSeries]
+    constants: List[GammaFactor]                  # symbolic prescription
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)           # (order, floor) -> terms
 
-    def _terms(self, order: int):
-        """The plan at this order, from one box per distinct lattice."""
-        if order not in self._plans:
-            boxes = {tuple(phi.lattice): phi for phi in self.series}
-            for key, phi in boxes.items():
-                indices, points = phi._box(order)
-                shell = np.abs(indices).max(axis=1, initial=0) == order
-                boxes[key] = points, shell
-            self._plans[order] = _gather(
-                [boxes[tuple(phi.lattice)] for phi in self.series], self._floor)
-        return self._plans[order]
+    def constant_values(self, assignment: Mapping[str, float]) -> List[float]:
+        return [k.evaluate(assignment) for k in self.constants]
+
+    def evaluate(self, assignment: Mapping[str, float],
+                 coeffs: Sequence[float], order: int = 40) -> float:
+        return float(self.evaluate_points(assignment, [coeffs], order)[0])
 
     def evaluate_points(self, assignment: Mapping[str, float],
-                        points: Sequence[Sequence[float]], order: int,
-                        constants: Sequence[float]
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """(values, tail_estimates) of sum_i K_i phi_i, K = constants, one per
-        point of positive coefficients; raises DimensionMismatch unless each
-        point has one coefficient per component, NonPositiveCoefficient for
-        a coefficient <= 0 or not finite, DivergentArgument if any point lies
-        outside some series' region, then UnassignedParameter and PoleError.
-        One factor table per call serves every term, one exp per term."""
+                        points: Sequence[Sequence[float]],
+                        order: int = 40) -> np.ndarray:
+        """Sum K_i phi_i at every coefficient point: the constants first,
+        then every series' terms in one sum."""
+        return self._sum(assignment, points, order)[0]
+
+    @cached_property
+    def _gamma_map(self) -> FloatMap:
+        return FloatMap([g for phi in self.series for g in phi.gamma.components])
+
+    @cached_property
+    def _regions(self) -> dict:
+        return {(tuple(phi.lattice), phi.form.kind): phi._basis().astype(float)
+                for phi in self.series}
+
+    def _terms(self, order: int, floor: np.ndarray):
+        """The plan at this order and floor, from one box per distinct
+        lattice."""
+        key = order, floor.tobytes()
+        if (plan := self._plans.get(key)) is None:
+            boxes = {tuple(phi.lattice): phi for phi in self.series}
+            for lattice, phi in boxes.items():
+                indices, points = phi._box(order)
+                shell = np.abs(indices).max(axis=1, initial=0) == order
+                boxes[lattice] = points, shell
+            plan = self._plans[key] = _gather(
+                [boxes[tuple(phi.lattice)] for phi in self.series], floor)
+        return plan
+
+    def _sum(self, assignment: Mapping[str, float],
+             points: Sequence[Sequence[float]],
+             order: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(values, tail_estimates) of sum_i K_i phi_i, one per point of
+        positive coefficients.  After the constants' own errors it raises
+        DimensionMismatch unless each point has one coefficient per
+        component, NonPositiveCoefficient for a coefficient <= 0 or not
+        finite, UnassignedParameter, DivergentArgument if any point lies
+        outside some series' region, then PoleError.  One factor table per
+        call serves every term, one exp per term."""
+        constants = self.constant_values(assignment)
+        nvars = self.series[0].nvars
         points = np.array(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.nvars:
-            raise DimensionMismatch(f"need points of {self.nvars} "
+        if points.ndim != 2 or points.shape[1] != nvars:
+            raise DimensionMismatch(f"need points of {nvars} "
                                     f"coefficients, got shape {points.shape}")
         if not 0 < points.min(initial=1) <= points.max(initial=1) < np.inf:
             raise NonPositiveCoefficient("coefficients must be positive and "
                                          f"finite, got {points.tolist()}")
-        shifts, shell, owner, lo, hi, flat = self._terms(order)
+        gamma = np.array(self._gamma_map(assignment)).reshape(
+            len(self.series), -1)
+        rounded = np.rint(gamma)
+        integer = np.abs(gamma - rounded) < _INT_TOL
+        # the falling factorial [g]_{-x} passes through 0 once x < -g; the
+        # floor is 0 - g, not -g, so that g = -0.0 keys no second plan
+        floor = np.where(integer & (rounded >= 0), 0.0 - rounded, -np.inf)
+        shifts, shell, owner, lo, hi, flat = self._terms(order, floor)
         log_points = np.log(points)
         for (_, kind), basis in self._regions.items():
             # |x| < 1 in rank 1, sqrt|x| + sqrt|y| < 1 for Appell F4
@@ -316,17 +347,9 @@ class SeriesSum:
                 raise DivergentArgument(f"|argument| = {worst:.4g} >= 1")
             if kind == "AppellF4" and np.any(np.sqrt(args).sum(axis=1) >= 1):
                 raise DivergentArgument("sqrt|x| + sqrt|y| >= 1")
-        gamma = np.array(self._gamma_map(assignment)).reshape(self._floor.shape)
-        rounded = np.rint(gamma)
-        integer = np.abs(gamma - rounded) < _INT_TOL
-        if (integer & (self._floor == -np.inf)).any():   # not in the plan
-            # the falling factorial [g]_{-x} passes through 0 once x < -g
-            floor = np.where(integer & (rounded >= 0), -rounded, -np.inf)
-            cuts = np.cumsum(np.bincount(owner, minlength=len(floor)))[:-1]
-            shifts, shell, owner, lo, hi, flat = _gather(
-                zip(np.split(shifts, cuts), np.split(shell, cuts)), floor)
+        if (negative := integer & (rounded < 0)).any():
             # the rising factorial (g+1)_x passes through 0 once x >= -g
-            pole = np.where(integer & (rounded < 0), -rounded, np.inf)
+            pole = np.where(negative, -rounded, np.inf)
             if (hit := (shifts >= pole[owner]).any(axis=1)).any():
                 raise PoleError("vanishing denominator factor in "
                                 f"{self.series[owner[hit][0]].gamma}")

@@ -14,7 +14,7 @@ from feyngkz.errors import (DimensionMismatch, DivergentArgument,
                             FeynGKZError, NonPositiveCoefficient,
                             NoZeroComponent, PoleError, UnassignedParameter)
 from feyngkz.fixtures import fixtures
-from feyngkz.gammafn import GammaFactor
+from feyngkz.gammafn import GammaFactor, log_gamma_signed
 from feyngkz.params import ParamLinear
 
 
@@ -36,6 +36,21 @@ def test_gamma_constant_rejects_nowhere_zero():
                           ParamLinear.param("beta")), pair)
     with pytest.raises(NoZeroComponent):
         gamma_constant(gamma)
+
+
+def test_log_gamma_signed_raises_at_a_pole():
+    with pytest.raises(PoleError, match="Gamma pole at -2"):
+        log_gamma_signed(-2.0)
+
+
+def test_gamma_factor_vanishes_where_a_denominator_has_a_pole():
+    x, y = ParamLinear.param("x"), ParamLinear.param("y")
+    factor = GammaFactor(numerator=[x], denominator=[y])
+    for pole in (0.0, -1.0):
+        assert factor.evaluate({"x": 0.5, "y": pole}) == 0.0
+    assert factor.evaluate({"x": 0.5, "y": 1.0}) == pytest.approx(
+        math.sqrt(math.pi), rel=1e-15)
+    assert GammaFactor().evaluate({}) == 1.0    # the empty product, exactly
 
 
 def test_unassigned_gamma_parameter_raises_typed_error():
@@ -181,6 +196,15 @@ def test_bundle_prunes_and_raises_poles_like_its_series():
         assert isinstance(_same_outcome(bundle, pole, points, order),
                           PoleError)
         assert _same_outcome(bundle, generic, points, order) is None
+
+
+def test_bundle_evaluates_its_constants_before_checking_the_points():
+    spec = fixtures()["2f1-double"]
+    series = pipeline.run(spec).series
+    pole = GammaFactor(numerator=[ParamLinear.const(-1)])
+    bundle = SolutionBundle(series, [pole] * len(series))
+    with pytest.raises(PoleError, match="Gamma pole at -1"):
+        bundle.evaluate_points(spec.assignment(), [[1.0, 0.0, 1.0, 2.0]], 10)
 
 
 def test_bundle_raises_like_its_series():

@@ -50,6 +50,14 @@ def test_triangle_interior_verify_appell_f4():
                for lead, trail in basis)
 
 
+def test_deformed_spec_without_a_weight_gets_the_first_unit_vector():
+    spec = fixtures()["massless-bubble"]
+    spec.weight = None
+    report = pipeline.run(spec)
+    assert report.deformation.applied
+    assert report.weight == (1, 0, 0, 0)
+
+
 def test_missing_coefficients_is_typed():
     spec = fixtures()["2f1-single"]
     report = pipeline.run(spec)

@@ -11,7 +11,8 @@ import helpers
 from feyngkz import gammafn, pipeline, pochhammer, series as series_module
 from feyngkz.constants import SolutionBundle
 from feyngkz.errors import (DimensionMismatch, DivergentArgument,
-                            NonPositiveCoefficient, PoleError)
+                            NonPositiveCoefficient, PoleError,
+                            UnassignedParameter)
 from feyngkz.fixtures import fixtures
 from feyngkz.gammafn import GammaFactor
 from feyngkz.gkz import FakeExponent, StandardPair
@@ -137,6 +138,18 @@ def test_divergent_argument_raises():
                                          rep.polynomial)
     with pytest.raises(DivergentArgument):
         rep.series[0].evaluate(spec.assignment(), coeffs, 10)
+
+
+def test_a_missing_parameter_is_reported_before_a_divergent_point():
+    """gamma is read before the region check, so a call with both faults
+    raises UnassignedParameter."""
+    spec = fixtures()["one-mass-bubble"]
+    rep = pipeline.run(spec)      # default orientation: argument 3/2 > 1
+    coeffs = pipeline.coefficient_values(spec, rep.column_exponents,
+                                         rep.polynomial)
+    lacking = {k: v for k, v in spec.assignment().items() if k != "a1"}
+    with pytest.raises(UnassignedParameter, match="'a1'"):
+        rep.series[0].evaluate(lacking, coeffs, 10)
 
 
 def test_flipped_weight_inverts_argument():
@@ -397,9 +410,10 @@ def test_non_finite_coefficient_raises_typed_error():
 
 def test_plan_keeps_no_per_call_state(monkeypatch):
     """A parameter-dependent gamma component at a non-negative integer
-    prunes the plan's terms for that call only: later calls at a generic
-    assignment and at a second order match a freshly built series, and the
-    same holds for a bundle's joint plan."""
+    prunes the terms of a plan kept for that order and floor only: later
+    calls at a generic assignment and at a second order match a freshly
+    built series, a call that repeats an order and floor gathers nothing,
+    and the same holds for a bundle's joint plan."""
     spec = fixtures()["2f1-double"]
     rep = pipeline.run(spec)
     series = rep.series[0]
@@ -415,10 +429,11 @@ def test_plan_keeps_no_per_call_state(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(series_module, "_gather", counted)
-    steps = [(integer, spec.order, 2),         # the plan, then the prune
-             (generic, spec.order, 0),         # the plan as it was built
+    steps = [(integer, spec.order, 1),         # the pruned plan
+             (generic, spec.order, 1),         # a plan for the new floor
              (generic, 2 * spec.order, 1),     # a plan for the new order
-             (integer, 2 * spec.order, 1)]     # its prune
+             (integer, 2 * spec.order, 1),     # its pruned plan
+             (integer, spec.order, 0)]         # the first plan, kept
     for assignment, order, count in steps:
         gathers.clear()
         value, tail = series.evaluate(assignment, coeffs, order)
@@ -442,6 +457,22 @@ def test_plan_keeps_no_per_call_state(monkeypatch):
             fresh.evaluate(assignment, coeffs, order), rel=1e-14)
         assert total == pytest.approx(helpers.bundle_reference(
             bundle, assignment, [coeffs], order)[0], rel=1e-13)
+
+
+def test_a_zero_gamma_of_either_sign_shares_one_plan(monkeypatch):
+    """gamma_1 = -beta + a1 at +-1e-12 rounds to 0.0 or -0.0: one floor."""
+    spec = fixtures()["2f1-double"]
+    series = pipeline.run(spec).series[0]
+    generic = spec.assignment()
+    gathers = []
+    real = series_module._gather
+    monkeypatch.setattr(series_module, "_gather",
+                        lambda *args: gathers.append(args) or real(*args))
+    values = [series.evaluate(dict(generic, a1=generic["beta"] + offset),
+                              [1.0, 1.0, 1.0, 2.0], spec.order)
+              for offset in (1e-12, -1e-12)]
+    assert len(gathers) == 1
+    assert values[0] == pytest.approx(values[1], rel=1e-9)
 
 
 def test_plan_is_built_once_per_order_and_never_by_run(monkeypatch):
