@@ -138,10 +138,12 @@ def binomial_exponents(basis: Sequence[Binomial]) -> List[Tuple[Mono, Mono]]:
 
 def initial_ideal(generators: Sequence[Binomial],
                   weight: Sequence[int]) -> List[Mono]:
-    """Minimal generators of in_w(I) for the weight refined by grevlex: where
-    w ties the two monomials of a basis element, grevlex picks the lead."""
+    """Minimal generators of in_w(I), in grevlex order, for the weight
+    refined by grevlex: where w ties the two monomials of a basis element,
+    grevlex picks the lead.  The leads of a reduced basis are distinct and
+    none divides another, so they are the minimal generators."""
     basis = buchberger(generators, TermOrder(weight))
-    return minimal_monomial_generators([lead for lead, _ in basis])
+    return sorted((lead for lead, _ in basis), key=grevlex_key)
 
 
 def minimal_monomial_generators(monos: Sequence[Mono]) -> List[Mono]:

@@ -86,6 +86,9 @@ class ProblemSpec:
                 if list(spec.weight) != list(data["weight"]):
                     raise DimensionMismatch(f"weight {data['weight']} is not integral")
             spec.deformation = data.get("deformation", "auto")
+            if spec.deformation not in ("auto", "none"):
+                raise DimensionMismatch(f"deformation {spec.deformation!r} "
+                                        "is not 'auto' or 'none'")
             if "alpha" in data:
                 spec.alpha = [float(a) for a in data["alpha"]]
             if "d" in data:
@@ -237,7 +240,8 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
         kappa = gkz.standard_kappa(poly.nvars)
 
     codim = amat.codim()
-    weight = spec.weight or default_weight(amat.ncols, deformation.applied)
+    weight = (default_weight(amat.ncols, deformation.applied)
+              if spec.weight is None else spec.weight)
     if len(weight) != amat.ncols:
         raise DimensionMismatch(f"weight {list(weight)} needs one entry per column of A")
     if amat.rank < amat.nrows:

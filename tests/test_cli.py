@@ -181,6 +181,29 @@ def test_non_integral_spec_weight_is_rejected(tmp_path, capsys):
     assert "Traceback" not in err + out
 
 
+def test_empty_spec_weight_is_rejected(tmp_path, capsys):
+    """An explicit empty weight is an error, not a request for the default."""
+    spec = fixtures()["2f1-double"].to_dict()
+    spec["weight"] = []
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(capsys, "gkz", "--spec", str(path))
+    assert code == cli.EXIT_ENGINE and out == ""
+    assert err == "error: weight [] needs one entry per column of A\n"
+
+
+@pytest.mark.parametrize("deformation", ["off", "Auto"])
+def test_unknown_deformation_is_a_typed_error(tmp_path, capsys, deformation):
+    spec = fixtures()["massless-bubble"].to_dict()
+    spec["deformation"] = deformation
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(capsys, "verify", "--spec", str(path))
+    assert code == cli.EXIT_ENGINE and out == ""
+    assert err == (f"error: deformation {deformation!r} is not 'auto' or "
+                   "'none'\n")
+
+
 def test_spec_without_input_is_a_typed_error(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"name": "x"}))
@@ -357,6 +380,22 @@ def test_fixture_dump_loads_back_as_spec(tmp_path, capsys):
     code, from_file, _ = _run(capsys, "gkz", "--spec", str(path), "--json")
     assert code == 0
     assert json.loads(from_file) == json.loads(from_fixture)
+
+
+@pytest.mark.parametrize("name", list(fixtures()))
+def test_every_fixture_dump_round_trips_through_the_cli(tmp_path, capsys,
+                                                        name):
+    """A fixture printed by ``fixtures --json`` and read back by --spec
+    gives gkz and series exactly the output of --fixture."""
+    code, out, _ = _run(capsys, "fixtures", "--name", name, "--json")
+    assert code == 0
+    path = tmp_path / f"{name}.json"
+    path.write_text(out)
+    for verb in ("gkz", "series"):
+        from_fixture = _run(capsys, verb, "--fixture", name, "--json")
+        assert from_fixture[0] == 0, (verb, from_fixture[2])
+        assert _run(capsys, verb, "--spec", str(path), "--json") \
+            == from_fixture, verb
 
 
 def test_missing_spec_file_is_a_usage_error(tmp_path, capsys):

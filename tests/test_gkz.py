@@ -14,7 +14,8 @@ from feyngkz.fixtures import fixtures
 from feyngkz.gkz import (AMatrix, StandardPair, deform, fake_exponents,
                          initial_ideal, kernel_lattice, standard_kappa,
                          standard_pairs, toric_ideal, toric_matrix)
-from feyngkz.groebner import buchberger, grevlex_key, mono_divides
+from feyngkz.groebner import (TermOrder, buchberger, grevlex_key,
+                              mono_divides)
 from feyngkz.intlinalg import integer_rank, kernel_basis
 from feyngkz.params import ParamLinear
 from helpers import normal_form, s_polynomial
@@ -208,6 +209,25 @@ def test_initial_ideal_generic_weight():
     amat, _ = toric_matrix(spec.polynomial())
     gens = toric_ideal(amat)
     assert initial_ideal(gens, (0, 1, 1, 1)) == [(0, 1, 1, 0)]
+
+
+def test_initial_ideal_is_the_minimal_leads_of_the_reduced_basis():
+    """in_w(I) is read straight off the reduced basis: its leads, sorted,
+    are the minimal generators, on every fixture at its own weight and at
+    random weights, and on seeded random configurations."""
+    rng = random.Random(2403)
+    cases = [(report.amatrix, [report.weight])
+             for report in map(_run, fixtures())]
+    cases += [(AMatrix(helpers.random_configuration(rng, rng.randint(1, 2))),
+               []) for _ in range(30)]
+    for amat, weights in cases:
+        toric = toric_ideal(amat)
+        weights += [tuple(rng.randint(0, 4) for _ in range(amat.ncols))
+                    for _ in range(5)]
+        for weight in weights:
+            leads = [lead for lead, _ in buchberger(toric, TermOrder(weight))]
+            assert initial_ideal(toric, weight) == \
+                gkz.minimal_monomial_generators(leads), (amat.rows, weight)
 
 
 def test_root_counts_match_degree():
