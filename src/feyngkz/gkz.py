@@ -5,10 +5,10 @@ codimension, deformation of codimension-zero inputs, the integer kernel
 lattice of A, the toric ideal I_A (a rank-1 lattice's binomial, else the
 basis binomials saturated where they need it), its w-initial monomial ideal,
 the top-dimensional standard pairs of that ideal, one set of roots on each
-facet of the regular triangulation Delta_w, and the exponent vectors:
-A.theta = kappa solved exactly by fraction-free integer elimination on each
-facet.  ``standard_pairs`` is the general decomposition of any monomial
-ideal, kept as the reference the facet walk is tested against.
+facet of the regular triangulation Delta_w, and the exponent vectors,
+A.theta = kappa solved exactly on one integer tableau, facet to facet by
+basis exchange.  ``standard_pairs``, the general decomposition of any
+monomial ideal, is the reference the facet walk is tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DeformationFailed, InconsistentPair, UnderdeterminedPair
+from .errors import DeformationFailed, UnderdeterminedPair
 # perfbench's tracer wraps gkz.interreduce and gkz.integer_rank, so they stay
 # imported here
 from .groebner import (Binomial, TermOrder, buchberger, grevlex_key,
@@ -41,8 +41,7 @@ class AMatrix:
     rows: List[List[int]]
 
     def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) != 1:
+        if len({len(r) for r in self.rows}) != 1:
             raise ValueError("ragged A matrix")
         # one lattice reduction per A: the rank, the lattice and I_A read it
         self.kernel = kernel_basis(self.rows)
@@ -68,10 +67,8 @@ def toric_matrix(g: KPoly) -> Tuple[AMatrix, List[Mono]]:
     """A matrix of the support of g: first row all ones, then one row per
     integration variable.  Column order follows g's canonical term order."""
     expos = g.ordered_exponents()
-    rows = [[1] * len(expos)]
-    for i in range(g.nvars):
-        rows.append([e[i] for e in expos])
-    return AMatrix(rows), expos
+    rows = [[e[i] for e in expos] for i in range(g.nvars)]
+    return AMatrix([[1] * len(expos)] + rows), expos
 
 
 # -- deformation -----------------------------------------------------------
@@ -100,8 +97,7 @@ def deform(g: KPoly) -> Tuple[KPoly, Deformation]:
     if amat.codim() > 0:
         return g, Deformation(False, toric=(amat, columns))
     if _cantaloupe_shape(g) and g.nvars >= 3:
-        loops = g.nvars - 1
-        expo = tuple(1 if i < loops - 1 else 0 for i in range(g.nvars))
+        expo = tuple(int(i < g.nvars - 2) for i in range(g.nvars))
     else:
         expo = (0,) * g.nvars
     if expo in g.terms:
@@ -129,8 +125,7 @@ def toric_ideal(amat: AMatrix) -> List[Binomial]:
 
 
 def binomial_exponents(basis: Sequence[Binomial]) -> List[Tuple[Mono, Mono]]:
-    """(u_plus, u_minus) pairs of a reduced basis: x^lead - x^trail is
-    already written plus first."""
+    """(u_plus, u_minus) pairs of a reduced basis, written plus first."""
     return list(basis)
 
 
@@ -164,7 +159,6 @@ class StandardPair:
     face: Tuple[int, ...]
 
     def __str__(self) -> str:
-        nvars = len(self.root)
         mono = "*".join(f"d{i + 1}" + (f"^{e}" if e > 1 else "")
                         for i, e in enumerate(self.root) if e) or "1"
         face = "{" + ",".join(str(i + 1) for i in self.face) + "}"
@@ -244,72 +238,54 @@ class FakeExponent:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
-def _solve_face(rows: List[List[int]], nface: int) -> List[Tuple[int, int]]:
-    """Fraction-free Gauss-Jordan elimination on the integer rows
-    [A_face | rhs], in place, one intlinalg.eliminate step per pivot.
-    Returns the (row, face column) pivots; each face unknown is
-    row[nface:] / row[col] of its pivot row.
-
-    Raises InconsistentPair if a row without a pivot keeps a non-zero rhs
-    and UnderdeterminedPair if some face column has no pivot.
-    """
-    pivots: List[Tuple[int, int]] = []
-    for col in range(nface):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        eliminate(rows, r, col)
-        pivots.append((r, col))
-    if any(any(row[nface:]) for row in rows[len(pivots):]):
-        raise InconsistentPair("no solution for generic parameters")
-    if len(pivots) < nface:
-        raise UnderdeterminedPair("solution space is positive-dimensional")
-    return pivots
-
-
 def fake_exponents(amat: AMatrix, kappa: Sequence[ParamLinear],
                    pairs: Sequence[StandardPair]) -> List[FakeExponent]:
     """Exponent vectors: theta_j pinned to the pair root off the face, the
     face components solved from A.theta = kappa.
 
-    kappa is scaled once to an integer matrix (one column per parameter and
-    a constant column, common denominator den), so each pair costs one
-    integer elimination; each solved component is its pivot row's integer
-    numerators over the denominator pivot * den.  Pairs
-    whose linear system is inconsistent are dropped with a warning; an
-    underdetermined system aborts (the weight was too degenerate).
-    """
+    One integer tableau [A | kappa's parameter columns | kappa's constant]
+    (kappa over its common denominator den) serves all pairs, facet to facet
+    by basis exchange: a face column not yet basic is pivoted in, one
+    intlinalg.eliminate step, in a row whose basic column is off the face; a
+    face component is its basic row, less the root's part, over pivot * den.
+    A pair whose off-face rows fail at the root is dropped with a warning;
+    a face column left nonbasic aborts (the weight was too degenerate)."""
     if len(kappa) != amat.nrows:
         raise ValueError("kappa length must match the number of A rows")
     names = list(dict.fromkeys(n for k in kappa for n in k.nums))
     den = math.lcm(*(k.den for k in kappa))
-    kmat = [[k.nums.get(n, 0) * (den // k.den) for n in names] for k in kappa]
-    k0 = [k.num0 * (den // k.den) for k in kappa]
-    out = []
+    n = amat.ncols
+    tab = [row + [k.nums.get(name, 0) * (den // k.den) for name in names]
+           + [k.num0 * (den // k.den)] for row, k in zip(amat.rows, kappa)]
+    out, basic = [], [None] * len(tab)      # basic: each row's basic column
     for pair in pairs:
         face = pair.face
-        off = [(j, pair.root[j] * den) for j in range(amat.ncols)
-               if j not in face and pair.root[j]]
-        rows = [[row[j] for j in face] + kparams
-                + [k - sum(row[j] * r for j, r in off)]
-                for row, kparams, k in zip(amat.rows, kmat, k0)]
-        try:
-            pivots = _solve_face(rows, len(face))
-        except InconsistentPair:
-            warnings.warn(f"discarding inconsistent standard pair {pair}")
-            continue
+        for col in face:    # a basic col is 0 in every other row
+            row = next((i for i, b in enumerate(basic)
+                        if b not in face and tab[i][col]), None)
+            if row is not None:
+                eliminate(tab, row, col)
+                basic[row] = col
+        off = [(j, r * den) for j, r in enumerate(pair.root)
+               if r and j not in face]
         components = [ParamLinear.const(r) for r in pair.root]
-        for r, col in pivots:
-            row = rows[r]
-            components[face[col]] = ParamLinear.from_integers(
-                dict(zip(names, row[len(face):-1])), row[-1], row[col] * den)
-        out.append(FakeExponent(tuple(components), pair))
+        for row, col in zip(tab, basic):
+            k0 = row[-1] - sum(row[j] * r for j, r in off) if off else row[-1]
+            if col in face:
+                components[col] = ParamLinear.from_integers(
+                    dict(zip(names, row[n:-1])), k0, row[col] * den)
+            elif k0 or any(row[n:-1]):
+                warnings.warn(f"discarding inconsistent standard pair {pair}")
+                break
+        else:
+            if any(col not in basic for col in face):
+                raise UnderdeterminedPair("solution space is "
+                                          "positive-dimensional")
+            out.append(FakeExponent(tuple(components), pair))
     return out
 
 
 def standard_kappa(nvars: int) -> List[ParamLinear]:
     """kappa = (-beta, -a1, ..., -aN) for an integrand z^a g(z)^(-beta)."""
-    return [-ParamLinear.param("beta")] + [
-        -ParamLinear.param(f"a{i + 1}") for i in range(nvars)]
+    return [ParamLinear.from_integers({name: -1}, 0) for name in
+            ["beta"] + [f"a{i + 1}" for i in range(nvars)]]

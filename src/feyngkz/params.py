@@ -5,6 +5,11 @@ form  q0 + q1*p1 + ... + qk*pk  with rational q's and opaque parameter names
 (typically ``beta`` and ``a1 .. aN``).  ParamLinear keeps these exact as
 integer numerators over one common denominator and prints them canonically
 ("beta - a1 - a2 + 3/2").
+
+Results are kept in lowest terms.  Some are so by construction and skip
+normalising: ``param`` and ``const`` of an int (den 1), negation (the gcd
+keeps its value), and adding or subtracting an int or an integral constant
+(num0 moves by a multiple of den, so the gcd and the nums stay as they were).
 """
 
 from __future__ import annotations
@@ -21,12 +26,9 @@ Scalar = Union[int, Fraction]
 
 def _param_sort_key(name: str):
     # beta-like parameters first, then a1..aN numerically, then the rest.
-    m = re.fullmatch(r"a(\d+)", name)
-    if m:
+    if m := re.fullmatch(r"a(\d+)", name):
         return (1, int(m.group(1)), name)
-    if name.startswith("beta") or name.startswith("b"):
-        return (0, 0, name)
-    return (2, 0, name)
+    return (0 if name.startswith("b") else 2, 0, name)
 
 
 class ParamLinear:
@@ -44,36 +46,33 @@ class ParamLinear:
         constant = Fraction(constant)
         den = math.lcm(constant.denominator,
                        *(q.denominator for q in full.values()))
-        self._set({name: int(q * den) for name, q in full.items()},
-                  int(constant * den), den)
-
-    def _set(self, nums: Mapping[str, int], num0: int, den: int) -> None:
-        """Store nums/den and num0/den in lowest terms with den > 0."""
-        nums = {name: n for name, n in nums.items() if n}
-        if den != 1:
-            g = math.gcd(den, num0, *nums.values()) * (-1 if den < 0 else 1)
-            if g != 1:
-                nums = {name: n // g for name, n in nums.items()}
-                num0, den = num0 // g, den // g
-        self.nums, self.num0, self.den = nums, num0, den
+        out = ParamLinear.from_integers(
+            {name: int(q * den) for name, q in full.items()},
+            int(constant * den), den)
+        self.nums, self.num0, self.den = out.nums, out.num0, out.den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_integers(cls, nums: Mapping[str, int], num0: int,
                       den: int = 1) -> "ParamLinear":
-        """nums/den per parameter plus num0/den; den may be negative."""
-        out = cls.__new__(cls)
-        out._set(nums, num0, den)
-        return out
+        """nums/den per parameter plus num0/den, brought to lowest terms with
+        den > 0; den may be negative."""
+        nums = {name: n for name, n in nums.items() if n}
+        if den != 1:
+            g = math.gcd(den, num0, *nums.values()) * (-1 if den < 0 else 1)
+            if g != 1:
+                nums = {name: n // g for name, n in nums.items()}
+                num0, den = num0 // g, den // g
+        return _canonical(nums, num0, den)
 
     @classmethod
     def param(cls, name: str) -> "ParamLinear":
-        return cls.from_integers({name: 1}, 0)
+        return _canonical({name: 1}, 0, 1)
 
     @classmethod
     def const(cls, value: Scalar) -> "ParamLinear":
-        return (cls.from_integers({}, value) if type(value) is int
+        return (_canonical({}, value, 1) if type(value) is int
                 else cls({}, value))
 
     @property
@@ -96,6 +95,9 @@ class ParamLinear:
 
     def __add__(self, other) -> "ParamLinear":
         other = _coerce(other)
+        for x, k in ((self, other), (other, self)):
+            if k.den == 1 and not k.nums:
+                return _canonical(dict(x.nums), x.num0 + k.num0 * x.den, x.den)
         den = math.lcm(self.den, other.den)
         f, g = den // self.den, den // other.den
         nums = {name: n * f for name, n in self.nums.items()}
@@ -113,8 +115,8 @@ class ParamLinear:
         return _coerce(other) + (-self)
 
     def __neg__(self) -> "ParamLinear":
-        return ParamLinear.from_integers(
-            {k: -v for k, v in self.nums.items()}, -self.num0, self.den)
+        return _canonical({k: -v for k, v in self.nums.items()}, -self.num0,
+                          self.den)
 
     def __mul__(self, scalar: Scalar) -> "ParamLinear":
         p, q = Fraction(scalar).as_integer_ratio()
@@ -144,21 +146,13 @@ class ParamLinear:
     # -- serialization -----------------------------------------------------
 
     def __str__(self) -> str:
-        parts = []
-        coeffs = self.coeffs
-        for name in sorted(coeffs, key=_param_sort_key):
-            q = coeffs[name]
-            mag = abs(q)
-            body = name if mag == 1 else f"{mag}*{name}"
-            parts.append(("-" if q < 0 else "+", body))
-        if self.num0 != 0 or not parts:
-            parts.append(("-" if self.num0 < 0 else "+",
-                          str(abs(self.constant))))
-        sign0, body0 = parts[0]
-        text = body0 if sign0 == "+" else "-" + body0
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        terms = [(q, name if abs(q) == 1 else f"{abs(q)}*{name}")
+                 for name, q in sorted(self.coeffs.items(),
+                                       key=lambda nq: _param_sort_key(nq[0]))]
+        if self.num0 or not terms:
+            terms.append((self.num0, str(abs(self.constant))))
+        text = " ".join(("- " if q < 0 else "+ ") + body for q, body in terms)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     __repr__ = __str__
 
@@ -184,6 +178,13 @@ class FloatMap:
             raise UnassignedParameter(
                 f"no value for parameter {missing.args[0]!r}") from None
         return values
+
+
+def _canonical(nums: Dict[str, int], num0: int, den: int) -> ParamLinear:
+    """A ParamLinear from fields already in lowest terms, stored as given."""
+    out = ParamLinear.__new__(ParamLinear)
+    out.nums, out.num0, out.den = nums, num0, den
+    return out
 
 
 def _coerce(value) -> ParamLinear:

@@ -42,6 +42,27 @@ def relative_tolerance(value) -> float:
     return tolerance
 
 
+_KEYS = {"": "name graph polynomial amatrix kappa weight deformation alpha d "
+             "parameters kinematics coefficients order tolerance",
+         "graph": "L E propagators invariants momentum_products",
+         "propagator": "M Q J", "term": "exponents coeff"}
+
+
+def unread_keys(data: Mapping) -> List[str]:
+    """The keys of a spec document that from_dict does not read, placed as
+    in 'weigth' or 'graph.propagators[0].K'; kappa is read beside amatrix."""
+    graph = data["graph"] if isinstance(data.get("graph"), Mapping) else {}
+    parts = [("", data, ""), ("graph.", graph, "graph")]
+    parts += [(f"graph.propagators[{i}].", p, "propagator")
+              for i, p in enumerate(graph.get("propagators") or ())]
+    parts += [(f"polynomial[{i}].", t, "term")
+              for i, t in enumerate(data.get("polynomial") or ())]
+    return [f"{place}{key}" for place, part, kind in parts
+            if isinstance(part, Mapping) for key in part
+            if key not in _KEYS[kind].split()
+            or (kind, key) == ("", "kappa") and "amatrix" not in data]
+
+
 @dataclass
 class ProblemSpec:
     name: str = ""
@@ -63,8 +84,11 @@ class ProblemSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ProblemSpec":
-        """Inverse of to_dict; a malformed spec raises DimensionMismatch."""
+        """Inverse of to_dict; DimensionMismatch for a malformed spec."""
         try:
+            if unread := unread_keys(data):
+                raise DimensionMismatch("unknown spec keys "
+                                        + ", ".join(map(repr, unread)))
             spec = cls(name=data.get("name", ""))
             if (("graph" in data) + bool(data.get("polynomial"))
                     + ("amatrix" in data)) > 1:
@@ -129,8 +153,7 @@ class ProblemSpec:
 
     def polynomial(self) -> Optional[KPoly]:
         if self.graph is not None:
-            _, _, g = graphs.symanzik(self.graph)
-            return g
+            return graphs.symanzik(self.graph)[2]
         if self.terms is not None:
             nvars = len(self.terms[0][0])
             return sum((KPoly.monomial(nvars, expo, coeff)
@@ -265,10 +288,10 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
         series=series, forms=forms)
 
     try:
-        constants = [gamma_constant(e) for e in exponents]
-        report.bundle = SolutionBundle(series, constants)
+        report.bundle = SolutionBundle(
+            series, [gamma_constant(e) for e in exponents])
     except NoZeroComponent:
-        report.bundle = None
+        pass                # no vanishing component: no Gamma constants
 
     if verify and report.bundle is not None and poly is not None:
         assignment = spec.assignment()

@@ -5,23 +5,28 @@ recurrences, brute-force enumeration) so it shares no code with the package
 machinery it checks.  Some keep a route that a faster one replaced:
 ``bundle_reference``, the per-series sum of the fused bundle kernel; the
 division of binomials on exponent tuples (``normal_form``,
-``s_polynomial``) that the packed Buchberger kernel replaced; and
+``s_polynomial``) that the packed Buchberger kernel replaced;
 ``saturated_toric_ideal``, the saturation at every variable that the lead
-test now skips where it can.  Graphs are passed
-as plain ``GraphSpec.to_dict`` data, so the Symanzik reference reads them
-without the package.
+test now skips where it can; and ``fake_exponents_reference``, one
+elimination per pair, which the basis-exchange walk replaced.  Graphs are
+passed as plain ``GraphSpec.to_dict`` data, so the Symanzik reference reads
+them without the package.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
+from feyngkz.errors import InconsistentPair, UnderdeterminedPair
+from feyngkz.gkz import FakeExponent
 from feyngkz.groebner import (TermOrder, buchberger, grevlex_key, interreduce,
                               mono_divides, orient)
-from feyngkz.intlinalg import kernel_basis
+from feyngkz.intlinalg import eliminate, kernel_basis
 from feyngkz.kpoly import KPoly, coeff_const
+from feyngkz.params import ParamLinear
 
 
 def bundle_reference(bundle, assignment, points, order):
@@ -84,6 +89,61 @@ def saturated_toric_ideal(rows):
     for index in range(nvars):
         gens = saturate_variable(gens, index, nvars)
     return interreduce(gens, grevlex_key)
+
+
+def _solve_face(rows, nface: int):
+    """Fraction-free Gauss-Jordan elimination on the integer rows
+    [A_face | rhs], in place, one eliminate step per pivot.  Returns the
+    (row, face column) pivots; each face unknown is row[nface:] / row[col]
+    of its pivot row.  Raises InconsistentPair if a row without a pivot
+    keeps a non-zero rhs and UnderdeterminedPair if some face column has no
+    pivot."""
+    pivots = []
+    for col in range(nface):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        eliminate(rows, r, col)
+        pivots.append((r, col))
+    if any(any(row[nface:]) for row in rows[len(pivots):]):
+        raise InconsistentPair("no solution for generic parameters")
+    if len(pivots) < nface:
+        raise UnderdeterminedPair("solution space is positive-dimensional")
+    return pivots
+
+
+def fake_exponents_reference(amat, kappa, pairs):
+    """gkz.fake_exponents pair by pair: each pair's system [A_face | kappa
+    less the root's part] built afresh and solved by its own elimination,
+    len(face) pivots per pair; the same warnings and errors."""
+    if len(kappa) != amat.nrows:
+        raise ValueError("kappa length must match the number of A rows")
+    names = list(dict.fromkeys(n for k in kappa for n in k.nums))
+    den = math.lcm(*(k.den for k in kappa))
+    kmat = [[k.nums.get(n, 0) * (den // k.den) for n in names] for k in kappa]
+    k0 = [k.num0 * (den // k.den) for k in kappa]
+    out = []
+    for pair in pairs:
+        face = pair.face
+        off = [(j, pair.root[j] * den) for j in range(amat.ncols)
+               if j not in face and pair.root[j]]
+        rows = [[row[j] for j in face] + kparams
+                + [k - sum(row[j] * r for j, r in off)]
+                for row, kparams, k in zip(amat.rows, kmat, k0)]
+        try:
+            pivots = _solve_face(rows, len(face))
+        except InconsistentPair:
+            warnings.warn(f"discarding inconsistent standard pair {pair}")
+            continue
+        components = [ParamLinear.const(r) for r in pair.root]
+        for r, col in pivots:
+            row = rows[r]
+            components[face[col]] = ParamLinear.from_integers(
+                dict(zip(names, row[len(face):-1])), row[-1], row[col] * den)
+        out.append(FakeExponent(tuple(components), pair))
+    return out
 
 
 def random_configuration(rng, codim: int):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -202,6 +203,14 @@ def test_unknown_deformation_is_a_typed_error(tmp_path, capsys, deformation):
     assert code == cli.EXIT_ENGINE and out == ""
     assert err == (f"error: deformation {deformation!r} is not 'auto' or "
                    "'none'\n")
+
+
+def test_misspelt_spec_key_is_one_error_line(capsys):
+    """tests/misspelt_spec.json, which CI also runs: exit 1, one line."""
+    path = os.path.join(os.path.dirname(__file__), "misspelt_spec.json")
+    code, out, err = _run(capsys, "verify", "--spec", path)
+    assert code == cli.EXIT_ENGINE == 1 and out == ""
+    assert err == "error: unknown spec keys 'weigth', 'tolerence'\n"
 
 
 def test_spec_without_input_is_a_typed_error(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,151 @@ def test_fake_exponents_underdetermined_pair_raises():
     with pytest.raises(UnderdeterminedPair):
         fake_exponents(amat, standard_kappa(1),
                        [StandardPair((0, 0, 0, 0), (0, 1, 2))])
+
+
+def _outcome(route, amat, kappa, pairs):
+    """What a route returns for the pairs: each exponent's pair and
+    components' fields, the warnings in order, and the error's type and
+    message (None without one)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            exponents, error = route(amat, kappa, pairs), None
+        except Exception as err:
+            exponents, error = [], (type(err), str(err))
+    return ([(e.pair, [(c.nums, c.num0, c.den) for c in e.components])
+             for e in exponents], [str(w.message) for w in caught], error)
+
+
+def _assert_matches_reference(amat, kappa, pairs):
+    want = _outcome(helpers.fake_exponents_reference, amat, kappa, pairs)
+    assert _outcome(fake_exponents, amat, kappa, pairs) == want, \
+        (amat.rows, pairs)
+    return want
+
+
+def _kappa(spec, amat):
+    if spec.kappa_names:
+        return [-ParamLinear.param(n) for n in spec.kappa_names]
+    return standard_kappa(amat.nrows - 1)
+
+
+def test_fake_exponents_equal_the_per_pair_reference_on_fixtures():
+    """One tableau walked by basis exchange gives what one elimination per
+    pair gives: on every fixture at its own weight and five random ones,
+    for the facet pairs and for all standard pairs."""
+    rng = random.Random(2501)
+    cases = 0
+    for name, spec in fixtures().items():
+        rep = pipeline.run(spec)
+        amat, basis = rep.amatrix, toric_ideal(rep.amatrix)
+        weights = [rep.weight] + [tuple(rng.randint(0, 5) for _ in
+                                        range(amat.ncols)) for _ in range(5)]
+        for weight in weights:
+            initial = initial_ideal(basis, weight)
+            for pairs in (gkz.facet_pairs(initial, amat.ncols, amat.rank),
+                          standard_pairs(initial, amat.ncols)):
+                _assert_matches_reference(amat, _kappa(spec, amat), pairs)
+                cases += 1
+    assert cases == 120
+
+
+def test_fake_exponents_equal_the_per_pair_reference_on_massive_ngons():
+    for n in (3, 4):
+        amat, _ = toric_matrix(helpers.massive_ngon(n))
+        basis = toric_ideal(amat)
+        rng = random.Random(2502 + n)
+        for _ in range(2):
+            weight = tuple(rng.randint(0, 5) for _ in range(amat.ncols))
+            pairs = gkz.facet_pairs(initial_ideal(basis, weight), amat.ncols,
+                                    amat.rank)
+            exponents, _, _ = _assert_matches_reference(
+                amat, standard_kappa(n), pairs)
+            assert len(exponents) == 2 ** n - 1
+
+
+def test_fake_exponents_equal_the_per_pair_reference_on_random_configs():
+    """Codimension >= 2, at a random weight, for the facet pairs and all
+    standard pairs; where A has fewer independent rows than rows every
+    pair is inconsistent and both routes warn of each."""
+    rng = random.Random(2503)
+    for _ in range(100):
+        amat = AMatrix(helpers.random_configuration(rng, 2))
+        weight = tuple(rng.randint(0, 4) for _ in range(amat.ncols))
+        initial = initial_ideal(toric_ideal(amat), weight)
+        kappa = standard_kappa(amat.nrows - 1)
+        for pairs in (gkz.facet_pairs(initial, amat.ncols, amat.rank),
+                      standard_pairs(initial, amat.ncols)):
+            _assert_matches_reference(amat, kappa, pairs)
+
+
+def test_fake_exponents_equal_the_per_pair_reference_on_random_pair_lists():
+    """Faces of every size in any order, so the tableau carries bases that
+    no facet walk leaves behind, and some lists stop at an underdetermined
+    pair after warning of inconsistent ones; a root entry on the face, which
+    no standard pair has, is ignored by both."""
+    rng = random.Random(2504)
+    errors = warned = 0
+    for _ in range(200):
+        amat, kappa, _ = _random_face_system(rng)
+        pairs = []
+        for _ in range(rng.randint(1, 8)):
+            face = tuple(sorted(rng.sample(range(amat.ncols), rng.randint(
+                1, min(amat.ncols, amat.nrows + 1)))))
+            root = tuple(rng.randint(0, 3) if j not in face
+                         or rng.random() < 0.2 else 0
+                         for j in range(amat.ncols))
+            pairs.append(StandardPair(root, face))
+        _, caught, error = _assert_matches_reference(amat, kappa, pairs)
+        errors += error is not None
+        warned += bool(caught)
+    assert 20 < errors < 180 and warned > 20
+
+
+def test_fake_exponents_edge_cases_equal_the_per_pair_reference():
+    """The inconsistent, tall and underdetermined systems above."""
+    amat = AMatrix([[1, 1, 1, 1], [0, 1, 2, 3]])
+    bad = StandardPair((0, 0, 0, 0), (0,))
+    good = StandardPair((0, 0, 0, 0), (0, 1))
+    wide = StandardPair((0, 0, 0, 0), (0, 1, 2))
+    for pairs in ([bad, good], [bad], [good, bad], [wide], [bad, good, wide]):
+        _assert_matches_reference(amat, standard_kappa(1), pairs)
+    tall = AMatrix([[1, 1, 1, 1], [0, 1, 2, 3], [0, 2, 4, 6]])
+    _assert_matches_reference(tall, standard_kappa(2),
+                              [StandardPair((0, 0, 0, 0), (0, 1, 2))])
+
+
+@pytest.mark.parametrize("case", ["triangle-3scale", "massive-box"])
+def test_fake_exponents_pivot_only_the_columns_that_change(monkeypatch,
+                                                           case):
+    """Fewer pivots than pairs x rank(A), which one elimination per pair
+    makes: pairs on one face share its basis, and neighbouring facets
+    differ in one column."""
+    if case == "massive-box":
+        amat, _ = toric_matrix(helpers.massive_ngon(4))
+        weight = tuple(random.Random(2505).randint(0, 5)
+                       for _ in range(amat.ncols))
+        pairs = gkz.facet_pairs(initial_ideal(toric_ideal(amat), weight),
+                                amat.ncols, amat.rank)
+    else:
+        rep = _run(case)
+        amat, pairs = rep.amatrix, rep.pairs
+    kappa = standard_kappa(amat.nrows - 1)
+    counts = {"tableau": 0, "per pair": 0}
+
+    def counted(key, step):
+        def wrapped(*args):
+            counts[key] += 1
+            return step(*args)
+        return wrapped
+
+    monkeypatch.setattr(gkz, "eliminate", counted("tableau", gkz.eliminate))
+    monkeypatch.setattr(helpers, "eliminate",
+                        counted("per pair", helpers.eliminate))
+    assert fake_exponents(amat, kappa, pairs) == \
+        helpers.fake_exponents_reference(amat, kappa, pairs)
+    assert counts["per pair"] == len(pairs) * amat.rank
+    assert counts["tableau"] < len(pairs) * amat.rank
 
 
 def test_toric_ideal_gauss_is_single_binomial():

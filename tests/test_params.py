@@ -121,3 +121,42 @@ def test_float_map_is_the_correctly_rounded_fraction():
         total, pairs = FloatMap([expr]).rows[0]
         assert total == float(constant)
         assert pairs == [(n, float(q)) for n, q in coeffs.items() if q]
+
+
+def test_canonical_shortcuts_equal_the_normalising_route():
+    """param, const of an int, negation and adding or subtracting an int
+    skip normalisation; each result has the fields and hash that
+    normalising gives, and a nums dict of its own."""
+    rng = random.Random(2505)
+    for _ in range(500):
+        names = rng.sample(["beta", "a1", "a2", "a3"], rng.randint(0, 4))
+        den = rng.randint(1, 12)
+        x = ParamLinear.from_integers(
+            {name: rng.randint(-9, 9) for name in names},
+            rng.randint(-20, 20), den * rng.choice((1, -1)))
+        k = rng.randint(-30, 30)
+
+        def shifted(q):
+            return ParamLinear.from_integers(x.nums, x.num0 + q * x.den,
+                                             x.den)
+
+        cases = [
+            (-x, ParamLinear.from_integers(
+                {n: -v for n, v in x.nums.items()}, -x.num0, x.den)),
+            (x + k, shifted(k)), (k + x, shifted(k)), (x - k, shifted(-k)),
+            (x + ParamLinear.const(k), shifted(k)),
+            (ParamLinear.const(k) + x, shifted(k)),
+            (k - x, ParamLinear.from_integers(
+                {n: -v for n, v in x.nums.items()}, k * x.den - x.num0,
+                x.den))]
+        for got, want in cases:
+            assert _fields(got) == _fields(want), (x, k, got)
+            assert hash(got) == hash(want)
+            assert got.nums is not x.nums
+    made = [(ParamLinear.param, name, ParamLinear({name: 1}))
+            for name in ("beta", "a1", "x")]
+    made += [(ParamLinear.const, k, ParamLinear({}, k)) for k in (-3, 0, 5)]
+    for build, arg, want in made:
+        got = build(arg)
+        assert _fields(got) == _fields(want) and hash(got) == hash(want)
+        assert got.nums is not build(arg).nums

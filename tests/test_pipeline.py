@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -81,3 +82,68 @@ def test_spec_dict_round_trip_every_fixture():
         assert loaded == spec, name
         assert (pipeline.run(loaded).to_dict()
                 == pipeline.run(spec).to_dict()), name
+
+
+MISSPELT = os.path.join(os.path.dirname(__file__), "misspelt_spec.json")
+
+
+def test_misspelt_spec_keys_are_refused():
+    """A key that from_dict does not read is an error, not a default:
+    "weigth" and "tolerence" are both named."""
+    with open(MISSPELT) as handle:
+        data = json.load(handle)
+    with pytest.raises(DimensionMismatch) as info:
+        pipeline.ProblemSpec.from_dict(data)
+    assert str(info.value) == "unknown spec keys 'weigth', 'tolerence'"
+    data["weight"] = data.pop("weigth")
+    data["tolerance"] = data.pop("tolerence")
+    spec = pipeline.ProblemSpec.from_dict(data)
+    assert spec.weight == (0, 1, 1, 1) and spec.tolerance == 1e-3
+
+
+def test_unknown_keys_are_refused_in_graphs_propagators_and_terms():
+    data = fixtures()["box"].to_dict()
+    data["graph"]["l"] = 1
+    data["graph"]["propagators"][2]["q"] = [[0]]
+    data["Weight"] = [0, 1]
+    with pytest.raises(DimensionMismatch, match=(
+            r"^unknown spec keys 'Weight', 'graph.l', "
+            r"'graph.propagators\[2\].q'$")):
+        pipeline.ProblemSpec.from_dict(data)
+    data = fixtures()["2f1-double"].to_dict()
+    data["kappa"] = ["beta", "a1", "a2"]
+    data["polynomial"][1]["coef"] = {"1": 2}
+    with pytest.raises(DimensionMismatch,
+                       match=r"^unknown spec keys 'kappa', "
+                             r"'polynomial\[1\].coef'$"):
+        pipeline.ProblemSpec.from_dict(data)
+
+
+def test_to_dict_writes_exactly_the_keys_from_dict_reads():
+    """Across the fixtures, to_dict writes every key that from_dict reads,
+    at each level, and no other."""
+    written = {"": set(), "graph": set(), "propagator": set(), "term": set()}
+    for spec in fixtures().values():
+        data = spec.to_dict()
+        written[""].update(data)
+        written["graph"].update(data.get("graph", {}))
+        for prop in data.get("graph", {}).get("propagators", []):
+            written["propagator"].update(prop)
+        for term in data.get("polynomial", []):
+            written["term"].update(term)
+    assert written == {kind: set(keys.split())
+                       for kind, keys in pipeline._KEYS.items()}
+
+
+def test_the_spec_that_perfbench_writes_still_loads():
+    """The keys of the spec file behind perfbench's CLI verify operation."""
+    spec = fixtures()["2f1-double"]
+    data = {"name": spec.name,
+            "polynomial": [{"exponents": list(e), "coeff": {"1": 1}}
+                           for e, _ in spec.terms],
+            "weight": [0, 1, 1, 1], "deformation": spec.deformation,
+            "alpha": [0.3, 0.4], "d": 1.4,
+            "coefficients": [1.0, 0.5, 0.6, 0.2], "order": spec.order,
+            "tolerance": spec.tolerance}
+    loaded = pipeline.ProblemSpec.from_dict(json.loads(json.dumps(data)))
+    assert loaded.weight == (0, 1, 1, 1) and loaded.d == 1.4
