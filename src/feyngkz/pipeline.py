@@ -257,6 +257,8 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
         if poly is None:
             raise DimensionMismatch(f"spec {spec.name!r} has no polynomial, "
                                     "graph or A matrix")
+        if spec.alpha is not None and len(spec.alpha) != poly.nvars:
+            raise DimensionMismatch(f"alpha needs {poly.nvars} entries, got {spec.alpha}")
         if spec.deformation == "auto":
             poly, deformation = gkz.deform(poly)
         amat, columns = deformation.toric or gkz.toric_matrix(poly)

@@ -5,10 +5,10 @@ For an exponent vector gamma and kernel lattice L of A, the log-free series
     phi = c^gamma * sum_{u in L} [gamma]_{u-} / [gamma + u]_{u+} * c^u
 
 has falling-factorial numerators over the negative support of u and rising
-ones in the denominator over the positive support.  Terms with w.u < 0 are
-dropped: the weight that selected the initial ideal also selects the support
-half-space, and the remaining coefficients vanish exactly where the falling
-factorials hit nonpositive integers.  A series is named (pFq, Appell F4 or
+ones in the denominator over the positive support; its support N_v is where
+no falling factorial hits a nonpositive integer (Saito-Sturmfels-Takayama,
+ch. 3).  The term order that selected the initial ideal, w refined by
+grevlex, orients each lattice vector.  A series is named (pFq, Appell F4 or
 raw) from the shapes of its lattice, which ``LatticeShapes`` searches once
 for every series on that lattice; each exponent picks its shape by which of
 its components are zero.
@@ -30,16 +30,15 @@ from .errors import (DimensionMismatch, DivergentArgument,
                      NonPositiveCoefficient, PoleError)
 from .gammafn import _INT_TOL, GammaFactor
 from .gkz import FakeExponent
+from .groebner import TermOrder
 from .params import FloatMap, ParamLinear
 from .pochhammer import PochhammerProduct
 
 
-def term_coefficient(gamma: Sequence[ParamLinear], u: Sequence[int],
-                     weight: Sequence[int]) -> PochhammerProduct:
-    """[gamma]_{u-} / [gamma+u]_{u+}, or exact zero off the support.  The
-    falling factorial [g]_m is written as (-1)^m (-g)_m."""
-    if sum(w * x for w, x in zip(weight, u)) < 0:
-        return PochhammerProduct.zero()
+def term_coefficient(gamma: Sequence[ParamLinear],
+                     u: Sequence[int]) -> PochhammerProduct:
+    """[gamma]_{u-} / [gamma+u]_{u+}, exact zero off N_v, where a falling
+    factorial [g]_m, written as (-1)^m (-g)_m, vanishes."""
     return PochhammerProduct.make(
         (-1) ** sum(-x for x in u if x < 0),
         [(-g, -x) for g, x in zip(gamma, u) if x < 0],
@@ -120,15 +119,15 @@ def _argument_monomial(u: Sequence[int]) -> str:
 
 class LatticeShapes:
     """The shapes of the series on one lattice and weight, searched once for
-    all of them: the basis oriented to w.u >= 0 and, in search order, the
+    all of them: the basis oriented by in_w's term order (v or -v, whichever
+    is bigger; the key is linear, so x^{v+} leads) and, in search order, the
     candidate bases with each vector's positive support.  A rank-1 basis of
     {-1, 0, 1} entries is the pFq candidate; rank 2 has its Appell F4 bases."""
 
     def __init__(self, lattice: Sequence[Sequence[int]],
                  weight: Sequence[int]):
-        self.lattice = [
-            tuple(-x for x in v) if sum(w * x for w, x in zip(weight, v)) < 0
-            else tuple(v) for v in lattice]
+        self.lattice = [max(tuple(v), tuple(-x for x in v),
+                            key=TermOrder(weight)) for v in lattice]
         self.candidates = []
         if len(self.lattice) == 2:
             self.candidates = list(f4_bases(self.lattice))
@@ -193,10 +192,9 @@ class CanonicalSeries:
         self.gamma = gamma
         self.weight = tuple(weight)
         self.nvars = len(gamma.components)
-        if shapes is None:
-            shapes = LatticeShapes(lattice, weight)
         # an Appell-shaped basis is preferred for enumeration and display
-        self.form, self.lattice = shapes.classify(gamma.components)
+        self.form, self.lattice = (shapes or LatticeShapes(
+            lattice, weight)).classify(gamma.components)
 
     @property
     def rank(self) -> int:
@@ -211,8 +209,9 @@ class CanonicalSeries:
     def _box(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
         """Lattice coordinates in [-order, order]^rank, enumerated in
         lexicographic order as one index grid, and their points u, kept
-        where w.u >= 0 (tested on the coordinates, before any u is
-        formed)."""
+        where w.u >= 0: a cut that only saves work, since x^a times any
+        monomial on sigma is standard, so least in its fibre, and so a
+        top-dimensional pair's N_v lies in it (Hosten-Thomas)."""
         side = 2 * order + 1
         grid = np.indices((side,) * self.rank).reshape(
             self.rank, side ** self.rank) - order
@@ -224,12 +223,11 @@ class CanonicalSeries:
         """All nonzero terms with lattice coordinates in [-order, order],
         sorted by max-norm shell: the exact symbolic reference for
         ``evaluate``."""
-        terms = []
         indices, shifts = self._box(order)
-        for k, u in zip(indices.tolist(), shifts.tolist()):
-            coeff = term_coefficient(self.gamma.components, u, self.weight)
-            if not coeff.is_zero():
-                terms.append(SeriesTerm(tuple(u), tuple(k), coeff))
+        terms = [SeriesTerm(tuple(u), tuple(k), coeff)
+                 for k, u in zip(indices.tolist(), shifts.tolist())
+                 for coeff in [term_coefficient(self.gamma.components, u)]
+                 if not coeff.is_zero()]
         terms.sort(key=lambda t: (max((abs(k) for k in t.indices), default=0),
                                   t.indices))
         return terms

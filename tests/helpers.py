@@ -446,14 +446,18 @@ def random_graph(rng):
 def classify_reference(gamma, lattice, weight):
     """(kind, upper, lower, arguments, signs, lattice) of one series, by the
     per-series search that classification used before the lattice's shapes
-    were searched once per run: the lattice oriented to w.u >= 0; rank 1
-    is a pFq when its generator has entries in {-1, 0, 1} and some
+    were searched once per run, save that each lattice vector v is kept
+    when x^{v+} leads x^{v-} under w refined by grevlex, else negated; rank
+    1 is a pFq when its generator has entries in {-1, 0, 1} and some
     positive-support component of gamma + 1 equals 1; rank 2 takes the
     first F4-shaped basis change where each generator has such a
     component; anything else is a raw series."""
+    order = TermOrder(weight)
+
     def orient(v):
-        return tuple(-x for x in v) if sum(
-            w * x for w, x in zip(weight, v)) < 0 else tuple(v)
+        plus = tuple(max(x, 0) for x in v)
+        minus = tuple(max(-x, 0) for x in v)
+        return tuple(v) if order(plus) > order(minus) else tuple(-x for x in v)
 
     lattice = [orient(v) for v in lattice]
     one = 1

@@ -1,6 +1,8 @@
 """Canonical series: term coefficients, classification, evaluation."""
 
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -22,10 +24,21 @@ from feyngkz.series import (_argument_monomial, _factor_table,
                             term_coefficient)
 
 
-def test_term_coefficient_zero_off_halfspace():
-    gamma = (ParamLinear.param("g1"), ParamLinear.param("g2"))
-    coeff = term_coefficient(gamma, (1, -1), weight=(0, 1))
-    assert coeff.is_zero()
+def test_term_coefficient_vanishes_exactly_off_n_v():
+    """No weight cut: (1, -1, 0, 0) lies in N_v with w.u < 0 for w = (0, 1,
+    0, 0) and its term is nonzero; over a box, a term is zero exactly where
+    a falling factorial [g]_{-x} vanishes, an integer g >= 0 with -x > g."""
+    gamma = (ParamLinear.param("g1"), ParamLinear.const(1),
+             ParamLinear.const(0), ParamLinear.const(Fraction(1, 2)))
+    coeff = term_coefficient(gamma, (1, -1, 0, 0))
+    assert not coeff.is_zero()
+    assert coeff.evaluate({"g1": 0.3}) == pytest.approx(1 / 1.3)
+    zeros = 0
+    for u in itertools.product(range(-3, 4), repeat=4):
+        vanishes = u[1] < -1 or u[2] < 0
+        assert term_coefficient(gamma, u).is_zero() == vanishes, u
+        zeros += vanishes
+    assert 0 < zeros < 7 ** 4
 
 
 def test_term_coefficient_matches_direct_product():
@@ -36,10 +49,7 @@ def test_term_coefficient_matches_direct_product():
     for _ in range(300):
         u = tuple(rng.randrange(-4, 5) for _ in range(3))
         values = {n: rng.uniform(-3, 3) for n in names}
-        weight = (1, 1, 1)
-        if sum(u) < 0:
-            continue
-        coeff = term_coefficient(gamma, u, weight)
+        coeff = term_coefficient(gamma, u)
         direct = 1.0
         ok = True
         for n, x in zip(names, u):
@@ -64,7 +74,7 @@ def test_term_coefficient_matches_direct_product():
 def test_symbolic_zero_for_integer_gamma():
     # gamma component 1 with a falling factorial of length 2: 1*0 = 0
     gamma = (ParamLinear.const(1), ParamLinear.param("g2"))
-    coeff = term_coefficient(gamma, (-2, 2), weight=(1, 1))
+    coeff = term_coefficient(gamma, (-2, 2))
     assert coeff.is_zero()
 
 
@@ -138,6 +148,63 @@ def test_divergent_argument_raises():
                                          rep.polynomial)
     with pytest.raises(DivergentArgument):
         rep.series[0].evaluate(spec.assignment(), coeffs, 10)
+
+
+def _rank1_runs():
+    """Each fixture of rank 1 at its own weight, 12 seeded weights in
+    {-1, ..., 2}^n and the zero weight, as reports."""
+    rng = random.Random(2611)
+    for spec in fixtures().values():
+        rep = pipeline.run(spec)
+        if len(rep.lattice) != 1:
+            continue
+        ncols = rep.amatrix.ncols
+        yield rep
+        for weight in [tuple(rng.randint(-1, 2) for _ in range(ncols))
+                       for _ in range(12)] + [(0,) * ncols]:
+            spec.weight = weight
+            yield pipeline.run(spec)
+
+
+def test_rank1_generator_is_positive_off_each_facet():
+    """The lattice is oriented by in_w's own term order, ties broken by
+    grevlex, so each series' generator grows its off-face column, whose
+    root 0 bounds N_v from below; many of the weights tie w.v = 0."""
+    ties = count = 0
+    for rep in _rank1_runs():
+        ties += sum(map(operator.mul, rep.weight, rep.lattice[0])) == 0
+        for phi, exponent in zip(rep.series, rep.exponents):
+            (off,) = set(range(rep.amatrix.ncols)) - set(exponent.pair.face)
+            assert phi.lattice[0][off] > 0, (rep.spec.name, rep.weight)
+            count += 1
+    assert count > 200 and ties > 20
+
+
+def test_box_prune_drops_no_term_of_n_v():
+    """The w.u >= 0 cut of CanonicalSeries._box is lossless: every u on the
+    line of a rank-1 series with a nonzero term has w.u >= 0, and the
+    enumerated terms are exactly those."""
+    order = 8
+    for rep in _rank1_runs():
+        for phi in rep.series:
+            line = [tuple(k * x for x in phi.lattice[0])
+                    for k in range(-order, order + 1)]
+            support = [u for u in line if not term_coefficient(
+                phi.gamma.components, u).is_zero()]
+            assert all(sum(map(operator.mul, rep.weight, u)) >= 0
+                       for u in support), (rep.spec.name, rep.weight)
+            assert sorted(support) == sorted(
+                t.shift for t in phi.enumerate_terms(order))
+
+
+def test_tied_weight_series_is_oriented_by_grevlex():
+    """one-mass-bubble at w = 0: in_w is grevlex's, and so is the series'
+    side, whose argument 3/2 diverges; the other side, which the sign of
+    w.v alone cannot rule out, sums to a wrong number."""
+    spec = fixtures()["one-mass-bubble"]
+    spec.alpha, spec.weight = [1.2, 1.3], (0, 0, 0, 0)
+    with pytest.raises(DivergentArgument, match=r"\|argument\| = 1\.5 "):
+        pipeline.run(spec, verify=True)
 
 
 def test_a_missing_parameter_is_reported_before_a_divergent_point():
