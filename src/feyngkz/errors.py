@@ -9,10 +9,6 @@ class PoleError(FeynGKZError):
     """A Gamma factor or Pochhammer symbol was evaluated at a pole."""
 
 
-class InconsistentPair(FeynGKZError):
-    """A standard pair leads to an unsolvable exponent system."""
-
-
 class UnderdeterminedPair(FeynGKZError):
     """A standard pair leaves the exponent system underdetermined."""
 

@@ -263,15 +263,15 @@ class CanonicalSeries:
 @dataclass
 class SolutionBundle:
     """A basis of canonical series with their integration constants, summed
-    as sum_i K_i phi_i over one set of terms.  The plan per order and floor,
-    built on first use like the gammas' floats and the region bases, holds
-    each series' terms u >= its floor row, in turn, with their series and
+    as sum_i K_i phi_i over one set of terms.  The plan per order, built on
+    first use like the gammas' floats and the region bases, holds each
+    series' terms u >= its exact floor row, in turn, with their series and
     their factors' flat indices into one table stacking every series' rows."""
 
     series: List[CanonicalSeries]
     constants: List[GammaFactor]                  # symbolic prescription
     _plans: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)           # (order, floor) -> terms
+                         compare=False)           # order -> terms
 
     def constant_values(self, assignment: Mapping[str, float]) -> List[float]:
         return [k.evaluate(assignment) for k in self.constants]
@@ -296,30 +296,38 @@ class SolutionBundle:
         return {(tuple(phi.lattice), phi.form.kind): phi._basis().astype(float)
                 for phi in self.series}
 
-    def _terms(self, order: int, floor: np.ndarray):
-        """The plan at this order and floor, from one box per distinct
-        lattice."""
-        key = order, floor.tobytes()
-        if (plan := self._plans.get(key)) is None:
+    def _terms(self, order: int):
+        """The plan at this order, from one box per distinct lattice, each
+        series' terms cut to u_j >= -g where gamma_j is an integer constant
+        g >= 0, past which [g]_{-u_j} vanishes at every assignment."""
+        if (plan := self._plans.get(order)) is None:
             boxes = {tuple(phi.lattice): phi for phi in self.series}
             for lattice, phi in boxes.items():
                 indices, points = phi._box(order)
                 shell = np.abs(indices).max(axis=1, initial=0) == order
                 boxes[lattice] = points, shell
-            plan = self._plans[key] = _gather(
-                [boxes[tuple(phi.lattice)] for phi in self.series], floor)
+            floor = [-g if not pairs and g >= 0 and g.is_integer() else -np.inf
+                     for g, pairs in self._gamma_map.rows]
+            plan = self._plans[order] = _gather(
+                [boxes[tuple(phi.lattice)] for phi in self.series],
+                np.reshape(floor, (len(self.series), -1)))
         return plan
 
     def _sum(self, assignment: Mapping[str, float],
              points: Sequence[Sequence[float]],
              order: int) -> Tuple[np.ndarray, np.ndarray]:
         """(values, tail_estimates) of sum_i K_i phi_i, one per point of
-        positive coefficients.  After the constants' own errors it raises
-        DimensionMismatch unless each point has one coefficient per
-        component, NonPositiveCoefficient for a coefficient <= 0 or not
-        finite, UnassignedParameter, DivergentArgument if any point lies
-        outside some series' region, then PoleError.  One factor table per
-        call serves every term, one exp per term."""
+        positive coefficients.  Raises DimensionMismatch for a parameter not
+        finite, the constants' errors, DimensionMismatch unless each point
+        has one coefficient per component, NonPositiveCoefficient for one
+        <= 0 or not finite, UnassignedParameter, DivergentArgument if a point
+        lies outside some series' region, then PoleError for a term whose
+        log is +inf in the factor table, gammas near integers snapped to them;
+        a -inf (a vanishing falling factorial) zeroes a term, pole or not."""
+        for name, value in assignment.items():
+            if not -np.inf < value < np.inf:
+                raise DimensionMismatch(f"parameter {name!r} is {value}, "
+                                        "not finite")
         constants = self.constant_values(assignment)
         nvars = self.series[0].nvars
         points = np.array(points, dtype=float)
@@ -331,12 +339,7 @@ class SolutionBundle:
                                          f"finite, got {points.tolist()}")
         gamma = np.array(self._gamma_map(assignment)).reshape(
             len(self.series), -1)
-        rounded = np.rint(gamma)
-        integer = np.abs(gamma - rounded) < _INT_TOL
-        # the falling factorial [g]_{-x} passes through 0 once x < -g; the
-        # floor is 0 - g, not -g, so that g = -0.0 keys no second plan
-        floor = np.where(integer & (rounded >= 0), 0.0 - rounded, -np.inf)
-        shifts, shell, owner, lo, hi, flat = self._terms(order, floor)
+        shifts, shell, owner, lo, hi, flat = self._terms(order)
         log_points = np.log(points)
         for (_, kind), basis in self._regions.items():
             # |x| < 1 in rank 1, sqrt|x| + sqrt|y| < 1 for Appell F4
@@ -345,18 +348,20 @@ class SolutionBundle:
                 raise DivergentArgument(f"|argument| = {worst:.4g} >= 1")
             if kind == "AppellF4" and np.any(np.sqrt(args).sum(axis=1) >= 1):
                 raise DivergentArgument("sqrt|x| + sqrt|y| >= 1")
-        if (negative := integer & (rounded < 0)).any():
-            # the rising factorial (g+1)_x passes through 0 once x >= -g
-            pole = np.where(negative, -rounded, np.inf)
-            if (hit := (shifts >= pole[owner]).any(axis=1)).any():
+        rounded = np.rint(gamma)
+        snapped = np.where(np.abs(gamma - rounded) < _INT_TOL, rounded, gamma)
+        logs, signs = _factor_table(snapped.ravel(), lo, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_k = np.log(np.abs(constants))
+            sizes = logs.take(flat).sum(axis=1)
+        if not np.isfinite(sizes).all():
+            if (hit := sizes == np.inf).any():
                 raise PoleError("vanishing denominator factor in "
                                 f"{self.series[owner[hit][0]].gamma}")
-        logs, signs = _factor_table(gamma.ravel(), lo, hi)
-        with np.errstate(divide="ignore"):
-            log_k = np.log(np.abs(constants))
+            sizes[np.isnan(sizes)] = -np.inf
         # log K_i c^(u + gamma_i) for every point and term
         exponents = (log_points @ shifts.T
                      + (log_points @ gamma.T + log_k)[:, owner])
         values = (signs.take(flat).prod(axis=1) * np.sign(constants)[owner]
-                  * np.exp(logs.take(flat).sum(axis=1) + exponents))
+                  * np.exp(sizes + exponents))
         return values.sum(axis=1), np.abs(values[:, shell]).sum(axis=1)

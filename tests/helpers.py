@@ -20,13 +20,18 @@ import math
 import warnings
 from fractions import Fraction
 
-from feyngkz.errors import InconsistentPair, UnderdeterminedPair
+from feyngkz.errors import FeynGKZError, UnderdeterminedPair
 from feyngkz.gkz import FakeExponent
 from feyngkz.groebner import (TermOrder, buchberger, grevlex_key, interreduce,
                               mono_divides, orient)
 from feyngkz.intlinalg import eliminate, kernel_basis
 from feyngkz.kpoly import KPoly, coeff_const
 from feyngkz.params import ParamLinear
+
+
+class InconsistentPair(FeynGKZError):
+    """A standard pair leads to an unsolvable exponent system; only the
+    reference solver below meets one, and it discards that pair."""
 
 
 def bundle_reference(bundle, assignment, points, order):

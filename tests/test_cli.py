@@ -222,6 +222,15 @@ def test_alpha_of_the_wrong_length_is_one_error_line(capsys):
     assert err == "error: alpha needs 2 entries, got [0.3, 0.7, 0.9]\n"
 
 
+def test_alpha_that_is_not_finite_is_one_error_line(capsys):
+    """tests/nan_alpha_spec.json, which CI also runs: "alpha": [NaN, 0.7]
+    exits 1 before any Gamma constant reads the nan."""
+    path = os.path.join(os.path.dirname(__file__), "nan_alpha_spec.json")
+    code, out, err = _run(capsys, "verify", "--spec", path)
+    assert code == cli.EXIT_ENGINE == 1 and out == ""
+    assert err == "error: parameter 'a1' is nan, not finite\n"
+
+
 @pytest.mark.parametrize("weight", ["0,0,0,0", "1,1,1,1"])
 def test_verify_at_a_tied_weight(capsys, weight):
     """Every lattice vector ties w.v = 0: in_w and the series' side both

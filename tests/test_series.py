@@ -1,9 +1,11 @@
 """Canonical series: term coefficients, classification, evaluation."""
 
+import functools
 import itertools
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 import helpers
 from feyngkz import gammafn, pipeline, pochhammer, series as series_module
-from feyngkz.constants import SolutionBundle
+from feyngkz.constants import SolutionBundle, deformation_limit_probe
 from feyngkz.errors import (DimensionMismatch, DivergentArgument,
                             NonPositiveCoefficient, PoleError,
                             UnassignedParameter)
@@ -477,9 +479,9 @@ def test_non_finite_coefficient_raises_typed_error():
 
 def test_plan_keeps_no_per_call_state(monkeypatch):
     """A parameter-dependent gamma component at a non-negative integer
-    prunes the terms of a plan kept for that order and floor only: later
-    calls at a generic assignment and at a second order match a freshly
-    built series, a call that repeats an order and floor gathers nothing,
+    zeroes its terms through the factor table, not the plan: the plan
+    depends on the order alone, so calls at a generic assignment and at a
+    second order match a freshly built series, each order gathers once,
     and the same holds for a bundle's joint plan."""
     spec = fixtures()["2f1-double"]
     rep = pipeline.run(spec)
@@ -496,10 +498,10 @@ def test_plan_keeps_no_per_call_state(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(series_module, "_gather", counted)
-    steps = [(integer, spec.order, 1),         # the pruned plan
-             (generic, spec.order, 1),         # a plan for the new floor
+    steps = [(integer, spec.order, 1),         # the plan for this order
+             (generic, spec.order, 0),         # the same plan
              (generic, 2 * spec.order, 1),     # a plan for the new order
-             (integer, 2 * spec.order, 1),     # its pruned plan
+             (integer, 2 * spec.order, 0),     # the same plan
              (integer, spec.order, 0)]         # the first plan, kept
     for assignment, order, count in steps:
         gathers.clear()
@@ -527,7 +529,9 @@ def test_plan_keeps_no_per_call_state(monkeypatch):
 
 
 def test_a_zero_gamma_of_either_sign_shares_one_plan(monkeypatch):
-    """gamma_1 = -beta + a1 at +-1e-12 rounds to 0.0 or -0.0: one floor."""
+    """gamma_1 = -beta + a1 at +-1e-12 enters the factor table as 0 (rint
+    gives 0.0 or -0.0), so both signs give the terms of gamma_1 = 0 from
+    the one plan."""
     spec = fixtures()["2f1-double"]
     series = pipeline.run(spec).series[0]
     generic = spec.assignment()
@@ -540,6 +544,51 @@ def test_a_zero_gamma_of_either_sign_shares_one_plan(monkeypatch):
               for offset in (1e-12, -1e-12)]
     assert len(gathers) == 1
     assert values[0] == pytest.approx(values[1], rel=1e-9)
+
+
+def test_a_term_with_a_zero_and_a_pole_counts_as_zero():
+    """2f1-double's first series, gamma = (-beta + a1, -a1 + a2, 0, -a2)
+    on the lattice (-1, 1, 1, -1), at gamma_1 = 2: the falling factorial
+    [2]_k vanishes for k >= 3.  At gamma_2 = -3 the rising (-2)_k vanishes
+    there too, and those terms are 0, as the exact coefficients drop a
+    vanishing numerator before a pole can raise; at gamma_2 = -2 the pole
+    at k = 2 stands alone and raises."""
+    spec = fixtures()["2f1-double"]
+    series = pipeline.run(spec).series[0]
+    generic = spec.assignment()
+    coeffs = [1.0, 1.0, 1.0, 2.0]
+    both = dict(generic, a1=generic["beta"] + 2, a2=0.9)
+    assert [g.evaluate(both) for g in series.gamma.components] == [
+        2.0, -3.0, 0.0, -0.9]
+    value, _ = series.evaluate(both, coeffs, spec.order)
+    assert value == pytest.approx(
+        _reference_sum(series, both, coeffs, spec.order), rel=1e-13)
+    bundle = SolutionBundle([series], [GammaFactor()])
+    assert bundle.evaluate(both, coeffs, spec.order) == value
+    pole = dict(both, a2=1.9)
+    for evaluate in (series.evaluate, bundle.evaluate,
+                     functools.partial(_reference_sum, series)):
+        with pytest.raises(PoleError):
+            evaluate(pole, coeffs, spec.order)
+
+
+@pytest.mark.parametrize("name, value", [("a1", math.nan),
+                                         ("beta", math.inf),
+                                         ("a2", -math.inf)])
+def test_a_parameter_that_is_not_finite_raises_typed_error(name, value):
+    """Checked before any constant: nan would pass the pole rule silently
+    and an infinite gamma would read as a pole."""
+    spec = fixtures()["2f1-double"]
+    rep = pipeline.run(spec)
+    assignment = dict(spec.assignment(), **{name: value})
+    coeffs = [1.0, 1.0, 1.0, 2.0]
+    message = re.escape(f"parameter {name!r} is {value}, not finite")
+    for evaluate in (lambda: rep.series[0].evaluate(assignment, coeffs, 10),
+                     lambda: rep.bundle.evaluate(assignment, coeffs, 10),
+                     lambda: deformation_limit_probe(rep.bundle, assignment,
+                                                     coeffs, 1, [1e-1], 1.0)):
+        with pytest.raises(DimensionMismatch, match=message):
+            evaluate()
 
 
 def test_plan_is_built_once_per_order_and_never_by_run(monkeypatch):
