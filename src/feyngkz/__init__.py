@@ -7,9 +7,9 @@ from .errors import (DeformationFailed, DimensionMismatch, DivergentArgument,
                      NonFiniteValue, NonPositiveCoefficient, PoleError,
                      SingularM, UnassignedParameter, UnderdeterminedPair)
 from .gammafn import GammaFactor, log_gamma_signed
-from .gkz import (AMatrix, FakeExponent, StandardPair, deform, fake_exponents,
-                  initial_ideal, kernel_lattice, standard_kappa,
-                  standard_pairs, toric_ideal, toric_matrix)
+from .gkz import (AMatrix, FakeExponent, StandardPair, deform, facet_walk,
+                  fake_exponents, initial_ideal, kernel_lattice,
+                  standard_kappa, standard_pairs, toric_ideal, toric_matrix)
 from .graphs import GraphSpec, Propagator, prefactor, symanzik
 from .kpoly import KPoly
 from .params import ParamLinear

@@ -85,18 +85,15 @@ def cmd_symanzik(args) -> int:
 
 
 def cmd_gkz(args) -> int:
-    data = pipeline.run(_load_spec(args)).to_dict()
-    _emit(args, {key: data[key] for key in
-                 ("polynomial", "deformation", "amatrix", "codim", "weight",
-                  "lattice", "toric_basis", "initial_ideal", "standard_pairs",
-                  "exponents")})
+    _emit(args, pipeline.run(_load_spec(args)).to_dict(
+        "polynomial", "deformation", "amatrix", "codim", "weight", "lattice",
+        "toric_basis", "initial_ideal", "standard_pairs", "exponents"))
     return 0
 
 
 def cmd_series(args) -> int:
-    data = pipeline.run(_load_spec(args)).to_dict()
-    _emit(args, {"weight": data["weight"], "exponents": data["exponents"],
-                 "forms": data["forms"]})
+    _emit(args, pipeline.run(_load_spec(args)).to_dict(
+        "weight", "exponents", "forms"))
     return 0
 
 
@@ -109,13 +106,10 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     spec = _load_spec(args)
     report = pipeline.run(spec, verify=True)
-    data = report.to_dict()
-    payload = {key: data.get(key) for key in
-               ("series_value", "oracle", "relative_deviation")}
+    payload = report.to_dict("series_value", "oracle", "relative_deviation")
     ok = bool(report.oracle is not None and report.oracle.target_met
               and report.relative_deviation < spec.tolerance)
-    payload["tolerance"] = spec.tolerance
-    payload["verified"] = ok
+    payload.update(tolerance=spec.tolerance, verified=ok)
     _emit(args, payload)
     return 0 if ok else EXIT_VERIFY_FAILED
 

@@ -2,13 +2,13 @@
 
 The chain implemented here: configuration matrix A of the monomial support,
 codimension, deformation of codimension-zero inputs, the integer kernel
-lattice of A, the toric ideal I_A (a rank-1 lattice's binomial, else the
-basis binomials saturated where they need it), its w-initial monomial ideal,
-the top-dimensional standard pairs of that ideal, one set of roots on each
-facet of the regular triangulation Delta_w, and the exponent vectors,
-A.theta = kappa solved exactly on one integer tableau, facet to facet by
-basis exchange.  ``standard_pairs``, the general decomposition of any
-monomial ideal, is the reference the facet walk is tested against.
+lattice of A, the top-dimensional standard pairs of in_w(I_A), walked facet
+to facet of the regular triangulation Delta_w on the kernel's tableau, and
+the exponent vectors, A.theta = kappa solved exactly on one integer tableau
+by basis exchange.  The toric ideal I_A (a rank-1 lattice's binomial, else
+the basis binomials saturated where they need it), in_w(I_A) and
+``standard_pairs``, the general decomposition of any monomial ideal, are
+built only for the reports that print them and for the tests.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import mul, neg
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DeformationFailed, UnderdeterminedPair
@@ -196,33 +198,82 @@ def standard_pairs(gens: Sequence[Mono], nvars: int) -> List[StandardPair]:
     return pairs
 
 
-def facet_pairs(gens: Sequence[Mono], nvars: int,
-                rank: int) -> List[StandardPair]:
-    """The top-dimensional standard pairs of in_w(I_A) from its generators,
-    sorted by (face, root): the only pairs that give exponents for generic
-    parameters, vol(sigma) of them on each facet sigma of Delta_w (SST,
-    ch. 3).  rad(in_w I_A) is Delta_w's Stanley-Reisner ideal (Sturmfels,
-    ch. 8), so the facets are the rank-subsets holding no generator's
-    support, and sigma's roots are the monomials off sigma that no
-    generator's off-sigma part divides, walked breadth-first up from 1."""
-    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in gens]
-    pairs = []
-    for face in itertools.combinations(range(nvars), rank):
-        inside = sum(1 << i for i in face)
-        if any(not support & ~inside for support in supports):
-            continue
-        off = [i for i in range(nvars) if not inside >> i & 1]
-        parts = [[(i, g[i]) for i in off if g[i]] for g in gens]
-        roots = [(0,) * nvars]
-        seen = set(roots)
-        for a in roots:
-            for i in off:
-                b = a[:i] + (a[i] + 1,) + a[i + 1:]
-                if b not in seen and not any(
-                        all(b[j] >= e for j, e in part) for part in parts):
-                    seen.add(b)
-                    roots.append(b)
-        pairs.extend(StandardPair(a, face) for a in roots)
+def _refined(row: Sequence[int], w: Sequence[int]) -> Tuple[int, ...]:
+    """w.row for w refined by grevlex, lexicographically: (w.row, -row[n-1],
+    ..., -row[0]), positive iff x^(row+) leads under TermOrder(w)."""
+    return (sum(map(mul, w, row)), *map(neg, reversed(row)))
+
+
+def _least_ratio(tab, refined, col: int) -> Optional[int]:
+    """The simplex's leaving row: the r with tab[r][col] > 0 least in
+    refined[r] / tab[r][col], lexicographically; None if there is none."""
+    best, t = None, [row[col] for row in tab]
+    for r in range(len(tab)):
+        if t[r] > 0 and (best is None or [x * t[best] for x in refined[r]]
+                         < [x * t[r] for x in refined[best]]):
+            best = r
+    return best
+
+
+def _roots(tab, basis, refined, face) -> List[Mono]:
+    """The least a >= 0 off the face in each class of Z^S modulo the
+    kernel's projection, by a Dijkstra search: row r is p_r times the kernel
+    vector u 1 at basis[r] and 0 on the rest of S, so a step along basis[r]
+    costs refined[r] / p_r and adds u's face part, mod 1, to the class."""
+    if (den := math.lcm(*(row[b] for row, b in zip(tab, basis)))) == 1:
+        return [(0,) * (len(face) + len(basis))]    # sigma is unimodular
+    steps = [(b, [den // row[b] * x for x in ref],
+              [den // row[b] * row[j] % den for j in face])
+             for row, b, ref in zip(tab, basis, refined)]
+    heap = [([0] * len(refined[0]), (0,) * len(tab[0]), [0] * len(face))]
+    found = {}
+    while heap:
+        cost, a, group = heappop(heap)
+        if (key := tuple(group)) not in found:
+            found[key] = a
+            for b, step, move in steps:
+                heappush(heap, ([x + y for x, y in zip(cost, step)],
+                                a[:b] + (a[b] + 1,) + a[b + 1:],
+                                [(x + y) % den for x, y in zip(group, move)]))
+    return list(found.values())
+
+
+def facet_walk(amat: AMatrix, weight: Sequence[int]) -> List[StandardPair]:
+    """The top-dimensional standard pairs of in_w(I_A), w refined by grevlex,
+    sorted by (face, root), without a Groebner basis: vol(sigma) of them on
+    each facet sigma of Delta_w (SST, ch. 3).  Pivoting d columns S into
+    the kernel's tableau K leaves each row a positive multiple of the kernel
+    vector 1 at its basic column and 0 on the rest of S; S's complement is a
+    facet iff every row is refined-positive (reduced costs, Sturmfels, ch.
+    8).  Phase 1 of the simplex, right-hand side K.w refined, finds a first
+    facet; each column of sigma entered at the least ratio crosses a ridge."""
+    n, d = amat.ncols, len(amat.kernel)
+    tab = [list(u) if _refined(u, weight) > (0,) * (n + 1) else
+           [-x for x in u] for u in amat.kernel]
+    # [K | I] less I, which steers no choice, over the artificials' sum
+    tab.append([sum(row[j] for row in tab) for j in range(n)])
+    basis = list(range(n, n + d))
+    while (col := next((j for j in range(n) if tab[-1][j] > 0), -1)) >= 0:
+        r = _least_ratio(tab[:-1], [_refined(row, weight)
+                                    for row in tab[:-1]], col)
+        eliminate(tab, r, col)
+        basis[r] = col
+    todo, seen, pairs = [(tab[:-1], basis)], {sum(1 << b for b in basis)}, []
+    while todo:
+        tab, basis = todo.pop()
+        refined = [_refined(row, weight) for row in tab]
+        face = tuple([j for j in range(n) if j not in basis])
+        pairs += [StandardPair(a, face)
+                  for a in _roots(tab, basis, refined, face)]
+        key = sum(1 << b for b in basis)
+        for col in face:
+            r = _least_ratio(tab, refined, col)
+            if r is not None and (
+                    flip := key ^ 1 << col ^ 1 << basis[r]) not in seen:
+                seen.add(flip)
+                flipped = [row[:] for row in tab]
+                eliminate(flipped, r, col)
+                todo.append((flipped, basis[:r] + [col] + basis[r + 1:]))
     pairs.sort(key=lambda p: (p.face, p.root))
     return pairs
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import gkz, graphs
@@ -171,6 +172,8 @@ class ProblemSpec:
 
 @dataclass
 class ResultReport:
+    """What run found; toric_basis and initial_gens are built when read."""
+
     spec: ProblemSpec
     polynomial: Optional[KPoly]
     symanzik_u: Optional[KPoly]
@@ -182,8 +185,6 @@ class ResultReport:
     codim: int
     weight: Tuple[int, ...]
     lattice: List[Tuple[int, ...]]
-    toric_basis: List[Tuple[Tuple[int, ...], Tuple[int, ...]]]
-    initial_gens: List[Tuple[int, ...]]
     pairs: List[StandardPair]
     exponents: List[FakeExponent]
     series: List[CanonicalSeries]
@@ -194,34 +195,48 @@ class ResultReport:
     oracle: Optional[QuadratureResult] = None
     relative_deviation: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.spec.name,
-            "polynomial": str(self.polynomial) if self.polynomial else None,
-            "U": str(self.symanzik_u) if self.symanzik_u else None,
-            "F": str(self.symanzik_f) if self.symanzik_f else None,
-            "prefactor": str(self.prefactor) if self.prefactor else None,
-            "deformation": {"applied": self.deformation.applied,
-                            "exponent": self.deformation.exponent},
-            "amatrix": self.amatrix.rows,
-            "codim": self.codim,
-            "weight": list(self.weight),
-            "lattice": [list(v) for v in self.lattice],
-            "toric_basis": [{"plus": list(p), "minus": list(m)}
-                            for p, m in self.toric_basis],
-            "initial_ideal": [list(m) for m in self.initial_gens],
-            "standard_pairs": [str(p) for p in self.pairs],
-            "exponents": [[str(c) for c in e.components]
-                          for e in self.exponents],
-            "forms": [f.to_dict() for f in self.forms],
-        }
+    @cached_property
+    def toric_basis(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        return gkz.binomial_exponents(gkz.toric_ideal(self.amatrix))
+
+    @cached_property
+    def initial_gens(self) -> List[Tuple[int, ...]]:
+        return gkz.initial_ideal(self.toric_basis, self.weight)
+
+    def to_dict(self, *keys: str) -> dict:
+        """JSON-ready: every entry (optional ones where set), or only the
+        named ones, None where unset; I_A is built only if they include it."""
+        entries = {
+            "name": lambda: self.spec.name,
+            "polynomial": lambda: self.polynomial and str(self.polynomial),
+            "U": lambda: self.symanzik_u and str(self.symanzik_u),
+            "F": lambda: self.symanzik_f and str(self.symanzik_f),
+            "prefactor": lambda: self.prefactor and str(self.prefactor),
+            "deformation": lambda: {"applied": self.deformation.applied,
+                                    "exponent": self.deformation.exponent},
+            "amatrix": lambda: self.amatrix.rows,
+            "codim": lambda: self.codim,
+            "weight": lambda: list(self.weight),
+            "lattice": lambda: [list(v) for v in self.lattice],
+            "toric_basis": lambda: [{"plus": list(p), "minus": list(m)}
+                                    for p, m in self.toric_basis],
+            "initial_ideal": lambda: [list(m) for m in self.initial_gens],
+            "standard_pairs": lambda: [str(p) for p in self.pairs],
+            "exponents": lambda: [[str(c) for c in e.components]
+                                  for e in self.exponents],
+            "forms": lambda: [f.to_dict() for f in self.forms]}
         optional = {
-            "constants": self.bundle and [str(k) for k in self.bundle.constants],
-            "coefficients": self.coefficient_values,
-            "series_value": self.series_value,
-            "oracle": self.oracle and self.oracle.to_dict(),
-            "relative_deviation": self.relative_deviation}
-        out.update((k, v) for k, v in optional.items() if v is not None)
+            "constants": lambda: self.bundle and [
+                str(k) for k in self.bundle.constants],
+            "coefficients": lambda: self.coefficient_values,
+            "series_value": lambda: self.series_value,
+            "oracle": lambda: self.oracle and self.oracle.to_dict(),
+            "relative_deviation": lambda: self.relative_deviation}
+        if keys:
+            return {key: {**entries, **optional}[key]() for key in keys}
+        out = {key: entry() for key, entry in entries.items()}
+        out.update((key, value) for key, entry in optional.items()
+                   if (value := entry()) is not None)
         return out
 
 
@@ -264,7 +279,6 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
         amat, columns = deformation.toric or gkz.toric_matrix(poly)
         kappa = gkz.standard_kappa(poly.nvars)
 
-    codim = amat.codim()
     weight = (default_weight(amat.ncols, deformation.applied)
               if spec.weight is None else spec.weight)
     if len(weight) != amat.ncols:
@@ -273,9 +287,7 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
         raise DimensionMismatch(f"A has rank {amat.rank} < {amat.nrows} rows, so "
                                 "A.theta = kappa has no generic solution")
     lattice = gkz.kernel_lattice(amat)
-    toric = gkz.toric_ideal(amat)
-    initial = gkz.initial_ideal(toric, weight)
-    pairs = gkz.facet_pairs(initial, amat.ncols, amat.rank)
+    pairs = gkz.facet_walk(amat, weight)
     exponents = gkz.fake_exponents(amat, kappa, pairs)
     shapes = LatticeShapes(lattice, weight)
     series = [CanonicalSeries(e, lattice, weight, shapes) for e in exponents]
@@ -284,9 +296,8 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
     report = ResultReport(
         spec=spec, polynomial=poly, symanzik_u=symanzik_u,
         symanzik_f=symanzik_f, prefactor=pref, deformation=deformation,
-        amatrix=amat, column_exponents=columns, codim=codim, weight=weight,
-        lattice=lattice, toric_basis=gkz.binomial_exponents(toric),
-        initial_gens=initial, pairs=pairs, exponents=exponents,
+        amatrix=amat, column_exponents=columns, codim=amat.codim(),
+        weight=weight, lattice=lattice, pairs=pairs, exponents=exponents,
         series=series, forms=forms)
 
     try:

@@ -26,7 +26,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DivergentArgument,
+from .errors import (DimensionMismatch, DivergentArgument, NonFiniteValue,
                      NonPositiveCoefficient, PoleError)
 from .gammafn import _INT_TOL, GammaFactor
 from .gkz import FakeExponent
@@ -323,7 +323,8 @@ class SolutionBundle:
         <= 0 or not finite, UnassignedParameter, DivergentArgument if a point
         lies outside some series' region, then PoleError for a term whose
         log is +inf in the factor table, gammas near integers snapped to them;
-        a -inf (a vanishing falling factorial) zeroes a term, pole or not."""
+        a -inf (a vanishing falling factorial) zeroes a term, pole or not;
+        NonFiniteValue when a point's sum overflows or comes out nan."""
         for name, value in assignment.items():
             if not -np.inf < value < np.inf:
                 raise DimensionMismatch(f"parameter {name!r} is {value}, "
@@ -351,17 +352,20 @@ class SolutionBundle:
         rounded = np.rint(gamma)
         snapped = np.where(np.abs(gamma - rounded) < _INT_TOL, rounded, gamma)
         logs, signs = _factor_table(snapped.ravel(), lo, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_k = np.log(np.abs(constants))
             sizes = logs.take(flat).sum(axis=1)
-        if not np.isfinite(sizes).all():
-            if (hit := sizes == np.inf).any():
-                raise PoleError("vanishing denominator factor in "
-                                f"{self.series[owner[hit][0]].gamma}")
-            sizes[np.isnan(sizes)] = -np.inf
-        # log K_i c^(u + gamma_i) for every point and term
-        exponents = (log_points @ shifts.T
-                     + (log_points @ gamma.T + log_k)[:, owner])
-        values = (signs.take(flat).prod(axis=1) * np.sign(constants)[owner]
-                  * np.exp(sizes + exponents))
-        return values.sum(axis=1), np.abs(values[:, shell]).sum(axis=1)
+            if not np.isfinite(sizes).all():
+                if (hit := sizes == np.inf).any():
+                    raise PoleError("vanishing denominator factor in "
+                                    f"{self.series[owner[hit][0]].gamma}")
+                sizes[np.isnan(sizes)] = -np.inf
+            # log K_i c^(u + gamma_i) for every point and term
+            exponents = (log_points @ shifts.T
+                         + (log_points @ gamma.T + log_k)[:, owner])
+            values = (signs.take(flat).prod(axis=1) * np.sign(constants)[owner]
+                      * np.exp(sizes + exponents))
+            totals = values.sum(axis=1)
+        if not all(-np.inf < total < np.inf for total in totals.tolist()):
+            raise NonFiniteValue(f"series sum {totals.tolist()} is not finite")
+        return totals, np.abs(values[:, shell]).sum(axis=1)

@@ -21,7 +21,7 @@ import warnings
 from fractions import Fraction
 
 from feyngkz.errors import FeynGKZError, UnderdeterminedPair
-from feyngkz.gkz import FakeExponent
+from feyngkz.gkz import FakeExponent, StandardPair
 from feyngkz.groebner import (TermOrder, buchberger, grevlex_key, interreduce,
                               mono_divides, orient)
 from feyngkz.intlinalg import eliminate, kernel_basis
@@ -149,6 +149,35 @@ def fake_exponents_reference(amat, kappa, pairs):
                 dict(zip(names, row[len(face):-1])), row[-1], row[col] * den)
         out.append(FakeExponent(tuple(components), pair))
     return out
+
+
+def facet_pairs_reference(gens, nvars: int, rank: int):
+    """The top-dimensional standard pairs of in_w(I_A) from its generators,
+    sorted by (face, root), as run read them before the facet walk:
+    rad(in_w I_A) is Delta_w's Stanley-Reisner ideal (Sturmfels, ch. 8), so
+    the facets are the rank-subsets holding no generator's support, and
+    sigma's roots are the monomials off sigma that no generator's
+    off-sigma part divides, walked breadth-first up from 1."""
+    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in gens]
+    pairs = []
+    for face in itertools.combinations(range(nvars), rank):
+        inside = sum(1 << i for i in face)
+        if any(not support & ~inside for support in supports):
+            continue
+        off = [i for i in range(nvars) if not inside >> i & 1]
+        parts = [[(i, g[i]) for i in off if g[i]] for g in gens]
+        roots = [(0,) * nvars]
+        seen = set(roots)
+        for a in roots:
+            for i in off:
+                b = a[:i] + (a[i] + 1,) + a[i + 1:]
+                if b not in seen and not any(
+                        all(b[j] >= e for j, e in part) for part in parts):
+                    seen.add(b)
+                    roots.append(b)
+        pairs.extend(StandardPair(a, face) for a in roots)
+    pairs.sort(key=lambda p: (p.face, p.root))
+    return pairs
 
 
 def random_configuration(rng, codim: int):

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from feyngkz import cli, pipeline
+from feyngkz import cli, gkz, groebner, pipeline
 from feyngkz.fixtures import fixtures
 
 
@@ -457,3 +457,21 @@ def test_dependent_rows_of_a_are_a_typed_error(tmp_path, capsys, verb):
     assert code == cli.EXIT_ENGINE and out == ""
     assert err == ("error: A has rank 2 < 3 rows, so A.theta = kappa has no "
                    "generic solution\n")
+
+
+@pytest.mark.parametrize("verb, code, builds", [
+    ("series", 0, False), ("verify", 5, False), ("gkz", 0, True)])
+def test_only_the_verbs_that_print_the_ideal_build_it(capsys, monkeypatch,
+                                                      verb, code, builds):
+    """series and verify print no toric ideal, so they run no Buchberger."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    monkeypatch.setattr(gkz, "buchberger", counted)
+    assert _run(capsys, verb, "--fixture", "triangle-3scale")[0] == code
+    assert bool(calls) == builds

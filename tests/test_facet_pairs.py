@@ -1,8 +1,11 @@
 """Top-dimensional standard pairs from the facets of the triangulation
-Delta_w, against the general standard-pair decomposition."""
+Delta_w: the walk on the kernel's tableau against the Groebner route, and
+that route against the general standard-pair decomposition."""
 
 import hashlib
 import itertools
+import json
+import os
 import random
 import warnings
 from fractions import Fraction
@@ -10,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from feyngkz import gkz, pipeline
+from feyngkz import gkz, groebner, pipeline
 from feyngkz.fixtures import fixtures
-from feyngkz.gkz import (facet_pairs, fake_exponents, initial_ideal,
+from feyngkz.gkz import (AMatrix, facet_walk, fake_exponents, initial_ideal,
                          standard_kappa, standard_pairs, toric_ideal,
                          toric_matrix)
+from helpers import facet_pairs_reference as facet_pairs
 from feyngkz.kpoly import KPoly, coeff_const
 from feyngkz.params import ParamLinear
 
@@ -144,3 +148,80 @@ def test_run_walks_facets_and_warns_of_no_inconsistent_pair(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pipeline.run(spec)
+
+
+def _groebner_route(amat, weight, basis=None):
+    """The pairs as run found them before the walk: I_A, in_w, the facet
+    scan of the Stanley-Reisner ideal."""
+    initial = initial_ideal(basis or toric_ideal(amat), weight)
+    return facet_pairs(initial, amat.ncols, amat.rank)
+
+
+def test_facet_walk_equals_the_groebner_route_on_fixtures():
+    """At each fixture's own weight, the zero weight and six seeded ones."""
+    rng = random.Random(2901)
+    for name, spec in fixtures().items():
+        rep = pipeline.run(spec)
+        amat, basis = rep.amatrix, toric_ideal(rep.amatrix)
+        for weight in [rep.weight, (0,) * amat.ncols] + _weights(
+                rng, amat.ncols, 6):
+            assert facet_walk(amat, weight) == _groebner_route(
+                amat, weight, basis), (name, weight)
+
+
+def test_facet_walk_equals_the_groebner_route_on_random_configs():
+    """100 seeded configurations of codimension >= 2 and full row rank."""
+    rng = random.Random(2902)
+    cases = 0
+    while cases < 100:
+        amat = AMatrix(helpers.random_configuration(rng, 2))
+        if amat.rank < amat.nrows:
+            continue
+        weight = tuple(rng.randint(0, 4) for _ in range(amat.ncols))
+        assert facet_walk(amat, weight) == _groebner_route(amat, weight), \
+            (amat.rows, weight)
+        cases += 1
+
+
+def test_facet_walk_equals_the_groebner_route_on_massive_ngons(massive_ngon):
+    amat, basis, n = massive_ngon
+    rng = random.Random(2903 + n)
+    for weight in _weights(rng, amat.ncols, 2):
+        assert facet_walk(amat, weight) == _groebner_route(
+            amat, weight, basis), weight
+
+
+@pytest.fixture
+def no_buchberger(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Groebner basis was built")
+
+    monkeypatch.setattr(groebner, "buchberger", refuse)
+    monkeypatch.setattr(gkz, "buchberger", refuse)
+
+
+def test_run_builds_no_groebner_basis(no_buchberger):
+    for spec in fixtures().values():
+        pipeline.run(spec)
+
+
+def _massive_spec(n):
+    if n == 5:
+        path = os.path.join(os.path.dirname(__file__), "pentagon_spec.json")
+        with open(path) as handle:
+            return pipeline.ProblemSpec.from_dict(json.load(handle))
+    terms = list(helpers.massive_ngon(n).terms.items())
+    return pipeline.ProblemSpec(terms=terms, deformation="none")
+
+
+@pytest.mark.parametrize("n, count", [(5, 31), (6, 63)],
+                         ids=["pentagon", "hexagon"])
+def test_run_reaches_the_massive_pentagon_and_hexagon(no_buchberger, n,
+                                                      count):
+    """2^n - 1 exponents without a Groebner basis, |det A_sigma| roots on
+    each facet sigma (the pentagon read from the spec file CI runs)."""
+    rep = pipeline.run(_massive_spec(n))
+    assert len(rep.exponents) == len(rep.pairs) == count
+    for face, group in itertools.groupby(rep.pairs, key=lambda p: p.face):
+        rows = [[row[j] for j in face] for row in rep.amatrix.rows]
+        assert len(list(group)) == abs(_det(rows)), face

@@ -6,11 +6,11 @@ import os
 
 import pytest
 
-from feyngkz import pipeline
+from feyngkz import gkz, pipeline
 from feyngkz.constants import SolutionBundle
 from feyngkz.errors import DimensionMismatch, NonFiniteValue
 from feyngkz.fixtures import fixtures
-from feyngkz.gkz import toric_ideal
+from feyngkz.gkz import initial_ideal, toric_ideal
 from feyngkz.groebner import TermOrder, buchberger
 
 
@@ -147,3 +147,17 @@ def test_the_spec_that_perfbench_writes_still_loads():
             "tolerance": spec.tolerance}
     loaded = pipeline.ProblemSpec.from_dict(json.loads(json.dumps(data)))
     assert loaded.weight == (0, 1, 1, 1) and loaded.d == 1.4
+
+
+def test_toric_basis_and_initial_gens_are_built_once_when_read(monkeypatch):
+    """run builds no I_A; the first read builds it once for both fields."""
+    calls = []
+    real = gkz.toric_ideal
+    monkeypatch.setattr(gkz, "toric_ideal",
+                        lambda amat: calls.append(amat) or real(amat))
+    report = pipeline.run(fixtures()["triangle-3scale"])
+    assert not calls
+    assert report.initial_gens == initial_ideal(real(report.amatrix),
+                                                report.weight)
+    assert report.toric_basis == real(report.amatrix)
+    assert len(calls) == 1

@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,8 @@ import helpers
 from feyngkz import gammafn, pipeline, pochhammer, series as series_module
 from feyngkz.constants import SolutionBundle, deformation_limit_probe
 from feyngkz.errors import (DimensionMismatch, DivergentArgument,
-                            NonPositiveCoefficient, PoleError,
-                            UnassignedParameter)
+                            NonFiniteValue, NonPositiveCoefficient,
+                            PoleError, UnassignedParameter)
 from feyngkz.fixtures import fixtures
 from feyngkz.gammafn import GammaFactor
 from feyngkz.gkz import FakeExponent, StandardPair
@@ -589,6 +590,25 @@ def test_a_parameter_that_is_not_finite_raises_typed_error(name, value):
                                                      coeffs, 1, [1e-1], 1.0)):
         with pytest.raises(DimensionMismatch, match=message):
             evaluate()
+
+
+@pytest.mark.parametrize("name, value", [("beta", 1e300), ("a2", -1e300)])
+def test_a_sum_past_the_float_range_raises_typed_error(name, value):
+    """A finite parameter whose terms overflow gives NonFiniteValue, not a
+    silent inf or nan, and no RuntimeWarning; at a2 = -1e300 the bundle's
+    Gamma constants meet a pole first."""
+    spec = fixtures()["2f1-double"]
+    rep = pipeline.run(spec)
+    assignment = dict(spec.assignment(), **{name: value})
+    coeffs = [1.0, 1.0, 1.0, 2.0]
+    calls = [lambda: rep.series[0].evaluate(assignment, coeffs, 10)]
+    if name == "beta":
+        calls.append(lambda: rep.bundle.evaluate(assignment, coeffs, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in calls:
+            with pytest.raises(NonFiniteValue):
+                evaluate()
 
 
 def test_plan_is_built_once_per_order_and_never_by_run(monkeypatch):
