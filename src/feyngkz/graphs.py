@@ -47,6 +47,8 @@ class GraphSpec:
     momentum_products: List[List[Coeff]] = field(default_factory=list)
 
     def __post_init__(self):
+        if not (self.L >= 1 and self.E >= 0):
+            raise DimensionMismatch("a graph needs L >= 1 and E >= 0")
         for prop in self.propagators:
             if len(prop.M) != self.L or any(len(r) != self.L for r in prop.M):
                 raise DimensionMismatch("M block must be L x L")

@@ -74,58 +74,49 @@ def eliminate(rows: IntMatrix, r: int, col: int) -> None:
 
 def lp_maximum(cost: Sequence, a_eq: Sequence[Sequence],
                b_eq: Sequence) -> Optional[Fraction]:
-    """max cost.x subject to a_eq x = b_eq and x >= 0, solved exactly by the
-    dense two-phase simplex with Bland's rule (entering: the lowest column
-    that improves; leaving: the least ratio, ties to the lowest basic
-    column), so it cannot cycle.  The tableau is integer, each pivot one
-    eliminate step, so every row keeps the signs and ratios of the rational
-    tableau's.  None when no x is feasible; the maximum must be bounded."""
+    """max cost.x subject to a_eq x = b_eq and x >= 0, ints or Fractions,
+    exactly: a dense two-phase simplex on one integer tableau with Bland's
+    rule, which cannot cycle (entering: the lowest column that improves;
+    leaving: the least ratio, compared as integer products, ties to the
+    lowest basic column).  None if infeasible; the maximum must be bounded."""
     m, n = len(a_eq), len(cost)
-    signed = [[Fraction(x) if b >= 0 else -Fraction(x) for x in row]
-              + [abs(Fraction(b))] for row, b in zip(a_eq, b_eq)]
-    den = math.lcm(*(x.denominator for row in signed for x in row),
-                   *(Fraction(c).denominator for c in cost))
-    # row i: its signed equation times den, then the artificial unit columns
-    # and the right-hand side; the last row holds a positive multiple of the
-    # reduced costs and minus the objective value
-    tab = [[int(x * den) for x in row[:-1]] + [int(i == j) for j in range(m)]
-           + [int(row[-1] * den)] for i, row in enumerate(signed)]
+    den = math.lcm(*(x.denominator for r in (*a_eq, b_eq, cost) for x in r))
+
+    def scaled(x) -> int:
+        return x.numerator * (den // x.denominator)
+    # rows 0..m-1: each equation times den, negated where b < 0, then unit
+    # artificial columns and |b|; rows m, m + 1: phase 1's and the cost's
+    # reduced costs and minus their values, 0 on the artificials
+    tab = [[scaled(x) if b >= 0 else -scaled(x) for x in row]
+           + [int(i == j) for j in range(m)] + [abs(scaled(b))]
+           for i, (row, b) in enumerate(zip(a_eq, b_eq))]
+    tab.append([sum(col) for col in zip(*tab)])
+    tab[m][n:n + m] = [0] * m
+    tab.append([scaled(c) for c in cost] + [0] * (m + 1))
     basis = list(range(n, n + m))
 
-    def optimise() -> None:
-        while True:
-            enter = next((j for j, d in enumerate(tab[-1][:n]) if d > 0), None)
-            if enter is None:
-                return
-            ratios = [(Fraction(row[-1], row[enter]), basis[i], i)
-                      for i, row in enumerate(tab[:-1]) if row[enter] > 0]
-            if not ratios:
+    def optimise(objective: int) -> None:
+        while (enter := next((j for j in range(n) if tab[objective][j] > 0),
+                             None)) is not None:
+            leave = None
+            for i in range(m):
+                p = tab[i][enter]
+                if p > 0 and (leave is None or (tab[i][-1] * q, basis[i])
+                              < (tab[leave][-1] * p, basis[leave])):
+                    leave, q = i, p
+            if leave is None:
                 raise ValueError("the linear program is unbounded")
-            leave = min(ratios)[2]
             eliminate(tab, leave, enter)
             basis[leave] = enter
 
-    # phase 1: maximise minus the sum of the artificials
-    tab.append([sum(col) for col in zip(*tab)])
-    tab[-1][n:n + m] = [0] * m
-    optimise()
-    if tab[-1][-1]:
+    optimise(m)             # phase 1 maximises minus the sum of artificials
+    if tab[m][-1]:
         return None
-    # drive the artificials out of the basis; a row with no other entry is
-    # a redundant equation and goes
-    for i in reversed(range(m)):
-        if basis[i] >= n:
-            column = next((j for j in range(n) if tab[i][j]), None)
-            if column is None:
-                del tab[i], basis[i]
-            else:
-                eliminate(tab, i, column)
-                basis[i] = column
-    # phase 2: the real objective, reduced on this basis
-    tab = [row[:n] + row[-1:] for row in tab[:-1]]
-    tab.append([int(Fraction(c) * den) for c in cost] + [0])
-    for i, b in enumerate(basis):
-        eliminate(tab, i, b)
-    optimise()
-    return sum((Fraction(cost[b]) * Fraction(tab[i][-1], tab[i][b])
-                for i, b in enumerate(basis)), Fraction(0))
+    # pivot each artificial out on its row's first real entry; a redundant
+    # row has none and keeps it (a no-op pivot), and no ratio test selects it
+    for i in [i for i in reversed(range(m)) if basis[i] >= n]:
+        basis[i] = next((j for j in range(n) if tab[i][j]), basis[i])
+        eliminate(tab, i, basis[i])
+    optimise(m + 1)         # phase 2 on the same rows, the cost row reduced
+    return sum((cost[b] * Fraction(tab[i][-1], tab[i][b])
+                for i, b in enumerate(basis) if b < n), Fraction(0))

@@ -35,6 +35,13 @@ def series_order(value) -> int:
     return order
 
 
+def spec_integers(values, what: str) -> Tuple[int, ...]:
+    """Each entry as an int; DimensionMismatch for a bool, 1.5 or a string."""
+    if not all(type(x) in (int, float) and x == int(x) for x in values):
+        raise DimensionMismatch(f"{what} {values!r} is not integral")
+    return tuple(map(int, values))
+
+
 def relative_tolerance(value) -> float:
     """A spec's or --tolerance's tolerance: ValueError unless finite, > 0."""
     tolerance = float(value)
@@ -98,18 +105,19 @@ class ProblemSpec:
             if "graph" in data:
                 spec.graph = GraphSpec.from_dict(data["graph"])
             if data.get("polynomial"):
-                spec.terms = [(tuple(t["exponents"]), coeff_from(
+                spec.terms = [(spec_integers(t["exponents"], "exponents"), coeff_from(
                     t.get("coeff", {"1": 1}))) for t in data["polynomial"]]
                 if len({len(e) for e, _ in spec.terms}) != 1:
                     raise DimensionMismatch("polynomial exponent vectors "
                                             "differ in length")
             if "amatrix" in data:
-                spec.amatrix = AMatrix([list(map(int, r)) for r in data["amatrix"]])
+                spec.amatrix = AMatrix([list(spec_integers(r, "amatrix row"))
+                                        for r in data["amatrix"]])
                 spec.kappa_names = list(data["kappa"])
+                if len(spec.kappa_names) != spec.amatrix.nrows:
+                    raise DimensionMismatch("kappa needs one name per row of A")
             if "weight" in data:
-                spec.weight = tuple(map(int, data["weight"]))
-                if list(spec.weight) != list(data["weight"]):
-                    raise DimensionMismatch(f"weight {data['weight']} is not integral")
+                spec.weight = spec_integers(data["weight"], "weight")
             spec.deformation = data.get("deformation", "auto")
             if spec.deformation not in ("auto", "none"):
                 raise DimensionMismatch(f"deformation {spec.deformation!r} "

@@ -20,6 +20,7 @@ is evaluated as a bundle of one, with K = 1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -293,8 +294,11 @@ class SolutionBundle:
 
     @cached_property
     def _regions(self) -> dict:
-        return {(tuple(phi.lattice), phi.form.kind): phi._basis().astype(float)
-                for phi in self.series}
+        by_region = {(tuple(phi.lattice), phi.form.kind): phi
+                     for phi in self.series}
+        return {key: (phi._basis().astype(float),
+                      math.prod(abs(x) ** x for v in phi.lattice[:1] for x in v))
+                for key, phi in by_region.items()}
 
     def _terms(self, order: int):
         """The plan at this order, from one box per distinct lattice, each
@@ -342,11 +346,11 @@ class SolutionBundle:
             len(self.series), -1)
         shifts, shell, owner, lo, hi, flat = self._terms(order)
         log_points = np.log(points)
-        for (_, kind), basis in self._regions.items():
-            # |x| < 1 in rank 1, sqrt|x| + sqrt|y| < 1 for Appell F4
+        for (_, kind), (basis, r) in self._regions.items():
+            # rank 1: |x| < r = prod_j |v_j|^v_j, as terms' ratios tend to x/r
             args = np.exp(log_points @ basis.T)
-            if len(basis) == 1 and (worst := float(args.max(initial=0))) >= 1:
-                raise DivergentArgument(f"|argument| = {worst:.4g} >= 1")
+            if len(basis) == 1 and (x := float(args.max(initial=0))) >= r:
+                raise DivergentArgument(f"|argument| = {x:.4g} >= {r:.4g}")
             if kind == "AppellF4" and np.any(np.sqrt(args).sum(axis=1) >= 1):
                 raise DivergentArgument("sqrt|x| + sqrt|y| >= 1")
         rounded = np.rint(gamma)

@@ -231,6 +231,19 @@ def test_alpha_that_is_not_finite_is_one_error_line(capsys):
     assert err == "error: parameter 'a1' is nan, not finite\n"
 
 
+@pytest.mark.parametrize("c2, code", [(1.6, cli.EXIT_DIVERGENT),
+                                      (2, cli.EXIT_DIVERGENT), (3, 0)])
+def test_quadratic_verifies_only_inside_its_radius(tmp_path, capsys, c2,
+                                                   code):
+    """tests/quadratic_spec.json (c2 = 1.6, exit 6), which CI also runs, and
+    c2 = 2 and 3: the radius of x = c1 c3 / c2^2 is 1/4, not 1."""
+    spec = _spec_file("quadratic_spec.json")
+    spec["coefficients"][1] = c2
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert _run(capsys, "verify", "--spec", str(path))[0] == code
+
+
 @pytest.mark.parametrize("weight", ["0,0,0,0", "1,1,1,1"])
 def test_verify_at_a_tied_weight(capsys, weight):
     """Every lattice vector ties w.v = 0: in_w and the series' side both
@@ -319,6 +332,11 @@ def test_usage_mistakes_exit_2(capsys, argv, message):
     assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
 
 
+def _spec_file(name):
+    with open(os.path.join(os.path.dirname(__file__), name)) as handle:
+        return json.load(handle)
+
+
 _TERMS = [{"exponents": [0, 0]}, {"exponents": [1, 0]},
           {"exponents": [0, 1]}, {"exponents": [1, 1]}]
 _BUBBLE = {"L": 1, "E": 1, "invariants": ["s"],
@@ -357,7 +375,12 @@ _TRIANGLE = {"L": 1, "E": 2, "invariants": ["s"],
     {"graph": {**_TRIANGLE, "momentum_products": products}}
     for products in ({"p0.p1": {"s": "1/2"}}, {"p1.p3": {"s": "1/2"}},
                      {"p1.p2": {"s": "1/2"}, "p2.p1": {"s": 1}},
-                     {"1.pp2": {"s": "1/2"}}, {"1.2": {"s": "1/2"}})],
+                     {"1.pp2": {"s": "1/2"}}, {"1.2": {"s": "1/2"}})] + [
+    {"polynomial": [{"exponents": [0]}, {"exponents": [1.5]}]},
+    {"polynomial": [{"exponents": "01"}, {"exponents": [1, 0]}]},
+    _spec_file("fractional_amatrix_spec.json"),
+    {"amatrix": _AMATRIX["amatrix"], "kappa": ["beta1", "beta2"]},
+    {"graph": {"L": 0, "E": 0, "propagators": []}}],
     ids=["empty-polynomial", "alpha", "coeff", "graph", "kappa", "list",
          "ragged-amatrix", "ragged-exponents", "negative-order",
          "fractional-order", "bool-order", "negative-tolerance",
@@ -365,7 +388,8 @@ _TRIANGLE = {"L": 1, "E": 2, "invariants": ["s"],
          "three-sources", "graph-and-polynomial", "graph-and-amatrix",
          "polynomial-and-amatrix", "momentum-index-0",
          "momentum-index-past-e", "conflicting-products", "momentum-key-pp",
-         "momentum-key-without-p"])
+         "momentum-key-without-p", "fractional-exponent", "text-exponents",
+         "fractional-amatrix", "short-kappa", "empty-graph"])
 def test_malformed_spec_is_a_typed_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

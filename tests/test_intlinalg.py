@@ -106,7 +106,7 @@ def test_lp_maximum_degenerate_infeasible_redundant_unbounded():
     assert lp_maximum([1, 0, 0], [[1, 1, 0], [0, 1, 1], [1, 0, -1]],
                       [1, 1, 1]) is None
     # the third equation is the sum of the first two: its artificial stays
-    # basic at zero after phase 1, and its row is dropped
+    # basic at zero after phase 1, and its row stays, never selected
     assert lp_maximum([Fraction(1, 3), 1, 0],
                       [[1, 1, 0], [0, 1, 1], [1, 2, 1]],
                       [1, 2, 3]) == 1

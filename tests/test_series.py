@@ -2,8 +2,10 @@
 
 import functools
 import itertools
+import json
 import math
 import operator
+import os
 import random
 import re
 import warnings
@@ -208,6 +210,27 @@ def test_tied_weight_series_is_oriented_by_grevlex():
     spec.alpha, spec.weight = [1.2, 1.3], (0, 0, 0, 0)
     with pytest.raises(DivergentArgument, match=r"\|argument\| = 1\.5 "):
         pipeline.run(spec, verify=True)
+
+
+@pytest.mark.parametrize("c2, x", [(1.6, "0.3906"), (2, "0.25")],
+                         ids=["outside", "boundary"])
+def test_rank1_radius_is_the_generators_own(c2, x):
+    """A rank-1 generator v with entries beyond {-1, 0, 1} converges for
+    |x| < prod_j |v_j|^v_j, here 1/4: x = 0.39 passes |x| < 1 but diverges
+    (its sum was 3.5e8 against the integral's 1.68), and x = 1/4 is on the
+    boundary; the series and the bundle refuse both (test_cli checks that
+    verify exits 6 at both and verifies at c2 = 3)."""
+    path = os.path.join(os.path.dirname(__file__), "quadratic_spec.json")
+    with open(path) as handle:
+        spec = pipeline.ProblemSpec.from_dict(json.load(handle))
+    spec.coefficients[1] = c2       # c = (1, c2, 1): x = 1 / c2^2
+    rep = pipeline.run(spec)
+    assert rep.lattice == [(1, -2, 1)]
+    message = rf"\|argument\| = {x} >= 0\.25$"
+    with pytest.raises(DivergentArgument, match=message):
+        rep.series[0].evaluate(spec.assignment(), spec.coefficients, 40)
+    with pytest.raises(DivergentArgument, match=message):
+        rep.bundle.evaluate(spec.assignment(), spec.coefficients, 40)
 
 
 def test_a_missing_parameter_is_reported_before_a_divergent_point():
