@@ -14,6 +14,7 @@ Distinct exit codes flag the structured failure modes so scripts can react.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -126,6 +127,7 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="feyngkz",

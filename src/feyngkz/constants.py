@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import NoZeroComponent
 from .gammafn import GammaFactor
 from .gkz import FakeExponent

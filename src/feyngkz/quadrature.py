@@ -21,15 +21,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DimensionMismatch, NonConvergent, NonPositiveCoefficient
 from .intlinalg import integer_rank, lp_maximum
 
 _DECAY_DROP = 45.0          # required drop of log f along each axis
 _PROBE_LIMIT = 2000.0       # how far out to look for the drop
 # probe radii 1, 1.5, 1.5^2, ... up to the first one past _PROBE_LIMIT
-_PROBE_RADII = 1.5 ** np.arange(math.ceil(math.log(_PROBE_LIMIT, 1.5)) + 1)
+_PROBE_RADII = tuple(1.5 ** k for k in range(
+    math.ceil(math.log(_PROBE_LIMIT, 1.5)) + 1))
 _NODE_BUDGET = 1 << 17      # tensor nodes summed per vectorised chunk
 _PASS_NODE_LIMIT = 1 << 24  # most nodes one tensor pass may sum
 
@@ -203,7 +203,8 @@ def _axis_truncations(f: Integrand) -> Tuple[List[float], bool]:
     n, radii, sized, (r0, r1) = len(_PROBE_RADII), [], True, _PROBE_RADII[-2:]
     for axis in range(f.ndim):
         axes = [[0.0]] * f.ndim
-        axes[axis] = np.concatenate(([0.0], _PROBE_RADII, -_PROBE_RADII))
+        axes[axis] = np.concatenate(
+            ([0.0], _PROBE_RADII, np.negative(_PROBE_RADII)))
         values = f.log_grid(axes).ravel()
         log_f0, reach = values[0], 0.0
         for row in (values[1:n + 1], values[n + 1:]):

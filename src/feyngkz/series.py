@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (DimensionMismatch, DivergentArgument, NonFiniteValue,
                      NonPositiveCoefficient, PoleError)
 from .gammafn import _INT_TOL, GammaFactor

@@ -254,6 +254,31 @@ def test_verify_at_a_tied_weight(capsys, weight):
     assert json.loads(out)["series_value"] == 3.160307889336243
 
 
+def test_consecutive_calls_share_no_options(capsys, monkeypatch):
+    """The parser is built once per process; each call's options are its
+    own, and a usage error names its own verb."""
+    weights = []
+
+    def recorded(spec, **kwargs):
+        weights.append(tuple(spec.weight))
+        return run(spec, **kwargs)
+
+    run = pipeline.run
+    monkeypatch.setattr(pipeline, "run", recorded)
+    code, out, _ = _run(capsys, "verify", "--fixture", "2f1-double",
+                        "--weight", "0,0,0,0", "--json")
+    assert code == 0 and json.loads(out)["verified"] is True
+    code, out, _ = _run(capsys, "verify", "--fixture", "2f1-double")
+    assert code == 0 and out.startswith("series_value: ")
+    assert weights == [(0, 0, 0, 0), tuple(fixtures()["2f1-double"].weight)]
+    for verb in ("verify", "gkz"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([verb, "--fixture", "2f1-double", "--order", "-1"])
+        assert exit_info.value.code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"usage: feyngkz {verb} ")
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_spec_without_input_is_a_typed_error(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"name": "x"}))

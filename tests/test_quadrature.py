@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import json
 import math
 import os
 import pathlib
@@ -194,15 +195,19 @@ def test_unsized_box_misses_its_target(monkeypatch):
     assert abs(res.value - exact) / exact < 1e-10
 
 
+def _fresh_python(code):
+    """Standard output of `code` run in a fresh interpreter."""
+    src = str(pathlib.Path(quadrature_module.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True).stdout
+
+
 def _loaded_modules(*names):
     """Module names that importing the given modules loads, in a fresh
     interpreter."""
-    src = str(pathlib.Path(quadrature_module.__file__).parents[1])
-    return subprocess.run(
-        [sys.executable, "-c", f"import sys, {', '.join(names)}; "
-         "print('\\n'.join(sys.modules))"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-        text=True, check=True).stdout.split()
+    return _fresh_python(f"import sys, {', '.join(names)}; "
+                         "print('\\n'.join(sys.modules))").split()
 
 
 def test_import_leaves_scipy_out():
@@ -211,6 +216,49 @@ def test_import_leaves_scipy_out():
     loaded = _loaded_modules("feyngkz", "feyngkz.cli")
     assert "feyngkz.cli" in loaded
     assert not [name for name in loaded if name.startswith("scipy")]
+
+
+_VERIFY_2F1 = """
+import json, sys
+from feyngkz import fixtures, run
+report = run(fixtures()["2f1-double"], verify=True)
+print(json.dumps([sorted(sys.modules), float(report.series_value).hex(),
+                  float(report.oracle.value).hex()]))
+"""
+
+
+def test_numpy_loads_on_first_numeric_use():
+    """The exact chain (import, run without verify, the exact verbs) never
+    imports NumPy; a verify loads it on first use, and its numbers are those
+    of an interpreter that imported NumPy first, where the package binds
+    that NumPy."""
+    exact = """
+import contextlib, io, sys
+import feyngkz, feyngkz.cli
+from feyngkz import cli, fixtures, run
+for spec in fixtures().values():
+    run(spec)
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["symanzik", "--fixture", "box"], ["gkz", "--fixture", "box"],
+                 ["series", "--fixture", "triangle-3scale"], ["fixtures"]):
+        assert cli.main(argv) == 0
+print([name for name in sys.modules if name.startswith("numpy.")])
+"""
+    lazy = _fresh_python(exact + _VERIFY_2F1).splitlines()
+    eager = _fresh_python("import numpy, feyngkz\n"
+                          "assert feyngkz.series.np is numpy\n" + _VERIFY_2F1)
+    assert lazy[0] == "[]"
+    loaded, *values = json.loads(lazy[1])
+    assert any(name.startswith("numpy.") for name in loaded)
+    assert values == json.loads(eager)[1:]
+
+
+def test_probe_radii_equal_the_numpy_powers():
+    radii = quadrature_module._PROBE_RADII
+    powers = 1.5 ** np.arange(math.ceil(math.log(
+        quadrature_module._PROBE_LIMIT, 1.5)) + 1)
+    assert all(type(r) is float for r in radii)
+    assert [r.hex() for r in radii] == [float(p).hex() for p in powers]
 
 
 def test_dimension_limit():
