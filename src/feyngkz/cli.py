@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import graphs, pipeline
-from .fixtures import fixtures as load_fixtures
+from .fixtures import DOCUMENTS, fixture
 from .errors import (DimensionMismatch, DivergentArgument, FeynGKZError,
                      NonConvergent)
 
@@ -34,7 +34,7 @@ _EXIT_CODES = [(NonConvergent, EXIT_NONCONVERGENT),
 
 def _load_spec(args) -> pipeline.ProblemSpec:
     if args.fixture:
-        spec = load_fixtures().get(args.fixture)
+        spec = fixture(args.fixture)
         if spec is None:
             args.usage_error(f"unknown fixture {args.fixture!r}")
     else:
@@ -116,14 +116,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    table = load_fixtures()
     if args.name:
-        spec = table.get(args.name)
+        spec = fixture(args.name)
         if spec is None:
             args.usage_error(f"unknown fixture {args.name!r}")
         _emit(args, spec.to_dict())
     else:
-        _emit(args, {"fixtures": sorted(table)})
+        _emit(args, {"fixtures": sorted(DOCUMENTS)})
     return 0
 
 

@@ -16,11 +16,11 @@ own.  ``fixtures()`` returns fresh ProblemSpec objects keyed by name.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from .pipeline import ProblemSpec
 
-_DOCUMENTS = [
+DOCUMENTS = {doc["name"]: doc for doc in [
     # (c1 + c2 z1 + c3 z2 + c4 z1 z2)^(-beta): the double-integral Gauss
     # system.
     {"name": "2f1-double", "deformation": "none",
@@ -120,8 +120,13 @@ _DOCUMENTS = [
                                                "s2": "-1/2"}}},
      "weight": [0, 0, 1, 0, 0, 0], "alpha": [0.3, 0.35, 0.4], "d": 3.8,
      "kinematics": {"s1": 0.02, "s2": 1.0, "s3": 0.03}, "order": 30},
-]
+]}
+
+
+def fixture(name: str) -> Optional[ProblemSpec]:
+    """The named fixture alone, None for an unknown name."""
+    return ProblemSpec.from_dict(DOCUMENTS[name]) if name in DOCUMENTS else None
 
 
 def fixtures() -> Dict[str, ProblemSpec]:
-    return {doc["name"]: ProblemSpec.from_dict(doc) for doc in _DOCUMENTS}
+    return {name: ProblemSpec.from_dict(doc) for name, doc in DOCUMENTS.items()}

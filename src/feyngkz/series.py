@@ -45,45 +45,63 @@ def term_coefficient(gamma: Sequence[ParamLinear],
         [(g + 1, x) for g, x in zip(gamma, u) if x > 0])
 
 
-def _factor_table(gamma: np.ndarray, lo: int,
-                  hi: int) -> Tuple[np.ndarray, np.ndarray]:
-    """log|f_i(x)| and sign f_i(x), one row per component and one column per
-    x = lo..hi (lo <= 0 <= hi), where f_i(x) = [g_i]_{-x} for x <= 0 and
-    1 / (g_i+1)_x for x > 0: the coefficient-free factor of c_i^x.  Since
-    f_i(x)/f_i(x-1) = 1/(g_i+x), each row is a cumulative sum of log|g_i+k|
-    outward from f_i(0) = 1; a factor that vanishes makes every entry beyond
-    it -inf/+inf with sign 0."""
-    factors = np.asarray(gamma, dtype=float)[:, None] + np.arange(lo + 1, hi + 1)
+def _factor_table(gamma: np.ndarray, rows: np.ndarray, steps: np.ndarray,
+                  left: int) -> Tuple[np.ndarray, np.ndarray]:
+    """log|f(x)| and sign f(x), f(x) = [g]_{-x} for x <= 0 and 1 / (g+1)_x
+    for x > 0 (the coefficient-free factor of c^x), g = gamma[rows[h]] on
+    half-row h, whose column c is x = -c on the first ``left`` half-rows and
+    x = c on the rest.  Since f(x)/f(x-1) = 1/(g+x), a half-row sums log|g+k|
+    over k = 0, -1, ... or -log|g+k| over k = 1, 2, ... outward from f(0) =
+    1; a vanishing factor makes every entry beyond it -inf/+inf, sign 0."""
+    factors = np.ones((len(rows) or 1, steps.shape[1] + 1))
+    np.add(gamma.take(rows)[:, None], steps, out=factors[:len(rows), 1:])
     with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(factors))
-    sign = np.sign(factors)
-    logs = np.zeros((len(factors), hi - lo + 1))
-    signs = np.ones(logs.shape)
-    m = -lo                                    # factors[:, :m] is k = lo+1..0
-    logs[:, :m] = log_abs[:, :m][:, ::-1].cumsum(axis=1)[:, ::-1]
-    signs[:, :m] = sign[:, :m][:, ::-1].cumprod(axis=1)[:, ::-1]
-    logs[:, m + 1:] = -log_abs[:, m:].cumsum(axis=1)
-    signs[:, m + 1:] = sign[:, m:].cumprod(axis=1)
-    return logs, signs
+        logs = np.log(np.abs(factors))
+    right = logs[left:, 1:]
+    np.negative(right, out=right)
+    return logs.cumsum(axis=1), np.sign(factors).cumprod(axis=1)
 
 
-def _gather(parts, floor: np.ndarray):
-    """Each series' part (points u, shell mask) cut to u >= its floor row:
-    the kept points as floats, shell mask and owning series, lo, hi and each
-    factor's flat index into the raveled factor table over x = lo..hi, whose
-    rows are the series' components in turn.  Each part is cut and indexed
-    alone, so no temporary spans every series' terms."""
-    parts = [(u[keep], shell[keep]) for (u, shell), row in zip(parts, floor)
-             for keep in [(u >= row).all(axis=1)]]
-    lo = min(int(u.min(initial=0)) for u, _ in parts)
-    hi = max(int(u.max(initial=0)) for u, _ in parts)
-    rows = np.arange(floor.size).reshape(floor.shape) * (hi - lo + 1) - lo
-    return (np.concatenate([u.astype(float) for u, _ in parts]),
-            np.concatenate([shell for _, shell in parts]),
-            np.concatenate([np.full(len(u), i)
-                            for i, (u, _) in enumerate(parts)]),
-            lo, hi, np.concatenate([(u + r).astype(np.intp)
-                                    for (u, _), r in zip(parts, rows)]))
+def _half_rows(lows: Sequence[int], highs: Sequence[int]):
+    """The layout for table rows r read over x = lows[r]..highs[r]: a
+    half-row per side read, left ones first, as wide as the farthest read;
+    and the flat index of x = 0 in row r's left and right half-row, or of
+    f(0) in half-row 0 (or alone) where it has none, to which |x| adds."""
+    halves = [(r, -x) for r, x in enumerate(lows) if x]
+    left = len(halves)
+    halves += [(r, x) for r, x in enumerate(highs) if x]
+    width = max((x for _, x in halves), default=0)
+    bases = [0] * (2 * len(lows))
+    for h, (r, _) in enumerate(halves):
+        bases[r + len(lows) * (h >= left)] = h * (width + 1)
+    c = np.arange(1.0, width + 1)
+    steps = np.empty((len(halves), width))
+    steps[:left], steps[left:] = 1 - c, c
+    return ((np.array([r for r, _ in halves], dtype=np.intp), steps, left),
+            np.array(bases, dtype=np.intp).reshape(2, -1))
+
+
+def _gather(boxes, which: Sequence[int], floor: np.ndarray, order: int):
+    """The distinct lattices' boxes (indices, points u) cut by one mask to
+    each series' box ``which`` and u >= its floor row: in series order, the
+    kept u as floats, shell mask, owning series, the layout of the table
+    rows (series' components in turn) they read, and each factor's index."""
+    indices, points = map(np.concatenate, zip(*boxes))
+    # reduced across columns: over a short last axis it is ~5x slower
+    keep = (np.ascontiguousarray(points.T) >= floor[:, :, None]).all(axis=1)
+    norm = np.abs(np.ascontiguousarray(indices.T)).max(axis=0, initial=0)
+    if len(boxes) > 1:
+        keep &= np.repeat(np.arange(len(boxes)), [len(k) for k, _ in boxes]
+                          ) == np.array(which)[:, None]
+    owner, index = keep.nonzero()
+    u = points[index]
+    starts = np.searchsorted(owner, np.arange(len(floor)))  # each keeps u = 0
+    layout, bases = _half_rows(np.minimum.reduceat(u, starts).ravel().tolist(),
+                               np.maximum.reduceat(u, starts).ravel().tolist())
+    lefts, rights = bases.reshape(2, *floor.shape)
+    return (u.astype(float), norm[index] == order, owner, layout,
+            np.where(u > 0, rights.take(owner, 0), lefts.take(owner, 0))
+            + np.abs(u))
 
 
 @dataclass
@@ -266,7 +284,7 @@ class SolutionBundle:
     as sum_i K_i phi_i over one set of terms.  The plan per order, built on
     first use like the gammas' floats and the region bases, holds each
     series' terms u >= its exact floor row, in turn, with their series and
-    their factors' flat indices into one table stacking every series' rows."""
+    their factors' flat indices into one table of the half-rows they read."""
 
     series: List[CanonicalSeries]
     constants: List[GammaFactor]                  # symbolic prescription
@@ -305,15 +323,12 @@ class SolutionBundle:
         g >= 0, past which [g]_{-u_j} vanishes at every assignment."""
         if (plan := self._plans.get(order)) is None:
             boxes = {tuple(phi.lattice): phi for phi in self.series}
-            for lattice, phi in boxes.items():
-                indices, points = phi._box(order)
-                shell = np.abs(indices).max(axis=1, initial=0) == order
-                boxes[lattice] = points, shell
             floor = [-g if not pairs and g >= 0 and g.is_integer() else -np.inf
                      for g, pairs in self._gamma_map.rows]
             plan = self._plans[order] = _gather(
-                [boxes[tuple(phi.lattice)] for phi in self.series],
-                np.reshape(floor, (len(self.series), -1)))
+                [phi._box(order) for phi in boxes.values()],
+                [list(boxes).index(tuple(phi.lattice)) for phi in self.series],
+                np.array(floor).reshape(len(self.series), -1), order)
         return plan
 
     def _sum(self, assignment: Mapping[str, float],
@@ -343,7 +358,7 @@ class SolutionBundle:
                                          f"finite, got {points.tolist()}")
         gamma = np.array(self._gamma_map(assignment)).reshape(
             len(self.series), -1)
-        shifts, shell, owner, lo, hi, flat = self._terms(order)
+        shifts, shell, owner, layout, flat = self._terms(order)
         log_points = np.log(points)
         for (_, kind), (basis, r) in self._regions.items():
             # rank 1: |x| < r = prod_j |v_j|^v_j, as terms' ratios tend to x/r
@@ -354,7 +369,7 @@ class SolutionBundle:
                 raise DivergentArgument("sqrt|x| + sqrt|y| >= 1")
         rounded = np.rint(gamma)
         snapped = np.where(np.abs(gamma - rounded) < _INT_TOL, rounded, gamma)
-        logs, signs = _factor_table(snapped.ravel(), lo, hi)
+        logs, signs = _factor_table(snapped.ravel(), *layout)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_k = np.log(np.abs(constants))
             sizes = logs.take(flat).sum(axis=1)

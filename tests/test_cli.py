@@ -23,6 +23,32 @@ def test_fixture_listing(capsys):
     assert "one-mass-bubble" in names and "box" in names
 
 
+@pytest.mark.parametrize("argv, builds", [
+    (["verify", "--fixture", "2f1-double"], ["2f1-double"]),
+    (["fixtures", "--name", "box", "--json"], ["box"]),
+    (["fixtures"], [])], ids=["verify", "fixtures-name", "fixtures"])
+def test_a_fixture_verb_builds_only_the_named_fixture(capsys, monkeypatch,
+                                                      argv, builds):
+    """--fixture and --name build one ProblemSpec from its document, and
+    the plain listing builds none."""
+    built = []
+    real = pipeline.ProblemSpec.from_dict
+    monkeypatch.setattr(pipeline.ProblemSpec, "from_dict", classmethod(
+        lambda cls, data: built.append(data["name"]) or real(data)))
+    assert _run(capsys, *argv)[0] == 0
+    assert built == builds
+
+
+def test_an_unknown_fixture_is_its_verbs_usage_error(capsys):
+    for verb in ("verify", "symanzik"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([verb, "--fixture", "no-such"])
+        assert exit_info.value.code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: feyngkz {verb} ")
+        assert err.rstrip().endswith("error: unknown fixture 'no-such'")
+
+
 def test_symanzik_verb(capsys):
     code, out, _ = _run(capsys, "symanzik", "--fixture", "massless-bubble")
     assert code == 0

@@ -25,7 +25,7 @@ from feyngkz.gammafn import GammaFactor
 from feyngkz.gkz import FakeExponent, StandardPair
 from feyngkz.params import ParamLinear
 from feyngkz.pochhammer import log_poch
-from feyngkz.series import (_argument_monomial, _factor_table,
+from feyngkz.series import (_argument_monomial, _factor_table, _half_rows,
                             term_coefficient)
 
 
@@ -354,22 +354,33 @@ def _reached(g, x):
     return True
 
 
+def _table_over(gamma, lo, hi):
+    """The factor table of every row over x = lo..hi, both sides read, and
+    the flat index of each (row, x) entry."""
+    layout, bases = _half_rows([lo] * len(gamma), [hi] * len(gamma))
+    logs, signs = _factor_table(np.array(gamma), *layout)
+    sides = (lo < 0) + (hi > 0)
+    assert logs.shape == signs.shape == (sides * len(gamma) or 1,
+                                         max(-lo, hi) + 1)
+    return (logs.ravel(), signs.ravel(),
+            lambda i, x: bases[int(x > 0), i] + abs(x))
+
+
 def test_factor_table_matches_per_entry_reference():
     rng = random.Random(7)
     kinds = ("generic", "near-integer", "negative-integer", "non-negative-integer")
     for _ in range(40):
         gamma = [_random_gamma(rng, rng.choice(kinds)) for _ in range(5)]
         lo, hi = -rng.randint(0, 400), rng.randint(0, 400)
-        logs, signs = _factor_table(np.array(gamma), lo, hi)
-        assert logs.shape == signs.shape == (len(gamma), hi - lo + 1)
+        logs, signs, entry = _table_over(gamma, lo, hi)
         for i, g in enumerate(gamma):
             for x in range(lo, hi + 1):
                 if not _reached(g, x):
                     continue
                 want, sign = log_poch(g + 1 + x, -x)
-                got = logs[i, x - lo]
+                got = logs[entry(i, x)]
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (g, x)
-                assert signs[i, x - lo] == sign, (g, x)
+                assert signs[entry(i, x)] == sign, (g, x)
 
 
 def test_factor_table_stays_exact_next_to_integers():
@@ -380,13 +391,90 @@ def test_factor_table_stays_exact_next_to_integers():
     mpmath.mp.dps = 40
     for distance in (1e-8, -1e-8, 1e-5):
         gamma = [-3 + distance, 2 + distance]
-        logs, signs = _factor_table(np.array(gamma), -60, 60)
+        logs, signs, entry = _table_over(gamma, -60, 60)
         for i, g in enumerate(gamma):
             for x in range(-60, 61):
                 exact = mpmath.rf(mpmath.mpf(g) + 1 + x, -x)
                 want = float(mpmath.log(abs(exact)))
-                assert abs(logs[i, x + 60] - want) <= 1e-13 * max(1.0, abs(want))
-                assert signs[i, x + 60] == (1.0 if exact > 0 else -1.0)
+                assert abs(logs[entry(i, x)] - want) <= 1e-13 * max(1.0, abs(want))
+                assert signs[entry(i, x)] == (1.0 if exact > 0 else -1.0)
+
+
+def _two_boxes(rep):
+    """rep's bundle with every even-numbered series re-based as a RawSeries
+    on the oriented lattice, so that its plan joins two boxes."""
+    shapes = series_module.LatticeShapes(rep.lattice, rep.weight)
+    shapes.candidates = []
+    return SolutionBundle(
+        [phi if i % 2 else series_module.CanonicalSeries(
+            exponent, rep.lattice, rep.weight, shapes)
+         for i, (phi, exponent) in enumerate(zip(rep.series, rep.exponents))],
+        rep.bundle.constants)
+
+
+def test_bundle_values_match_the_golden_record():
+    """tests/bundle_golden.json holds float.hex of the values and tails of
+    every fixture's bundle, and of triangle-3scale's on two boxes, at three
+    interior points and orders 0, 10, 40 and 80, as the kernel gave them
+    when its factor table spanned x = lo..hi on every row.  The half-row
+    table sums the same floats in the same order, so every bit holds."""
+    with open(os.path.join(os.path.dirname(__file__),
+                           "bundle_golden.json")) as handle:
+        cases = json.load(handle)
+    assert len(cases) == 4 * (len(fixtures()) + 1)
+    reports = {}
+    for case in cases:
+        name = case["fixture"]
+        if name not in reports:
+            reports[name] = pipeline.run(fixtures()[name])
+        bundle = (_two_boxes(reports[name]) if case["mixed"]
+                  else reports[name].bundle)
+        assignment = {key: float.fromhex(value)
+                      for key, value in case["assignment"].items()}
+        points = [[float.fromhex(x) for x in point] for point in case["points"]]
+        values, tails = bundle._sum(assignment, points, case["order"])
+        assert [float(v).hex() for v in values] == case["values"], case
+        assert [float(t).hex() for t in tails] == case["tails"], case
+
+
+def test_factor_table_holds_only_the_half_rows_its_terms_read():
+    """2f1-double at order 40 reads each component on one side only: 8
+    half-rows of 41 entries, against 8 rows of 81 over x = -40..40, and
+    every half-row is read out to its last column.  sunset-1mass's
+    components with v_j = 0 read only x = 0 and get no half-row."""
+    for name, order, size in (("2f1-double", 40, 328),
+                              ("sunset-1mass", 60, 488)):
+        spec = fixtures()[name]
+        bundle = pipeline.run(spec).bundle
+        *_, (rows, steps, left), flat = bundle._terms(order)
+        gamma = np.array(bundle._gamma_map(spec.assignment()))
+        logs, signs = _factor_table(gamma, rows, steps, left)
+        assert logs.size == signs.size == size, name
+        ends = np.arange(1, len(rows) + 1) * logs.shape[1] - 1
+        assert np.isin(ends, flat).all(), name
+    flat_rows = {i * phi.nvars + j for i, phi in enumerate(bundle.series)
+                 for j, x in enumerate(phi.lattice[0]) if x == 0}
+    assert len(flat_rows) == 2 and flat_rows.isdisjoint(rows.tolist())
+
+
+def test_an_order_0_plan_reads_no_half_row():
+    """At order 0 each series keeps only u = 0: no half-row is built, every
+    factor reads the lone f(0) = 1, and the sum is K_i c^gamma_i (the
+    golden record holds its bits at every fixture)."""
+    spec = fixtures()["2f1-double"]
+    bundle = pipeline.run(spec).bundle
+    *_, (rows, steps, left), flat = bundle._terms(0)
+    assert len(rows) == left == 0 and flat.shape == (2, 4) and not flat.any()
+    gamma = np.array(bundle._gamma_map(spec.assignment()))
+    logs, signs = _factor_table(gamma, rows, steps, left)
+    assert logs.tolist() == [[0.0]] and signs.tolist() == [[1.0]]
+    coeffs = [1.0, 1.0, 1.0, 2.0]
+    want = sum(k * math.prod(c ** g.evaluate(spec.assignment())
+                             for c, g in zip(coeffs, phi.gamma.components))
+               for phi, k in zip(bundle.series,
+                                 bundle.constant_values(spec.assignment())))
+    assert bundle.evaluate(spec.assignment(), coeffs, 0) == pytest.approx(
+        want, rel=1e-14)
 
 
 def test_evaluate_makes_no_per_entry_special_function_calls(monkeypatch):
