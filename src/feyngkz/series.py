@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ._lazy import np
@@ -79,6 +79,20 @@ def _half_rows(lows: Sequence[int], highs: Sequence[int]):
     steps[:left], steps[left:] = 1 - c, c
     return ((np.array([r for r, _ in halves], dtype=np.intp), steps, left),
             np.array(bases, dtype=np.intp).reshape(2, -1))
+
+
+@lru_cache(maxsize=128)
+def _cone(lattice: Tuple[Tuple[int, ...], ...], face: Tuple[int, ...]):
+    """l = s.K, s >= 0, sum s = 1, on a grid of spacing 1/n (finest n <= 63
+    of <= 1024 points), K = B_off^-1 B (1 at one off-face column, else 0);
+    Phi(l); and the floor: the spacing, or 0 at rank 1 (one exact point)."""
+    r, off = len(lattice), [j for j in range(len(lattice[0])) if j not in face]
+    n = next(n for n in range(63, 0, -1) if math.comb(n + r - 1, n) <= 1024)
+    cuts = itertools.combinations(range(1, n + r), r - 1)  # stars and bars
+    lines = ((np.diff([(0, *c, n + r) for c in cuts]) - 1) / n
+             @ np.linalg.solve(np.array(lattice, float)[:, off], lattice))
+    phis = (lines * np.log(abs(lines) + (lines == 0))).sum(1)
+    return lines, phis, (r > 1) / n
 
 
 def _gather(boxes, which: Sequence[int], floor: np.ndarray, order: int):
@@ -220,10 +234,6 @@ class CanonicalSeries:
 
     # -- term enumeration --------------------------------------------------
 
-    def _basis(self) -> np.ndarray:
-        return np.array(self.lattice, dtype=np.int64).reshape(self.rank,
-                                                              self.nvars)
-
     def _box(self, order: int) -> Tuple[np.ndarray, np.ndarray]:
         """Lattice coordinates in [-order, order]^rank, enumerated in
         lexicographic order as one index grid, and their points u, kept
@@ -233,7 +243,7 @@ class CanonicalSeries:
         side = 2 * order + 1
         grid = np.indices((side,) * self.rank).reshape(
             self.rank, side ** self.rank) - order
-        basis = self._basis()
+        basis = np.array(self.lattice, np.int64).reshape(self.rank, self.nvars)
         grid = grid[:, basis @ np.array(self.weight, dtype=np.int64) @ grid >= 0]
         return grid.T, grid.T @ basis
 
@@ -282,7 +292,7 @@ class CanonicalSeries:
 class SolutionBundle:
     """A basis of canonical series with their integration constants, summed
     as sum_i K_i phi_i over one set of terms.  The plan per order, built on
-    first use like the gammas' floats and the region bases, holds each
+    first use like the gammas' floats and the region grids, holds each
     series' terms u >= its exact floor row, in turn, with their series and
     their factors' flat indices into one table of the half-rows they read."""
 
@@ -310,12 +320,11 @@ class SolutionBundle:
         return FloatMap([g for phi in self.series for g in phi.gamma.components])
 
     @cached_property
-    def _regions(self) -> dict:
-        by_region = {(tuple(phi.lattice), phi.form.kind): phi
-                     for phi in self.series}
-        return {key: (phi._basis().astype(float),
-                      math.prod(abs(x) ** x for v in phi.lattice[:1] for x in v))
-                for key, phi in by_region.items()}
+    def _regions(self) -> Tuple[np.ndarray, np.ndarray, float]:
+        """The ``_cone`` of each distinct (lattice, face), all of one rank."""
+        lines, phis, floors = zip(*(_cone(*key) for key in {
+            (tuple(p.lattice), p.gamma.pair.face) for p in self.series}))
+        return np.concatenate(lines), np.concatenate(phis), max(floors)
 
     def _terms(self, order: int):
         """The plan at this order, from one box per distinct lattice, each
@@ -336,10 +345,10 @@ class SolutionBundle:
              order: int) -> Tuple[np.ndarray, np.ndarray]:
         """(values, tail_estimates) of sum_i K_i phi_i, one per point of
         positive coefficients.  Raises DimensionMismatch for a parameter not
-        finite, the constants' errors, DimensionMismatch unless each point
-        has one coefficient per component, NonPositiveCoefficient for one
-        <= 0 or not finite, UnassignedParameter, DivergentArgument if a point
-        lies outside some series' region, then PoleError for a term whose
+        finite, the constants' errors, DimensionMismatch unless each point has
+        one coefficient per component, NonPositiveCoefficient for one <= 0 or
+        not finite, UnassignedParameter, DivergentArgument where a point's
+        margin -max psi is at most the floor, then PoleError for a term whose
         log is +inf in the factor table, gammas near integers snapped to them;
         a -inf (a vanishing falling factorial) zeroes a term, pole or not;
         NonFiniteValue when a point's sum overflows or comes out nan."""
@@ -360,13 +369,14 @@ class SolutionBundle:
             len(self.series), -1)
         shifts, shell, owner, layout, flat = self._terms(order)
         log_points = np.log(points)
-        for (_, kind), (basis, r) in self._regions.items():
-            # rank 1: |x| < r = prod_j |v_j|^v_j, as terms' ratios tend to x/r
-            args = np.exp(log_points @ basis.T)
-            if len(basis) == 1 and (x := float(args.max(initial=0))) >= r:
-                raise DivergentArgument(f"|argument| = {x:.4g} >= {r:.4g}")
-            if kind == "AppellF4" and np.any(np.sqrt(args).sum(axis=1) >= 1):
-                raise DivergentArgument("sqrt|x| + sqrt|y| >= 1")
+        lines, phis, floor = self._regions
+        psi = log_points @ lines.T - phis   # log|term| ~ psi; Phi = l.log|l|
+        if (margin := 0.0 - psi.max(initial=-np.inf)) <= floor:     # no -0
+            x, r = np.exp(phis[k := psi.argmax() % len(lines)] - [margin, 0])
+            raise DivergentArgument(
+                f"margin {margin:.4g} <= {floor:.4g} along l = "
+                f"({', '.join(f'{v + 0:.4g}' for v in lines[k])}): "
+                f"|argument| = {x:.4g} {'>=' if margin <= 0 else '<'} {r:.4g}")
         rounded = np.rint(gamma)
         snapped = np.where(np.abs(gamma - rounded) < _INT_TOL, rounded, gamma)
         logs, signs = _factor_table(snapped.ravel(), *layout)

@@ -7,10 +7,12 @@ machinery it checks.  Some keep a route that a faster one replaced:
 division of binomials on exponent tuples (``normal_form``,
 ``s_polynomial``) that the packed Buchberger kernel replaced;
 ``saturated_toric_ideal``, the saturation at every variable that the lead
-test now skips where it can; and ``fake_exponents_reference``, one
-elimination per pair, which the basis-exchange walk replaced.  Graphs are
-passed as plain ``GraphSpec.to_dict`` data, so the Symanzik reference reads
-them without the package.
+test now skips where it can; ``fake_exponents_reference``, one
+elimination per pair, which the basis-exchange walk replaced; and
+``closed_form_margins``, the rank-1 and Appell F4 region rules that the
+bundle's one Horn margin replaced.  Graphs are passed as plain
+``GraphSpec.to_dict`` data, so the Symanzik reference reads them without
+the package.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
+
+import numpy as np
 
 from feyngkz.errors import FeynGKZError, UnderdeterminedPair
 from feyngkz.gkz import FakeExponent, StandardPair
@@ -268,6 +272,55 @@ def form_value(form, assignment, kinconst, terms: int = 200) -> float:
         # the n! slot was already stripped from the lower list
         return pfq(upper, lower, args[0], terms)
     raise ValueError(f"unknown form kind {form.kind}")
+
+
+def closed_form_margins(series, coeffs):
+    """Per series, the margin of the closed-form region rule for its shape:
+    log(R(v) / |x|) for a rank-1 generator v, x = c^v, R(v) = prod_j
+    |v_j|^{v_j} (the limit ratio of consecutive terms is x / R(v)); -2
+    log(sqrt|x| + sqrt|y|) for an Appell F4 series; None for any other.
+    A series converges where its margin is > 0."""
+    margins = []
+    for phi in series:
+        args = [math.prod(c ** x for c, x in zip(coeffs, v))
+                for v in phi.lattice]
+        if len(args) == 1:
+            radius = math.prod(abs(x) ** x for x in phi.lattice[0])
+            margins.append(math.log(radius / args[0]))
+        elif phi.form.kind == "AppellF4":
+            margins.append(-2 * math.log(math.sqrt(args[0])
+                                         + math.sqrt(args[1])))
+        else:
+            margins.append(None)
+    return margins
+
+
+def fine_horn_margin(lattice, face, points, steps):
+    """Per coefficient point, -max psi(l) over l = s.K on the simplex grid
+    sum s = 1 of spacing 1/steps, psi(l) = sum_j l_j (log c_j - log|l_j|),
+    where K, found by exact elimination, has as row j the lattice vector
+    that is 1 at the j-th column off ``face`` and 0 at the others."""
+    nvars = len(lattice[0])
+    off = [j for j in range(nvars) if j not in face]
+    rows = [[Fraction(v[j]) for j in off] + [Fraction(x) for x in v]
+            for v in lattice]
+    for col in range(len(off)):                # Gauss-Jordan on [B_off | B]
+        pivot = next(r for r in range(col, len(off)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(len(off)):
+            if r != col:
+                rows[r] = [a - rows[r][col] * b
+                           for a, b in zip(rows[r], rows[col])]
+    cone = np.array([[float(x) for x in row[len(off):]] for row in rows])
+    parts = np.indices((steps + 1,) * (len(off) - 1)).reshape(
+        len(off) - 1, -1).T
+    parts = parts[parts.sum(axis=1) <= steps]
+    grid = np.hstack([parts, steps - parts.sum(axis=1, keepdims=True)])
+    lines = grid / steps @ cone
+    sizes = np.abs(lines)
+    phi = (lines * np.log(np.where(sizes > 0, sizes, 1))).sum(axis=1)
+    return -(np.log(np.asarray(points, dtype=float)) @ lines.T - phi).max(axis=1)
 
 
 def _eval_monomial(expr: str, values) -> float:

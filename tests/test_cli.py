@@ -270,6 +270,30 @@ def test_quadratic_verifies_only_inside_its_radius(tmp_path, capsys, c2,
     assert _run(capsys, "verify", "--spec", str(path))[0] == code
 
 
+@pytest.mark.parametrize("coefficients", [
+    [1, 3, 3, 1], [1, 1, 1, 1], [1, 5, 3, 1], [1, 4, 6, 1], [1, 10, 10, 1]])
+def test_cubic_verifies_only_inside_its_rank2_region(tmp_path, capsys,
+                                                     coefficients):
+    """tests/cubic_outside_spec.json (c = (1,3,3,1)), which CI also runs,
+    and three more points where some raw rank-2 series has a Horn margin
+    < 0: their sums were 5.4e8 against the oracle's 1.299 and up to 1e124
+    off, and solve and verify now exit 6 at each; at (1,10,10,1) every
+    margin is >= 0.82 and the sum meets the oracle to ~1.8e-15."""
+    spec = _spec_file("cubic_outside_spec.json")
+    spec["coefficients"] = coefficients
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    inside = coefficients == [1, 10, 10, 1]
+    for verb in ("solve", "verify"):
+        code, out, err = _run(capsys, verb, "--spec", str(path), "--json")
+        if inside:
+            assert code == 0
+            assert json.loads(out)["relative_deviation"] < 1e-13
+        else:
+            assert code == cli.EXIT_DIVERGENT and out == ""
+            assert err.startswith("error: margin ")
+
+
 @pytest.mark.parametrize("weight", ["0,0,0,0", "1,1,1,1"])
 def test_verify_at_a_tied_weight(capsys, weight):
     """Every lattice vector ties w.v = 0: in_w and the series' side both

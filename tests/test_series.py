@@ -8,6 +8,7 @@ import operator
 import os
 import random
 import re
+import time
 import warnings
 from fractions import Fraction
 
@@ -231,6 +232,119 @@ def test_rank1_radius_is_the_generators_own(c2, x):
         rep.series[0].evaluate(spec.assignment(), spec.coefficients, 40)
     with pytest.raises(DivergentArgument, match=message):
         rep.bundle.evaluate(spec.assignment(), spec.coefficients, 40)
+
+
+def _refuses(bundle, assignment, coeffs) -> bool:
+    try:
+        bundle.evaluate(assignment, coeffs, 0)
+    except DivergentArgument:
+        return True
+    return False
+
+
+def test_horn_margin_replays_the_closed_form_region_rules():
+    """2400 seeded points, 400 per fixture (one-mass-bubble at weight
+    (0,0,0,1)), about each closed-form boundary (every pFq argument is 1 at
+    c = 1, and F4's x = y = 1/4 at c4 = c5 = 1/4): the bundle refuses a point
+    exactly where some rank-1 series has |x| >= R(v) or some Appell F4
+    series sqrt|x| + sqrt|y| >= 1, save where the least closed-form margin
+    lies in the grid's floor band (0, floor], which only rank 2 has."""
+    rng = random.Random(22)
+    cases = refused = banded = 0
+    for name in ("2f1-double", "one-mass-bubble", "box", "sunset-1mass",
+                 "triangle-1scale", "triangle-3scale"):
+        spec = fixtures()[name]
+        if name == "one-mass-bubble":
+            spec.weight = (0, 0, 0, 1)
+        rep = pipeline.run(spec)
+        base = [1.0] * rep.series[0].nvars
+        if name == "triangle-3scale":
+            base[3] = base[4] = 0.25
+        floor = rep.bundle._regions[2]
+        assert floor == (0 if rep.series[0].rank == 1 else 1 / 63)
+        for _ in range(400):
+            coeffs = [c * math.exp(rng.uniform(-1, 1)) for c in base]
+            least = min(helpers.closed_form_margins(rep.series, coeffs))
+            cases += 1
+            if 0 < least <= floor:
+                banded += 1
+                continue
+            refused += least <= 0
+            assert _refuses(rep.bundle, spec.assignment(), coeffs) == (
+                least <= 0), (name, coeffs, least)
+    assert cases == 2400 and banded < 24
+    assert 0.4 < refused / cases < 0.6
+
+
+def _sampled_margins(bundle, points):
+    """Each point's least sampled Horn margin over the bundle's cones, and
+    the grid's floor."""
+    lines, phis, floor = bundle._regions
+    return -(np.log(np.array(points)) @ lines.T - phis).max(axis=1), floor
+
+
+@pytest.mark.parametrize("degree, weight, steps", [
+    (3, (3, 1, 0, 1), 63 * 64), (4, (4, 1, 0, 1, 4), 43 * 7)],
+    ids=["cubic-rank-2", "quartic-rank-3"])
+def test_sampled_horn_margin_falls_short_by_at_most_the_floor(degree, weight,
+                                                              steps):
+    """sum_{k <= d} c_k z^k at 200 seeded points: a grid of spacing
+    1/steps, which holds the bundle's own (1/63 at rank 2, 1/43 at rank 3),
+    gives a margin no greater than the sampled one, and no more than the
+    floor (the spacing) below it."""
+    spec = pipeline.ProblemSpec.from_dict({
+        "polynomial": [{"exponents": [k]} for k in range(degree + 1)],
+        "weight": list(weight), "alpha": [0.4], "deformation": "none"})
+    rep = pipeline.run(spec)
+    assert {phi.rank for phi in rep.series} == {degree - 1}
+    rng = random.Random(degree)
+    points = []          # about the boundary: the inner c_k lifted by k(d-k)
+    for _ in range(200):
+        lift = rng.uniform(0, 1.5)
+        points.append([math.exp(lift * k * (degree - k) + rng.uniform(-1, 1))
+                       for k in range(degree + 1)])
+    sampled, floor = _sampled_margins(rep.bundle, points)
+    fine = np.min([helpers.fine_horn_margin(phi.lattice, phi.gamma.pair.face,
+                                            points, steps)
+                   for phi in rep.series], axis=0)
+    assert floor == pytest.approx(1 / (63 if degree == 3 else 43))
+    assert (fine <= sampled + 1e-9).all()
+    assert (sampled - floor <= fine).all()
+
+
+def test_massive_triangle_on_its_domain_boundary_is_refused():
+    """The massive triangle at c = t^w, w = (7,4,9,9,5,2,5,2,5) on columns
+    z1, z2, z3, z1^2, z1z2, z1z3, z2^2, z2z3, z3^2: along l =
+    (0,0,0,0,-1,1,1,-1,0), w.l = 0, so c^l = 1 and psi = 0 at every t; the
+    point is on the boundary of the series' domain (outside it at t = 0.3)
+    and the rank-5 bundle refuses it.  Its grids take under 0.1 s."""
+    w = (7, 4, 9, 9, 5, 2, 5, 2, 5)
+    spec = pipeline.ProblemSpec(
+        terms=list(helpers.massive_ngon(3).terms.items()), weight=w,
+        alpha=[0.3, 0.4, 0.5], d=4, deformation="none")
+    rep = pipeline.run(spec)
+    assert rep.column_exponents[3:6] == [(2, 0, 0), (1, 1, 0), (1, 0, 1)]
+    start = time.perf_counter()
+    lines, _, floor = rep.bundle._regions
+    assert time.perf_counter() - start < 0.1
+    assert floor == 0.1 and lines.shape[1] == 9
+    for t in (0.03, 0.1, 0.3):
+        with pytest.raises(DivergentArgument, match="margin "):
+            rep.bundle.evaluate(spec.assignment(), [t ** x for x in w], 4)
+
+
+def test_region_tables_are_built_once_per_lattice_and_face():
+    """A cone's table depends on its lattice and face alone: a new bundle of
+    the same system, as each run(verify=True) builds, tabulates nothing."""
+    spec = fixtures()["triangle-3scale"]
+    spec.weight = (1, 0, 1, 0, 1, 1)            # a weight no other test uses
+    misses = series_module._cone.cache_info().misses
+    first = pipeline.run(spec).bundle._regions
+    built = series_module._cone.cache_info().misses - misses
+    assert built == len(first[0]) // 64 > 1
+    again = pipeline.run(spec).bundle._regions
+    assert series_module._cone.cache_info().misses - misses == built
+    assert sorted(map(tuple, first[0])) == sorted(map(tuple, again[0]))
 
 
 def test_a_missing_parameter_is_reported_before_a_divergent_point():
