@@ -3,9 +3,9 @@ A-hypergeometric series, with a quadrature oracle for validation."""
 
 from .constants import SolutionBundle, deformation_limit_probe, gamma_constant
 from .errors import (DeformationFailed, DimensionMismatch, DivergentArgument,
-                     FeynGKZError, NoZeroComponent, NonConvergent,
-                     NonFiniteValue, NonPositiveCoefficient, PoleError,
-                     SingularM, UnassignedParameter, UnderdeterminedPair)
+                     FeynGKZError, NonConvergent, NonFiniteValue,
+                     NonPositiveCoefficient, PoleError, SingularM,
+                     UnassignedParameter, UnderdeterminedPair)
 from .gammafn import GammaFactor, log_gamma_signed
 from .gkz import (AMatrix, FakeExponent, StandardPair, deform, facet_walk,
                   fake_exponents, initial_ideal, kernel_lattice,

@@ -1,9 +1,9 @@
 """Integration constants for a basis of canonical series.
 
-Each constant is a closed Gamma-product prescription read off the zero
-component of its exponent vector.  The constants are never fitted to the
-quadrature oracle: pipelines cross-check the weighted sum of series against
-that oracle, and a fitted constant could not be checked against it.
+Each constant is the Gamma-series prescription of a regular triangulation
+(SST, ch. 3), read off its exponent's standard pair (a, sigma) and vol(sigma).
+Constants are never fitted to the quadrature oracle: pipelines cross-check
+the weighted sum of series against it, which a fitted one would defeat.
 
 A bundle (``series.SolutionBundle``, re-exported here) is evaluated as one
 sum, at one coefficient point (``evaluate``) or at many
@@ -14,27 +14,28 @@ factor table per call serves every series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Mapping, Sequence
 
 from ._lazy import np
-from .errors import NoZeroComponent
 from .gammafn import GammaFactor
 from .gkz import FakeExponent
 from .params import ParamLinear
 from .series import SolutionBundle
 
 
-def gamma_constant(gamma: FakeExponent) -> GammaFactor:
-    """K = Gamma(beta)^-1 * prod over nonzero components Gamma(-gamma_i).
-
-    Requires at least one vanishing component (the series whose limit sits at
-    a coordinate coefficient being switched off)."""
-    if not any(g.is_zero() for g in gamma.components):
-        raise NoZeroComponent(f"no vanishing component in {gamma}")
-    numerator = [-g for g in gamma.components if not g.is_zero()]
-    return GammaFactor(numerator=numerator,
-                       denominator=[ParamLinear.param("beta")])
+def gamma_constant(gamma: FakeExponent, volume: int = 1) -> GammaFactor:
+    """K = prod_{j in sigma} Gamma(-gamma_j) * prod_{j not in sigma}
+    (-1)^{a_j} / a_j!  /  (vol(sigma) * Gamma(beta)) for the exponent of the
+    top-dimensional pair (a, sigma), whose components off sigma are the
+    root's a_j.  On a unimodular facet (vol 1, root 0) the factor is int 1."""
+    face, root = gamma.pair.face, gamma.pair.root
+    factor = 1 if volume == 1 and not any(root) else Fraction(
+        (-1) ** sum(root), volume * math.prod(map(math.factorial, root)))
+    return GammaFactor(numerator=[-gamma.components[j] for j in face],
+                       denominator=[ParamLinear.param("beta")], factor=factor)
 
 
 @dataclass

@@ -25,11 +25,6 @@ class DeformationFailed(FeynGKZError):
     """No admissible deformation monomial could be inserted."""
 
 
-class NoZeroComponent(FeynGKZError):
-    """An exponent vector has no vanishing component, so the Gamma-product
-    prescription for its integration constant does not apply."""
-
-
 class UnassignedParameter(FeynGKZError):
     """An expression names a parameter that the assignment gives no value."""
 
@@ -48,7 +43,8 @@ class DivergentArgument(FeynGKZError):
 
 
 class NonFiniteValue(FeynGKZError):
-    """A series or oracle value came out as inf or nan."""
+    """A series or oracle value came out as inf or nan, or the oracle value
+    as 0: its integrand is positive, so 0 is an underflow."""
 
 
 class ExponentOverflow(FeynGKZError):

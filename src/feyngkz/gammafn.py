@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import List, Mapping, Tuple
 
 from .errors import PoleError
-from .params import FloatMap, ParamLinear
+from .params import FloatMap, ParamLinear, Scalar
 
 _INT_TOL = 1e-9
 
@@ -33,11 +33,12 @@ def log_gamma_signed(x: float) -> Tuple[float, float]:
 
 @dataclass
 class GammaFactor:
-    """A product  prod Gamma(num_i) / prod Gamma(den_j)  with symbolic
-    ParamLinear arguments."""
+    """factor * prod Gamma(num_i) / prod Gamma(den_j) with symbolic ParamLinear
+    arguments and a rational factor, printed only where it is not 1."""
 
     numerator: List[ParamLinear] = field(default_factory=list)
     denominator: List[ParamLinear] = field(default_factory=list)
+    factor: Scalar = 1
 
     @cached_property
     def _arguments(self) -> FloatMap:
@@ -51,9 +52,10 @@ class GammaFactor:
             lg, s = log_gamma_signed(x)
             log_total += lg if k < n else -lg
             sign *= s
-        return sign * math.exp(log_total)
+        return sign * math.exp(log_total) * self.factor
 
     def __str__(self) -> str:
-        num = "*".join(f"Gamma({a})" for a in self.numerator) or "1"
+        num = "*".join([str(self.factor)] * (self.factor != 1)
+                       + [f"Gamma({a})" for a in self.numerator]) or "1"
         den = "*".join(f"Gamma({a})" for a in self.denominator)
         return num if not den else f"{num}/({den})"

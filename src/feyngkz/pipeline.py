@@ -9,13 +9,14 @@ a ResultReport whose ``to_dict`` is JSON-ready.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import gkz, graphs
 from .constants import SolutionBundle, gamma_constant
-from .errors import DimensionMismatch, NonFiniteValue, NoZeroComponent
+from .errors import DimensionMismatch, NonFiniteValue
 from .gammafn import GammaFactor
 from .gkz import AMatrix, Deformation, FakeExponent, StandardPair
 from .graphs import GraphSpec
@@ -197,7 +198,7 @@ class ResultReport:
     exponents: List[FakeExponent]
     series: List[CanonicalSeries]
     forms: List[HypergeometricForm]
-    bundle: Optional[SolutionBundle] = None
+    bundle: SolutionBundle
     coefficient_values: Optional[List[float]] = None
     series_value: Optional[float] = None
     oracle: Optional[QuadratureResult] = None
@@ -232,10 +233,9 @@ class ResultReport:
             "standard_pairs": lambda: [str(p) for p in self.pairs],
             "exponents": lambda: [[str(c) for c in e.components]
                                   for e in self.exponents],
-            "forms": lambda: [f.to_dict() for f in self.forms]}
+            "forms": lambda: [f.to_dict() for f in self.forms],
+            "constants": lambda: [str(k) for k in self.bundle.constants]}
         optional = {
-            "constants": lambda: self.bundle and [
-                str(k) for k in self.bundle.constants],
             "coefficients": lambda: self.coefficient_values,
             "series_value": lambda: self.series_value,
             "oracle": lambda: self.oracle and self.oracle.to_dict(),
@@ -300,32 +300,30 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
     shapes = LatticeShapes(lattice, weight)
     series = [CanonicalSeries(e, lattice, weight, shapes) for e in exponents]
     forms = [s.classify() for s in series]
+    volumes = Counter(p.face for p in pairs)
+    bundle = SolutionBundle(series, [gamma_constant(e, volumes[e.pair.face])
+                                     for e in exponents])
 
     report = ResultReport(
         spec=spec, polynomial=poly, symanzik_u=symanzik_u,
         symanzik_f=symanzik_f, prefactor=pref, deformation=deformation,
         amatrix=amat, column_exponents=columns, codim=amat.codim(),
         weight=weight, lattice=lattice, pairs=pairs, exponents=exponents,
-        series=series, forms=forms)
+        series=series, forms=forms, bundle=bundle)
 
-    try:
-        report.bundle = SolutionBundle(
-            series, [gamma_constant(e) for e in exponents])
-    except NoZeroComponent:
-        pass                # no vanishing component: no Gamma constants
-
-    if verify and report.bundle is not None and poly is not None:
+    if verify and poly is not None:
         assignment = spec.assignment()
         coeffs = coefficient_values(spec, columns, poly)
         report.coefficient_values = coeffs
-        report.series_value = float(report.bundle.evaluate(
+        report.series_value = float(bundle.evaluate(
             assignment, coeffs, spec.order))
         alpha = [assignment[f"a{i + 1}"] for i in range(poly.nvars)]
         qspec = QuadratureSpec(exponents=list(columns), coefficients=coeffs,
                                alpha=alpha, beta=assignment["beta"],
                                target_tolerance=spec.tolerance * 1e-2)
         report.oracle = quadrature(qspec)
-        if not all(map(math.isfinite, (report.series_value, report.oracle.value))):
+        if (not all(map(math.isfinite, (report.series_value, report.oracle.value)))
+                or report.oracle.value == 0):
             raise NonFiniteValue(f"series value {report.series_value}, "
                                  f"oracle value {report.oracle.value}")
         report.relative_deviation = float(

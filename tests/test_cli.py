@@ -370,6 +370,16 @@ def test_verify_non_positive_coefficient_exit_code(tmp_path, capsys):
     assert "Traceback" not in err + out
 
 
+def test_verify_underflowing_oracle_value_exit_code(capsys):
+    """tests/underflow_spec.json, which CI also runs: 2f1-double at
+    coefficients ~1e200 has an oracle value of 0, which is refused as
+    not finite rather than divided by."""
+    path = os.path.join(os.path.dirname(__file__), "underflow_spec.json")
+    code, out, err = _run(capsys, "verify", "--spec", path)
+    assert code == cli.EXIT_ENGINE and out == ""
+    assert err.startswith("error: ") and "oracle value 0.0" in err
+
+
 def test_verify_unassigned_parameter_exit_code(tmp_path, capsys):
     code, out, _ = _run(capsys, "fixtures", "--name", "2f1-double", "--json")
     spec = json.loads(out)

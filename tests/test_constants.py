@@ -1,7 +1,10 @@
 """Integration constants: the Gamma prescription and the deformation probe."""
 
+import json
 import math
+import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,30 +15,83 @@ from feyngkz.constants import (SolutionBundle, deformation_limit_probe,
                                gamma_constant)
 from feyngkz.errors import (DimensionMismatch, DivergentArgument,
                             FeynGKZError, NonPositiveCoefficient,
-                            NoZeroComponent, PoleError, UnassignedParameter)
+                            PoleError, UnassignedParameter)
 from feyngkz.fixtures import fixtures
 from feyngkz.gammafn import GammaFactor, log_gamma_signed
 from feyngkz.params import ParamLinear
 
 
-def test_gamma_constant_requires_zero_component():
-    rep = pipeline.run(fixtures()["2f1-double"])
-    # the Gauss system roots all contain a zero component
-    for exponent in rep.exponents:
-        factor = gamma_constant(exponent)
-        assert len(factor.numerator) == sum(
-            1 for g in exponent.components if not g.is_zero())
+def test_unimodular_constants_are_the_zero_component_rule():
+    """On every fixture's facets (vol 1, root 0) the face columns are the
+    nonzero components, and the rational factor is the int 1, so the
+    values are the zero-component rule's bit for bit."""
+    for name, spec in fixtures().items():
+        rep = pipeline.run(spec)
+        assert set(Counter(p.face for p in rep.pairs).values()) == {1}, name
+        for exponent, factor in zip(rep.exponents, rep.bundle.constants):
+            assert factor.numerator == [-g for g in exponent.components
+                                        if not g.is_zero()], name
+            assert type(factor.factor) is int and factor.factor == 1
+            assert gamma_constant(exponent) == factor   # volume defaults to 1
 
 
-def test_gamma_constant_rejects_nowhere_zero():
-    from fractions import Fraction
-    from feyngkz.gkz import FakeExponent, StandardPair
-    from feyngkz.params import ParamLinear
-    pair = StandardPair((1, 1), (0, 1))
-    gamma = FakeExponent((ParamLinear.const(1),
-                          ParamLinear.param("beta")), pair)
-    with pytest.raises(NoZeroComponent):
-        gamma_constant(gamma)
+def _trinomial(**changes):
+    with open(os.path.join(os.path.dirname(__file__),
+                           "trinomial_spec.json")) as handle:
+        return pipeline.ProblemSpec.from_dict({**json.load(handle), **changes})
+
+
+def _cubic(weight, coefficients):
+    return pipeline.ProblemSpec.from_dict({
+        "polynomial": [{"exponents": [k]} for k in range(4)],
+        "weight": weight, "alpha": [0.4], "d": 3, "order": 80,
+        "coefficients": coefficients, "deformation": "none"})
+
+
+@pytest.mark.parametrize("spec", [
+    _trinomial(), _trinomial(coefficients=[1, 0.1, 1]),
+    _trinomial(weight=[0, 0, 1], coefficients=[1, 2, 1]),
+    _cubic([0, 0, 0, 0], [1, 1.04, 0.11, 1]),
+    _cubic([1, 0, 0, 0], [1, 6.24, 0.15, 1]),
+    _cubic([0, 0, 0, 1], [1, 0.14, 19.16, 1]),
+    _cubic([0, 1, 1, 0], [1, 0.3, 0.3, 1])],
+    ids=["trinomial-vol3-0.3", "trinomial-vol3-0.1", "trinomial-vol1,2",
+         "cubic-0000", "cubic-1000", "cubic-0001", "cubic-0110"])
+def test_non_unimodular_constants_meet_the_oracle(spec):
+    """Facets of volume 2 and 3, where some exponent has no zero component
+    or a root entry 1 (the zero-component rule built no bundle or took
+    Gamma(-1)): sum K_i phi_i meets the oracle to <= 1e-12 relative.  The
+    first case is tests/trinomial_spec.json, which CI also runs."""
+    rep = pipeline.run(spec, verify=True)
+    assert max(Counter(p.face for p in rep.pairs).values()) > 1
+    assert rep.oracle.target_met and rep.relative_deviation <= 1e-12
+
+
+def test_vol3_constants_carry_one_signed_rational_factor():
+    """The trinomial at weight (0,1,0) has one facet {1, z^3} of volume 3,
+    with roots 1, d2, d2^2: factors 1/3, -1/3 and 1/(3*2!)."""
+    rep = pipeline.run(_trinomial())
+    assert Counter(p.face for p in rep.pairs) == {(0, 2): 3}
+    assert [str(k) for k in rep.bundle.constants] == [
+        "1/3*Gamma(beta - 1/3*a1)*Gamma(1/3*a1)/(Gamma(beta))",
+        "-1/3*Gamma(beta - 1/3*a1 + 2/3)*Gamma(1/3*a1 + 1/3)/(Gamma(beta))",
+        "1/6*Gamma(beta - 1/3*a1 + 4/3)*Gamma(1/3*a1 + 2/3)/(Gamma(beta))"]
+
+
+def test_massive_triangle_constants_evaluate_on_volumes_1_2_and_4():
+    """Weight 0 on z1, z2, z3 and 1 on the quadratic monomials: the roots
+    off the vol-2 and vol-4 facets have entries 1, once Gamma(-1) poles."""
+    spec = pipeline.ProblemSpec(
+        terms=list(helpers.massive_ngon(3).terms.items()),
+        weight=(0, 0, 0, 1, 1, 1, 1, 1, 1), alpha=[0.3, 0.4, 0.5], d=4,
+        deformation="none")
+    rep = pipeline.run(spec)
+    assert sorted(Counter(p.face for p in rep.pairs).values()) == [1, 2, 4]
+    assert [k.factor for k in rep.bundle.constants] == [
+        1, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 4), Fraction(-1, 4),
+        Fraction(-1, 4), Fraction(1, 4)]
+    values = rep.bundle.constant_values(spec.assignment())
+    assert all(map(math.isfinite, values)) and all(values)
 
 
 def test_log_gamma_signed_raises_at_a_pole():
@@ -171,7 +227,7 @@ def test_bundle_matches_per_series_sum():
     rng = random.Random(18)
     for name, spec in fixtures().items():
         rep = pipeline.run(spec)
-        if rep.bundle is None or spec.amatrix is not None:
+        if spec.amatrix is not None:
             continue        # 2f1-single's constants need Gamma(beta)
         for order in (40, 80):
             points = _inside(rep.series[0], rng)

@@ -627,8 +627,6 @@ def test_evaluate_points_matches_per_point_evaluate():
     rng = random.Random(11)
     for name, spec in fixtures().items():
         rep = pipeline.run(spec)
-        if rep.bundle is None:
-            continue
         assignment = spec.assignment()
         for order in (40, 80):
             for series in rep.series:
