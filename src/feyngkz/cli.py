@@ -108,7 +108,7 @@ def cmd_verify(args) -> int:
     spec = _load_spec(args)
     report = pipeline.run(spec, verify=True)
     payload = report.to_dict("series_value", "oracle", "relative_deviation")
-    ok = bool(report.oracle is not None and report.oracle.target_met
+    ok = bool(report.oracle.target_met
               and report.relative_deviation < spec.tolerance)
     payload.update(tolerance=spec.tolerance, verified=ok)
     _emit(args, payload)

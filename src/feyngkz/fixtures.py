@@ -5,9 +5,10 @@ Each example is a problem-spec document, written exactly as
 --json`` prints it (keys left at their defaults are omitted), so every
 fixture passes the checks that a user's spec passes.
 
-Weight vectors are chosen so each system is solvable.  The stated kinematic
-points are not all inside the region where the series and the integral
-converge: massless-bubble, triangle-1scale and cantaloupe-2 sit at |x| = 1,
+Weight vectors are chosen so each system is solvable.  Only 2f1-double's
+and 2f1-single's stated points (2f1-single is an A matrix, the integral of
+its Cayley polynomial) lie where the series and the integral converge:
+massless-bubble, triangle-1scale and cantaloupe-2 sit at |x| = 1,
 one-mass-bubble at |x| = 1.5, and party-hat, sunset-1mass (both also at
 |x| = 1), box and triangle-3scale are stated at exponents where the integral
 diverges.  The acceptance tests and perfbench pick interior points of their
@@ -28,12 +29,14 @@ DOCUMENTS = {doc["name"]: doc for doc in [
                     {"exponents": [0, 1]}, {"exponents": [1, 1]}],
      "weight": [0, 1, 1, 1], "alpha": [0.3, 0.7], "d": 3.8,
      "coefficients": [1.0, 1.0, 1.0, 2.0]},
-    # (c1 + c2 z)^(-b1) (c3 + c4 z)^(-b2): same kernel, block A matrix.
+    # (c1 + c2 z)^(-b1) (c3 + c4 z)^(-b2) times G(b1) G(b2) / G(b1 + b2): the
+    # integral of c1 + c2 z + c3 x + c4 x z, x a Cayley variable.
     {"name": "2f1-single",
      "amatrix": [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]],
      "kappa": ["beta1", "beta2", "alpha"],
      "weight": [0, 1, 1, 1],
-     "parameters": {"beta1": 0.8, "beta2": 0.7, "alpha": 0.55}},
+     "parameters": {"beta1": 0.8, "beta2": 0.7, "alpha": 0.55},
+     "coefficients": [1.0, 1.0, 1.0, 2.0]},
     {"name": "massless-bubble",
      "graph": {"L": 1, "E": 1,
                "propagators": [{"M": [[1]], "Q": [[0]]},

@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from operator import mul, neg
+from operator import add, mul, neg
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DeformationFailed, UnderdeterminedPair
@@ -63,6 +63,14 @@ class AMatrix:
 
     def codim(self) -> int:
         return self.ncols - self.rank
+
+    @property
+    def cayley_rows(self) -> int:
+        """p, the number of leading rows summing to (1, ..., 1), unique at
+        full rank, else 0: A is then the configuration of g = sum_j c_j
+        x^(A_1j, ..., A_m-1,j), whose x_1..x_p-1 are Cayley variables."""
+        sums = itertools.accumulate(self.rows, lambda s, r: [*map(add, s, r)])
+        return next((p for p, s in enumerate(sums, 1) if set(s) == {1}), 0)
 
 
 def toric_matrix(g: KPoly) -> Tuple[AMatrix, List[Mono]]:

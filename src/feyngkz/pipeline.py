@@ -21,7 +21,7 @@ from .gammafn import GammaFactor
 from .gkz import AMatrix, Deformation, FakeExponent, StandardPair
 from .graphs import GraphSpec
 from .kpoly import Coeff, KPoly, coeff_evaluate, coeff_from, coeff_to_dict
-from .params import ParamLinear
+from .params import FloatMap, ParamLinear
 from .quadrature import QuadratureResult, QuadratureSpec, quadrature
 from .series import CanonicalSeries, HypergeometricForm, LatticeShapes
 
@@ -117,6 +117,10 @@ class ProblemSpec:
                 spec.kappa_names = list(data["kappa"])
                 if len(spec.kappa_names) != spec.amatrix.nrows:
                     raise DimensionMismatch("kappa needs one name per row of A")
+                if spec.kappa_names.count("beta") > (spec.kappa_names[
+                        :spec.amatrix.cayley_rows] == ["beta"]):
+                    raise DimensionMismatch("kappa may name 'beta' only as A's "
+                                            "one leading row of (1, ..., 1)")
             if "weight" in data:
                 spec.weight = spec_integers(data["weight"], "weight")
             spec.deformation = data.get("deformation", "auto")
@@ -171,8 +175,14 @@ class ProblemSpec:
         return None
 
     def assignment(self) -> Dict[str, float]:
+        """The named parameters and, where A has ``cayley_rows``, beta, their
+        sum over those rows; else beta = d/2 and a1, a2, ... from alpha."""
         if self.parameters is not None:
-            return dict(self.parameters)
+            values = dict(self.parameters)
+            if p := self.amatrix and self.amatrix.cayley_rows:
+                values["beta"] = FloatMap([sum(map(
+                    ParamLinear.param, self.kappa_names[:p]))])(values)[0]
+            return values
         values = {} if self.d is None else {"beta": self.d / 2.0}
         values.update((f"a{i + 1}", float(a))
                       for i, a in enumerate(self.alpha or ()))
@@ -311,15 +321,16 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
         weight=weight, lattice=lattice, pairs=pairs, exponents=exponents,
         series=series, forms=forms, bundle=bundle)
 
-    if verify and poly is not None:
+    if verify:
         assignment = spec.assignment()
         coeffs = coefficient_values(spec, columns, poly)
         report.coefficient_values = coeffs
         report.series_value = float(bundle.evaluate(
             assignment, coeffs, spec.order))
-        alpha = [assignment[f"a{i + 1}"] for i in range(poly.nvars)]
-        qspec = QuadratureSpec(exponents=list(columns), coefficients=coeffs,
-                               alpha=alpha, beta=assignment["beta"],
+        *alpha, beta = FloatMap([-k for k in kappa[1:]]
+                                + [ParamLinear.param("beta")])(assignment)
+        qspec = QuadratureSpec(exponents=list(zip(*amat.rows[1:])),
+                               coefficients=coeffs, alpha=alpha, beta=beta,
                                target_tolerance=spec.tolerance * 1e-2)
         report.oracle = quadrature(qspec)
         if (not all(map(math.isfinite, (report.series_value, report.oracle.value)))

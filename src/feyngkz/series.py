@@ -34,6 +34,8 @@ from .groebner import TermOrder
 from .params import FloatMap, ParamLinear
 from .pochhammer import PochhammerProduct
 
+_BOX_POINT_LIMIT = 1 << 22    # ~320 MB, 0.5 s at rank 5 (21^5 points)
+
 
 def term_coefficient(gamma: Sequence[ParamLinear],
                      u: Sequence[int]) -> PochhammerProduct:
@@ -240,7 +242,9 @@ class CanonicalSeries:
         where w.u >= 0: a cut that only saves work, since x^a times any
         monomial on sigma is standard, so least in its fibre, and so a
         top-dimensional pair's N_v lies in it (Hosten-Thomas)."""
-        side = 2 * order + 1
+        if (side := 2 * order + 1) ** self.rank > _BOX_POINT_LIMIT:
+            raise DimensionMismatch(f"order {order} needs {side}^{self.rank} "
+                                    f"box points, over {_BOX_POINT_LIMIT}")
         grid = np.indices((side,) * self.rank).reshape(
             self.rank, side ** self.rank) - order
         basis = np.array(self.lattice, np.int64).reshape(self.rank, self.nvars)
@@ -347,7 +351,8 @@ class SolutionBundle:
         positive coefficients.  Raises DimensionMismatch for a parameter not
         finite, the constants' errors, DimensionMismatch unless each point has
         one coefficient per component, NonPositiveCoefficient for one <= 0 or
-        not finite, UnassignedParameter, DivergentArgument where a point's
+        not finite, UnassignedParameter, DimensionMismatch for a term box of
+        more than _BOX_POINT_LIMIT points, DivergentArgument where a point's
         margin -max psi is at most the floor, then PoleError for a term whose
         log is +inf in the factor table, gammas near integers snapped to them;
         a -inf (a vanishing falling factorial) zeroes a term, pole or not;
@@ -376,7 +381,8 @@ class SolutionBundle:
             raise DivergentArgument(
                 f"margin {margin:.4g} <= {floor:.4g} along l = "
                 f"({', '.join(f'{v + 0:.4g}' for v in lines[k])}): "
-                f"|argument| = {x:.4g} {'>=' if margin <= 0 else '<'} {r:.4g}")
+                f"|argument| = {x:.4g} " + (f">= {r:.4g}" if margin <= 0 else
+                f"is within the grid floor of the boundary {r:.4g}"))
         rounded = np.rint(gamma)
         snapped = np.where(np.abs(gamma - rounded) < _INT_TOL, rounded, gamma)
         logs, signs = _factor_table(snapped.ravel(), *layout)

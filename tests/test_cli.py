@@ -118,12 +118,24 @@ def test_solve_evaluates_and_checks_the_stated_point(capsys):
                                                  rel=1e-10)
 
 
-def test_solve_without_a_polynomial_gives_constants_and_no_value(capsys):
+def test_solve_without_a_polynomial_gives_constants_and_no_value(
+        tmp_path, capsys):
+    """An A-matrix spec is the integral of its Cayley polynomial: solve
+    gives its constants, its value and the oracle's; without coefficients
+    it has no value, and says which key is missing."""
     code, out, _ = _run(capsys, "solve", "--fixture", "2f1-single", "--json")
     assert code == 0
     data = json.loads(out)
     assert len(data["constants"]) == 2
-    assert "series_value" not in data and "oracle" not in data
+    assert data["oracle"]["target_met"] is True
+    assert data["relative_deviation"] < fixtures()["2f1-single"].tolerance
+    doc = fixtures()["2f1-single"].to_dict()
+    del doc["coefficients"]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "solve", "--spec", str(path))
+    assert code == cli.EXIT_ENGINE and out == ""
+    assert err.startswith("error: ") and "'coefficients'" in err
 
 
 def test_solve_of_a_divergent_integral_exit_code(capsys):
@@ -501,7 +513,7 @@ def test_misspelt_invariant_is_a_typed_error(tmp_path, capsys, graph):
     ("2f1-double", 0), ("box", 5), ("triangle-3scale", 5),
     ("massless-bubble", 6), ("triangle-1scale", 6), ("cantaloupe-2", 6),
     ("one-mass-bubble", 6), ("sunset-1mass", 6), ("party-hat", 6),
-    ("2f1-single", 7)])
+    ("2f1-single", 0)])
 def test_verify_exit_code_at_each_stated_point(capsys, name, code):
     assert _run(capsys, "verify", "--fixture", name)[0] == code
 

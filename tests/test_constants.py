@@ -18,6 +18,7 @@ from feyngkz.errors import (DimensionMismatch, DivergentArgument,
                             PoleError, UnassignedParameter)
 from feyngkz.fixtures import fixtures
 from feyngkz.gammafn import GammaFactor, log_gamma_signed
+from feyngkz.gkz import AMatrix
 from feyngkz.params import ParamLinear
 
 
@@ -109,10 +110,20 @@ def test_gamma_factor_vanishes_where_a_denominator_has_a_pole():
     assert GammaFactor().evaluate({}) == 1.0    # the empty product, exactly
 
 
-def test_unassigned_gamma_parameter_raises_typed_error():
-    """The constants divide by Gamma(beta), which an A-matrix spec such as
-    2f1-single does not assign (it names beta1 and beta2)."""
+def _unsummed_2f1_single():
+    """2f1-single with A's rows reordered: no leading rows sum to (1, ...,
+    1), so no beta is derived from them."""
     spec = fixtures()["2f1-single"]
+    spec.amatrix = AMatrix([spec.amatrix.rows[i] for i in (2, 0, 1)])
+    spec.kappa_names = [spec.kappa_names[i] for i in (2, 0, 1)]
+    assert spec.amatrix.cayley_rows == 0 and "beta" not in spec.assignment()
+    return spec
+
+
+def test_unassigned_gamma_parameter_raises_typed_error():
+    """The constants divide by Gamma(beta), which an A-matrix spec assigns
+    only as the sum over its leading rows summing to (1, ..., 1)."""
+    spec = _unsummed_2f1_single()
     bundle = pipeline.run(spec).bundle
     with pytest.raises(UnassignedParameter, match="'beta'"):
         bundle.constant_values(spec.assignment())
@@ -227,8 +238,6 @@ def test_bundle_matches_per_series_sum():
     rng = random.Random(18)
     for name, spec in fixtures().items():
         rep = pipeline.run(spec)
-        if spec.amatrix is not None:
-            continue        # 2f1-single's constants need Gamma(beta)
         for order in (40, 80):
             points = _inside(rep.series[0], rng)
             for bundle in (rep.bundle, _signed_bundle(rep.series)):
@@ -275,6 +284,7 @@ def test_bundle_raises_like_its_series():
     assignment = spec.assignment()
     # the first series' argument c2 c3 / (c1 c4) is 1/2 at small, 4 at large
     small, large = [1.0, 1.0, 1.0, 2.0], [1.0, 2.0, 2.0, 1.0]
+    unsummed = _unsummed_2f1_single()
     cases = [
         (rep.bundle, assignment, [[1.0, 1.0], [1.0, 2.0]], DimensionMismatch),
         (rep.bundle, assignment, [small, [1.0, 0.0, 1.0, 2.0]],
@@ -282,8 +292,8 @@ def test_bundle_raises_like_its_series():
         (rep.bundle, assignment, [small, [1.0, math.inf, 1.0, 2.0]],
          NonPositiveCoefficient),
         (rep.bundle, {"beta": 1.9, "a2": 0.7}, [small], UnassignedParameter),
-        (pipeline.run(fixtures()["2f1-single"]).bundle,
-         fixtures()["2f1-single"].assignment(), [small], UnassignedParameter)]
+        (pipeline.run(unsummed).bundle, unsummed.assignment(), [small],
+         UnassignedParameter)]
     for first, second in ((rep.series[0], flipped), (flipped, rep.series[0])):
         bundle = _signed_bundle([first, second])
         cases += [(bundle, assignment, [small], DivergentArgument),

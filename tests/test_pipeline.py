@@ -8,7 +8,8 @@ import pytest
 
 from feyngkz import gkz, pipeline
 from feyngkz.constants import SolutionBundle
-from feyngkz.errors import DimensionMismatch, NonFiniteValue
+from feyngkz.errors import (DimensionMismatch, NonFiniteValue,
+                            UnassignedParameter)
 from feyngkz.fixtures import fixtures
 from feyngkz.gkz import initial_ideal, toric_ideal
 from feyngkz.groebner import TermOrder, buchberger
@@ -61,10 +62,95 @@ def test_deformed_spec_without_a_weight_gets_the_first_unit_vector():
 
 def test_missing_coefficients_is_typed():
     spec = fixtures()["2f1-single"]
+    spec.coefficients = None
     report = pipeline.run(spec)
     with pytest.raises(DimensionMismatch, match="'coefficients'"):
         pipeline.coefficient_values(spec, report.column_exponents,
                                     report.polynomial)
+
+
+CAYLEY3 = os.path.join(os.path.dirname(__file__), "cayley3_spec.json")
+
+
+def _cayley3():
+    with open(CAYLEY3) as handle:
+        return pipeline.ProblemSpec.from_dict(json.load(handle))
+
+
+def test_three_factor_amatrix_spec_verifies_as_its_cayley_integral():
+    """A's three leading rows sum to (1, ..., 1), so it configures g = c1 +
+    c2 z + x1 (c3 + c4 z) + x2 (c5 + c6 z), whose integral with alpha =
+    (b2, b3, alpha) and beta = b1 + b2 + b3 the series sum matches."""
+    spec = _cayley3()
+    assert spec.amatrix.cayley_rows == 3
+    assert spec.assignment()["beta"] == 0.6 + 0.5 + 0.45
+    report = pipeline.run(spec, verify=True)
+    assert report.oracle.target_met and report.relative_deviation <= 1e-12
+
+
+def test_three_factor_amatrix_spec_is_the_product_form_times_gammas():
+    """That integral is int z^alpha prod_k g_k^-b_k dz/z times Gamma(b1)
+    Gamma(b2) Gamma(b3) / Gamma(b1 + b2 + b3), here by mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    spec = _cayley3()
+    report = pipeline.run(spec, verify=True)
+    assignment = spec.assignment()
+    b1, b2, b3, a = (assignment[n] for n in spec.kappa_names)
+    c = spec.coefficients
+    product = mpmath.quad(lambda z: z ** (a - 1) * (c[0] + c[1] * z) ** -b1
+                          * (c[2] + c[3] * z) ** -b2
+                          * (c[4] + c[5] * z) ** -b3, [0, 1, mpmath.inf])
+    want = float(product * mpmath.gamma(b1) * mpmath.gamma(b2)
+                 * mpmath.gamma(b3) / mpmath.gamma(b1 + b2 + b3))
+    assert abs(report.series_value - want) <= 1e-12 * want
+
+
+def test_2f1_double_as_an_amatrix_verifies_bit_for_bit():
+    """The polynomial spec's A, with kappa (beta, a1, a2) and its values,
+    gives the same series value, oracle result and deviation."""
+    spec = fixtures()["2f1-double"]
+    want = pipeline.run(spec, verify=True)
+    amatrix = pipeline.ProblemSpec.from_dict({
+        "amatrix": want.amatrix.rows, "kappa": ["beta", "a1", "a2"],
+        "weight": list(spec.weight), "parameters": spec.assignment(),
+        "coefficients": spec.coefficients})
+    got = pipeline.run(amatrix, verify=True)
+    assert got.series_value.hex() == want.series_value.hex()
+    assert got.oracle == want.oracle
+    assert got.relative_deviation == want.relative_deviation
+
+
+_2F1_SINGLE_A = [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]]
+_2F1_DOUBLE_A = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
+
+
+@pytest.mark.parametrize("amatrix, kappa", [
+    (_2F1_SINGLE_A, ["beta", "beta2", "alpha"]),
+    (_2F1_SINGLE_A, ["beta1", "beta", "alpha"]),
+    (_2F1_SINGLE_A, ["beta1", "beta2", "beta"]),
+    (_2F1_DOUBLE_A, ["a1", "beta", "a2"])])
+def test_kappa_names_beta_only_as_the_single_leading_row(amatrix, kappa):
+    """beta is derived as the sum over A's leading rows, so a kappa name
+    beta anywhere else is refused rather than overwritten."""
+    with pytest.raises(DimensionMismatch, match="'beta'"):
+        pipeline.ProblemSpec.from_dict({"amatrix": amatrix, "kappa": kappa})
+
+
+def test_the_single_leading_row_may_be_named_beta():
+    spec = pipeline.ProblemSpec.from_dict({
+        "amatrix": _2F1_DOUBLE_A, "kappa": ["beta", "a1", "a2"],
+        "parameters": {"beta": 1.9, "a1": 0.3, "a2": 0.7}})
+    assert spec.amatrix.cayley_rows == 1
+    assert spec.assignment() == {"beta": 1.9, "a1": 0.3, "a2": 0.7}
+
+
+def test_amatrix_spec_missing_a_parameter_is_typed():
+    spec = fixtures()["2f1-single"]
+    del spec.parameters["beta2"]
+    with pytest.raises(UnassignedParameter, match="'beta2'"):
+        spec.assignment()
+    with pytest.raises(UnassignedParameter, match="'beta2'"):
+        pipeline.run(spec, verify=True)
 
 
 def test_non_finite_series_value_raises(monkeypatch):

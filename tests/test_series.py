@@ -333,6 +333,46 @@ def test_massive_triangle_on_its_domain_boundary_is_refused():
             rep.bundle.evaluate(spec.assignment(), [t ** x for x in w], 4)
 
 
+def test_term_box_over_its_point_limit_is_a_typed_error():
+    """The massive triangle's rank-5 box: order 8 (17^5 points) is built,
+    order 30 (61^5 points, 31.5 GiB of grid) is refused before any array
+    is allocated, both for the series and when the bundle plans its sum."""
+    w = (7, 4, 9, 9, 5, 2, 5, 2, 5)
+    spec = pipeline.ProblemSpec(
+        terms=list(helpers.massive_ngon(3).terms.items()), weight=w,
+        alpha=[0.3, 0.4, 0.5], d=4, deformation="none")
+    rep = pipeline.run(spec)
+    phi = rep.series[0]
+    assert phi.rank == 5 and 17 ** 5 <= series_module._BOX_POINT_LIMIT
+    indices, points = phi._box(8)
+    assert len(indices) == len(points) > 0
+    assert 23 ** 5 > series_module._BOX_POINT_LIMIT
+    for call in (lambda: phi._box(30), lambda: phi.enumerate_terms(11),
+                 lambda: rep.bundle.evaluate(spec.assignment(),
+                                             [0.5 ** x for x in w], 30)):
+        start = time.perf_counter()
+        with pytest.raises(DimensionMismatch, match=r"\^5 box points"):
+            call()
+        assert time.perf_counter() - start < 0.1
+
+
+def test_refusal_within_the_grid_floor_names_no_false_comparison():
+    """The cubic at weight 0 and c = (1, 1, 1, 1) has margin 1.1e-4 inside
+    its rank-2 floor 1/63: |argument| rounds to the boundary 1, so the
+    message says the point is within the floor, not that 1 < 1."""
+    path = os.path.join(os.path.dirname(__file__), "cubic_spec.json")
+    with open(path) as handle:
+        spec = pipeline.ProblemSpec.from_dict(json.load(handle))
+    spec.weight, spec.alpha, spec.d = (0, 0, 0, 0), [0.4], 3
+    spec.coefficients = [1.0, 1.0, 1.0, 1.0]
+    with pytest.raises(DivergentArgument) as info:
+        pipeline.run(spec, verify=True)
+    message = str(info.value)
+    assert message.startswith("margin 0.000112 <= 0.01587 along l = ")
+    assert message.endswith(
+        "|argument| = 1 is within the grid floor of the boundary 1")
+
+
 def test_region_tables_are_built_once_per_lattice_and_face():
     """A cone's table depends on its lattice and face alone: a new bundle of
     the same system, as each run(verify=True) builds, tabulates nothing."""
