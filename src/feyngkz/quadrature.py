@@ -265,9 +265,10 @@ def tanh_sinh_tensor(f: Integrand, target: float,
 
 
 def quadrature(spec: QuadratureSpec) -> QuadratureResult:
-    if spec.ndim > 4:
-        raise DimensionMismatch("quadrature oracle supports up to 4 variables")
     f = reduce_linear(Integrand.from_spec(spec))
+    if f.ndim > 4:
+        raise DimensionMismatch("quadrature oracle supports up to 4 variables "
+                                f"left after the Beta steps, got {f.ndim}")
     margin = _check_convergent(f)   # exact, on what the reduction left
     if f.ndim == 0:
         return QuadratureResult(math.exp(f.log_prefactor), 0.0,

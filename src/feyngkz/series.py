@@ -87,8 +87,11 @@ def _half_rows(lows: Sequence[int], highs: Sequence[int]):
 def _cone(lattice: Tuple[Tuple[int, ...], ...], face: Tuple[int, ...]):
     """l = s.K, s >= 0, sum s = 1, on a grid of spacing 1/n (finest n <= 63
     of <= 1024 points), K = B_off^-1 B (1 at one off-face column, else 0);
-    Phi(l); and the floor: the spacing, or 0 at rank 1 (one exact point)."""
-    r, off = len(lattice), [j for j in range(len(lattice[0])) if j not in face]
+    Phi(l); and the floor: the spacing, or 0 at rank 1 (one exact point).
+    Rank 0 (one term) has nothing to converge: no l, so the margin is +inf."""
+    if not (r := len(lattice)):
+        return np.empty((0, len(face))), np.empty(0), 0.0
+    off = [j for j in range(len(lattice[0])) if j not in face]
     n = next(n for n in range(63, 0, -1) if math.comb(n + r - 1, n) <= 1024)
     cuts = itertools.combinations(range(1, n + r), r - 1)  # stars and bars
     lines = ((np.diff([(0, *c, n + r) for c in cuts]) - 1) / n
@@ -101,7 +104,8 @@ def _gather(boxes, which: Sequence[int], floor: np.ndarray, order: int):
     """The distinct lattices' boxes (indices, points u) cut by one mask to
     each series' box ``which`` and u >= its floor row: in series order, the
     kept u as floats, shell mask, owning series, the layout of the table
-    rows (series' components in turn) they read, and each factor's index."""
+    rows (series' components in turn) they read, and each factor's index,
+    a row per component and a column per term, so sums run along the terms."""
     indices, points = map(np.concatenate, zip(*boxes))
     # reduced across columns: over a short last axis it is ~5x slower
     keep = (np.ascontiguousarray(points.T) >= floor[:, :, None]).all(axis=1)
@@ -115,9 +119,9 @@ def _gather(boxes, which: Sequence[int], floor: np.ndarray, order: int):
     layout, bases = _half_rows(np.minimum.reduceat(u, starts).ravel().tolist(),
                                np.maximum.reduceat(u, starts).ravel().tolist())
     lefts, rights = bases.reshape(2, *floor.shape)
+    flat = np.where(u > 0, rights.take(owner, 0), lefts.take(owner, 0))
     return (u.astype(float), norm[index] == order, owner, layout,
-            np.where(u > 0, rights.take(owner, 0), lefts.take(owner, 0))
-            + np.abs(u))
+            np.ascontiguousarray((flat + np.abs(u)).T))
 
 
 @dataclass
@@ -298,7 +302,7 @@ class SolutionBundle:
     as sum_i K_i phi_i over one set of terms.  The plan per order, built on
     first use like the gammas' floats and the region grids, holds each
     series' terms u >= its exact floor row, in turn, with their series and
-    their factors' flat indices into one table of the half-rows they read."""
+    their factors' indices, factor-major, into one table of the half-rows."""
 
     series: List[CanonicalSeries]
     constants: List[GammaFactor]                  # symbolic prescription
@@ -348,15 +352,17 @@ class SolutionBundle:
              points: Sequence[Sequence[float]],
              order: int) -> Tuple[np.ndarray, np.ndarray]:
         """(values, tail_estimates) of sum_i K_i phi_i, one per point of
-        positive coefficients.  Raises DimensionMismatch for a parameter not
-        finite, the constants' errors, DimensionMismatch unless each point has
-        one coefficient per component, NonPositiveCoefficient for one <= 0 or
-        not finite, UnassignedParameter, DimensionMismatch for a term box of
-        more than _BOX_POINT_LIMIT points, DivergentArgument where a point's
-        margin -max psi is at most the floor, then PoleError for a term whose
-        log is +inf in the factor table, gammas near integers snapped to them;
-        a -inf (a vanishing falling factorial) zeroes a term, pole or not;
-        NonFiniteValue when a point's sum overflows or comes out nan."""
+        positive coefficients; a term's factors, a plan row each, are summed
+        in order along the terms.  Raises DimensionMismatch for a parameter
+        not finite, the constants' errors, DimensionMismatch unless a point
+        has one coefficient per component, NonPositiveCoefficient for one <= 0
+        or not finite, UnassignedParameter, DimensionMismatch for a term box
+        of more than _BOX_POINT_LIMIT points, DivergentArgument where a
+        point's margin -max psi is at most the floor, then PoleError for a
+        term whose log is +inf in the factor table, gammas near integers
+        snapped to them; a -inf (a vanishing falling factorial) zeroes a
+        term, pole or not; NonFiniteValue when a point's sum overflows or
+        comes out nan."""
         for name, value in assignment.items():
             if not -np.inf < value < np.inf:
                 raise DimensionMismatch(f"parameter {name!r} is {value}, "
@@ -388,7 +394,7 @@ class SolutionBundle:
         logs, signs = _factor_table(snapped.ravel(), *layout)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_k = np.log(np.abs(constants))
-            sizes = logs.take(flat).sum(axis=1)
+            sizes = logs.take(flat).sum(axis=0)
             if not np.isfinite(sizes).all():
                 if (hit := sizes == np.inf).any():
                     raise PoleError("vanishing denominator factor in "
@@ -397,7 +403,7 @@ class SolutionBundle:
             # log K_i c^(u + gamma_i) for every point and term
             exponents = (log_points @ shifts.T
                          + (log_points @ gamma.T + log_k)[:, owner])
-            values = (signs.take(flat).prod(axis=1) * np.sign(constants)[owner]
+            values = (signs.take(flat).prod(axis=0) * np.sign(constants)[owner]
                       * np.exp(sizes + exponents))
             totals = values.sum(axis=1)
         if not all(-np.inf < total < np.inf for total in totals.tolist()):

@@ -269,6 +269,25 @@ def test_alpha_that_is_not_finite_is_one_error_line(capsys):
     assert err == "error: parameter 'a1' is nan, not finite\n"
 
 
+@pytest.mark.parametrize("name, want", [
+    ("massless_bubble", 2.993128730868232),
+    ("triangle_1scale", 17.987577309481527),
+    ("cantaloupe_2", 18.762885769548834)])
+def test_an_undeformed_codim0_spec_verifies(capsys, name, want):
+    """tests/<name>_undeformed_spec.json, which CI also runs: the fixture
+    with "deformation": "none" and no weight has a rank-0 lattice, one
+    term and no region to leave, and its Gamma-product value meets the
+    oracle's closed form."""
+    path = os.path.join(os.path.dirname(__file__),
+                        f"{name}_undeformed_spec.json")
+    code, out, err = _run(capsys, "verify", "--spec", path, "--json")
+    report = json.loads(out)
+    assert code == 0 and err == "" and report["verified"] is True
+    assert report["relative_deviation"] <= 1e-12
+    assert report["oracle"]["target_met"] and report["oracle"]["dims"] == 0
+    assert report["series_value"] == pytest.approx(want, rel=1e-14)
+
+
 @pytest.mark.parametrize("c2, code", [(1.6, cli.EXIT_DIVERGENT),
                                       (2, cli.EXIT_DIVERGENT), (3, 0)])
 def test_quadratic_verifies_only_inside_its_radius(tmp_path, capsys, c2,

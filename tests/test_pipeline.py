@@ -8,8 +8,8 @@ import pytest
 
 from feyngkz import gkz, pipeline
 from feyngkz.constants import SolutionBundle
-from feyngkz.errors import (DimensionMismatch, NonFiniteValue,
-                            UnassignedParameter)
+from feyngkz.errors import (DimensionMismatch, NonConvergent,
+                            NonFiniteValue, UnassignedParameter)
 from feyngkz.fixtures import fixtures
 from feyngkz.gkz import initial_ideal, toric_ideal
 from feyngkz.groebner import TermOrder, buchberger
@@ -58,6 +58,55 @@ def test_deformed_spec_without_a_weight_gets_the_first_unit_vector():
     report = pipeline.run(spec)
     assert report.deformation.applied
     assert report.weight == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("s, d, nu, inside", [
+    (1.0, 3.8, (1.3, 1.3), True), (2.5, 3.8, (1.3, 1.3), True),
+    (0.7, 3.3, (1.1, 0.9), True), (1.0, 3.8, (0.5, 0.5), False),
+    (1.0, 2.0, (1.3, 1.3), False), (1.0, 3.8, (2.2, 0.4), False)])
+def test_undeformed_massless_bubble_is_the_textbook_gamma_product(s, d, nu,
+                                                                  inside):
+    """The massless bubble with "deformation": "none" is a rank-0 bundle,
+    which verifies inside the Newton polytope; prefactor x value is Gamma(n1+n2-d/2) Gamma(d/2-n1) Gamma(d/2-n2) /
+    (Gamma(n1) Gamma(n2) Gamma(d-n1-n2)) s^(d/2-n1-n2), also at points
+    outside the Newton polytope, where the oracle's Beta integral
+    diverges and it refuses."""
+    spec = fixtures()["massless-bubble"]
+    spec.deformation, spec.weight = "none", None
+    spec.alpha, spec.d, spec.kinematics = list(nu), d, {"s": s}
+    report = pipeline.run(spec)
+    assignment = spec.assignment()
+    coeffs = pipeline.coefficient_values(spec, report.column_exponents,
+                                         report.polynomial)
+    got = (report.prefactor.evaluate(assignment)
+           * report.bundle.evaluate(assignment, coeffs, spec.order))
+    n1, n2 = nu
+    want = (math.gamma(n1 + n2 - d / 2) * math.gamma(d / 2 - n1)
+            * math.gamma(d / 2 - n2) / (math.gamma(n1) * math.gamma(n2)
+                                        * math.gamma(d - n1 - n2))
+            * s ** (d / 2 - n1 - n2))
+    assert got == pytest.approx(want, rel=1e-14)
+    if inside:
+        assert pipeline.run(spec, verify=True).relative_deviation <= 1e-12
+    else:
+        with pytest.raises(NonConvergent, match="Beta integral"):
+            pipeline.run(spec, verify=True)
+
+
+def test_a_square_amatrix_spec_verifies_as_its_rank0_bundle():
+    """A invertible: g = c1 + c2 z1 + c3 z2 and the integral is the
+    multinomial Beta Gamma(a1) Gamma(a2) Gamma(beta - a1 - a2) / Gamma(beta)
+    c1^(a1 + a2 - beta) c2^-a1 c3^-a2, the one term of a rank-0 bundle."""
+    spec = pipeline.ProblemSpec.from_dict({
+        "amatrix": [[1, 1, 1], [0, 1, 0], [0, 0, 1]],
+        "kappa": ["beta", "a1", "a2"],
+        "parameters": {"beta": 1.9, "a1": 0.6, "a2": 0.7},
+        "coefficients": [1.0, 0.7, 1.3]})
+    report = pipeline.run(spec, verify=True)
+    assert report.lattice == [] and report.relative_deviation <= 1e-12
+    want = (math.gamma(0.6) * math.gamma(0.7) * math.gamma(0.6)
+            / math.gamma(1.9) * 0.7 ** -0.6 * 1.3 ** -0.7)
+    assert report.series_value == pytest.approx(want, rel=1e-14)
 
 
 def test_missing_coefficients_is_typed():

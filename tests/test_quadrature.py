@@ -262,10 +262,34 @@ def test_probe_radii_equal_the_numpy_powers():
 
 
 def test_dimension_limit():
-    exponents = [tuple(int(i == j) for j in range(5)) for i in range(5)]
-    spec = _spec(exponents, [1.0] * 5, [0.2] * 5, 1.5)
-    with pytest.raises(DimensionMismatch):
+    """1 + z1^2 + ... + z5^2 leaves every variable to the tensor rule: no
+    Beta step reduces a degree-2 variable, so 5 are left, past 4."""
+    exponents = [(0,) * 5] + [tuple(2 * (i == j) for j in range(5))
+                              for i in range(5)]
+    spec = _spec(exponents, [1.0] * 6, [0.2] * 5, 1.5)
+    with pytest.raises(DimensionMismatch, match="got 5"):
         quadrature(spec)
+
+
+def test_the_variable_limit_counts_what_the_beta_steps_leave():
+    """A five-factor Cayley integrand, prod_k (c_2k + c_2k+1 z)^-b_k on its
+    4 Cayley variables and z, has 5 variables; the Beta steps leave z alone,
+    and the value is mpmath's product form int z^alpha prod_k (...) dz/z
+    times prod Gamma(b_k) / Gamma(sum b)."""
+    mpmath = pytest.importorskip("mpmath")
+    b, a = [0.6, 0.5, 0.45, 0.55, 0.4], 0.7
+    c = [1.0, 0.3, 1.0, 0.4, 1.0, 0.5, 1.0, 0.35, 1.0, 0.45]
+    exponents = [tuple(int(j // 2 == k) for k in range(1, 5)) + (j % 2,)
+                 for j in range(10)]
+    result = quadrature(_spec(exponents, c, b[1:] + [a], sum(b), 1e-12))
+    assert result.dims == 1 and result.target_met
+    with mpmath.workdps(30):
+        product = mpmath.quad(lambda z: z ** (a - 1) * mpmath.fprod(
+            (c[2 * k] + c[2 * k + 1] * z) ** -b[k] for k in range(5)),
+            [0, 1, mpmath.inf])
+        want = float(product * mpmath.fprod(map(mpmath.gamma, b))
+                     / mpmath.gamma(sum(b)))
+    assert result.value == pytest.approx(want, rel=1e-12)
 
 
 def _reduced_dims(exponents):

@@ -618,7 +618,7 @@ def test_an_order_0_plan_reads_no_half_row():
     spec = fixtures()["2f1-double"]
     bundle = pipeline.run(spec).bundle
     *_, (rows, steps, left), flat = bundle._terms(0)
-    assert len(rows) == left == 0 and flat.shape == (2, 4) and not flat.any()
+    assert len(rows) == left == 0 and flat.shape == (4, 2) and not flat.any()
     gamma = np.array(bundle._gamma_map(spec.assignment()))
     logs, signs = _factor_table(gamma, rows, steps, left)
     assert logs.tolist() == [[0.0]] and signs.tolist() == [[1.0]]
@@ -629,6 +629,75 @@ def test_an_order_0_plan_reads_no_half_row():
                                  bundle.constant_values(spec.assignment())))
     assert bundle.evaluate(spec.assignment(), coeffs, 0) == pytest.approx(
         want, rel=1e-14)
+
+
+def _term_major_sum(bundle, assignment, points, order):
+    """_sum's (values, tails) with each term's factor indices as a row, one
+    row per term, and its logs and signs reduced across that short last
+    axis: the formula of a term-major index."""
+    shifts, shell, owner, layout, flat = bundle._terms(order)
+    by_term = np.ascontiguousarray(flat.T)
+    gamma = np.array(bundle._gamma_map(assignment)).reshape(
+        len(bundle.series), -1)
+    rounded = np.rint(gamma)
+    snapped = np.where(np.abs(gamma - rounded) < gammafn._INT_TOL, rounded,
+                       gamma)
+    logs, signs = _factor_table(snapped.ravel(), *layout)
+    constants = bundle.constant_values(assignment)
+    log_points = np.log(np.array(points, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sizes = logs.take(by_term).sum(axis=1)
+        sizes[np.isnan(sizes)] = -np.inf
+        exponents = (log_points @ shifts.T + (log_points @ gamma.T + np.log(
+            np.abs(constants)))[:, owner])
+        values = (signs.take(by_term).prod(axis=1)
+                  * np.sign(constants)[owner] * np.exp(sizes + exponents))
+    return values.sum(axis=1), np.abs(values[:, shell]).sum(axis=1)
+
+
+def test_every_plan_indexes_its_factors_factor_major():
+    """The plan's flat index is (factors, terms) and C-contiguous, so the
+    kernel's reductions run along the terms, one row per factor."""
+    for name, spec in fixtures().items():
+        bundle = pipeline.run(spec).bundle
+        *_, owner, _, flat = bundle._terms(10)
+        assert flat.shape == (bundle.series[0].nvars, len(owner)), name
+        assert flat.flags.c_contiguous, name
+
+
+def test_sum_equals_the_term_major_reduction_bit_for_bit():
+    """Below 8 factors NumPy sums a short row in order, a0 + a1 + ..., as
+    the factor-major sum adds its rows: on every fixture (at most 6
+    components), at orders 10 and 40 and seeded interior points, values
+    and tails keep the term-major formula's float.hex."""
+    rng = random.Random(36)
+    for name, spec in fixtures().items():
+        rep = pipeline.run(spec)
+        assert rep.series[0].nvars < 8, name
+        for order in (10, 40):
+            points = _points(rep.series[0], rng, 3)
+            got = rep.bundle._sum(spec.assignment(), points, order)
+            want = _term_major_sum(rep.bundle, spec.assignment(), points, order)
+            for g, w in zip(got, want):
+                assert [float(x).hex() for x in g] == [
+                    float(x).hex() for x in w], (name, order)
+
+
+def test_nine_factor_sum_matches_the_term_major_reduction():
+    """At 9 components a short row is summed pairwise, so the orders of
+    addition differ: the massive triangle (weight 0 on z_i, 1 on the
+    quadratic monomials) at order 8 matches to rounding."""
+    w = (0, 0, 0, 1, 1, 1, 1, 1, 1)
+    spec = pipeline.ProblemSpec(
+        terms=list(helpers.massive_ngon(3).terms.items()), weight=w,
+        alpha=[0.3, 0.4, 0.5], d=4, deformation="none")
+    bundle = pipeline.run(spec).bundle
+    point = [0.7 ** x for x in (-7, -6, -4, 38, 38, 39, 33, 32, 24)]
+    got = bundle._sum(spec.assignment(), [point], 8)
+    want = _term_major_sum(bundle, spec.assignment(), [point], 8)
+    assert bundle._terms(8)[-1].shape[0] == 9
+    for g, x in zip(got, want):
+        assert g == pytest.approx(x, rel=1e-13, abs=0)
 
 
 def test_evaluate_makes_no_per_entry_special_function_calls(monkeypatch):
