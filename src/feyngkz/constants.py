@@ -1,7 +1,7 @@
 """Integration constants for a basis of canonical series.
 
 Each constant is the Gamma-series prescription of a regular triangulation
-(SST, ch. 3), read off its exponent's standard pair (a, sigma) and vol(sigma).
+(SST, ch. 3), read off its exponent's pair (a, sigma), vol(sigma) and beta.
 Constants are never fitted to the quadrature oracle: pipelines cross-check
 the weighted sum of series against it, which a fitted one would defeat.
 
@@ -22,20 +22,19 @@ from typing import List, Mapping, Sequence
 from ._lazy import np
 from .gammafn import GammaFactor
 from .gkz import FakeExponent
-from .params import ParamLinear
 from .series import SolutionBundle
 
 
 def gamma_constant(gamma: FakeExponent, volume: int = 1) -> GammaFactor:
     """K = prod_{j in sigma} Gamma(-gamma_j) * prod_{j not in sigma}
-    (-1)^{a_j} / a_j!  /  (vol(sigma) * Gamma(beta)) for the exponent of the
-    top-dimensional pair (a, sigma), whose components off sigma are the
-    root's a_j.  On a unimodular facet (vol 1, root 0) the factor is int 1."""
+    (-1)^{a_j} / a_j!  /  (vol(sigma) * Gamma(-sum_j gamma_j)) for the
+    exponent of the top-dimensional pair (a, sigma), off sigma the root's
+    a_j.  On a unimodular facet (vol 1, root 0) the factor is int 1."""
     face, root = gamma.pair.face, gamma.pair.root
     factor = 1 if volume == 1 and not any(root) else Fraction(
         (-1) ** sum(root), volume * math.prod(map(math.factorial, root)))
     return GammaFactor(numerator=[-gamma.components[j] for j in face],
-                       denominator=[ParamLinear.param("beta")], factor=factor)
+                       denominator=[gamma.beta], factor=factor)
 
 
 @dataclass

@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from operator import add, mul, neg
+from operator import mul, neg
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DeformationFailed, UnderdeterminedPair
@@ -63,14 +63,6 @@ class AMatrix:
 
     def codim(self) -> int:
         return self.ncols - self.rank
-
-    @property
-    def cayley_rows(self) -> int:
-        """p, the number of leading rows summing to (1, ..., 1), unique at
-        full rank, else 0: A is then the configuration of g = sum_j c_j
-        x^(A_1j, ..., A_m-1,j), whose x_1..x_p-1 are Cayley variables."""
-        sums = itertools.accumulate(self.rows, lambda s, r: [*map(add, s, r)])
-        return next((p for p, s in enumerate(sums, 1) if set(s) == {1}), 0)
 
 
 def toric_matrix(g: KPoly) -> Tuple[AMatrix, List[Mono]]:
@@ -290,8 +282,11 @@ def facet_walk(amat: AMatrix, weight: Sequence[int]) -> List[StandardPair]:
 
 @dataclass
 class FakeExponent:
+    """A solution of A.gamma = kappa on its pair, and beta = -sum_j gamma_j:
+    (1, ..., 1) = y^T A, so every solution sums to y^T kappa (GKZ)."""
     components: Tuple[ParamLinear, ...]
     pair: StandardPair
+    beta: ParamLinear
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
@@ -308,7 +303,8 @@ def fake_exponents(amat: AMatrix, kappa: Sequence[ParamLinear],
     intlinalg.eliminate step, in a row whose basic column is off the face; a
     face component is its basic row, less the root's part, over pivot * den.
     A pair whose off-face rows fail at the root is dropped with a warning;
-    a face column left nonbasic aborts (the weight was too degenerate)."""
+    a face column left nonbasic aborts (the weight was too degenerate).
+    Every exponent shares one beta, summed once, from the first."""
     if len(kappa) != amat.nrows:
         raise ValueError("kappa length must match the number of A rows")
     names = list(dict.fromkeys(n for k in kappa for n in k.nums))
@@ -340,8 +336,20 @@ def fake_exponents(amat: AMatrix, kappa: Sequence[ParamLinear],
             if any(col not in basic for col in face):
                 raise UnderdeterminedPair("solution space is "
                                           "positive-dimensional")
-            out.append(FakeExponent(tuple(components), pair))
-    return out
+            out.append((tuple(components), pair))
+    beta = _negated_sum(out[0][0], names) if out else None
+    return [FakeExponent(components, pair, beta) for components, pair in out]
+
+
+def _negated_sum(components: Sequence[ParamLinear], names) -> ParamLinear:
+    """-sum(components) in integers, its parameters in the order of names."""
+    den = math.lcm(*(c.den for c in components))
+    nums, num0 = dict.fromkeys(names, 0), 0
+    for c in components:
+        num0 -= c.num0 * (f := den // c.den)
+        for name, n in c.nums.items():
+            nums[name] -= n * f
+    return ParamLinear.from_integers(nums, num0, den)
 
 
 def standard_kappa(nvars: int) -> List[ParamLinear]:

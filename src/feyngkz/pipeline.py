@@ -117,10 +117,6 @@ class ProblemSpec:
                 spec.kappa_names = list(data["kappa"])
                 if len(spec.kappa_names) != spec.amatrix.nrows:
                     raise DimensionMismatch("kappa needs one name per row of A")
-                if spec.kappa_names.count("beta") > (spec.kappa_names[
-                        :spec.amatrix.cayley_rows] == ["beta"]):
-                    raise DimensionMismatch("kappa may name 'beta' only as A's "
-                                            "one leading row of (1, ..., 1)")
             if "weight" in data:
                 spec.weight = spec_integers(data["weight"], "weight")
             spec.deformation = data.get("deformation", "auto")
@@ -175,14 +171,10 @@ class ProblemSpec:
         return None
 
     def assignment(self) -> Dict[str, float]:
-        """The named parameters and, where A has ``cayley_rows``, beta, their
-        sum over those rows; else beta = d/2 and a1, a2, ... from alpha."""
+        """The named parameters (beta = -sum_j gamma_j is a form in them),
+        else beta = d/2 and a1, a2, ... from alpha."""
         if self.parameters is not None:
-            values = dict(self.parameters)
-            if p := self.amatrix and self.amatrix.cayley_rows:
-                values["beta"] = FloatMap([sum(map(
-                    ParamLinear.param, self.kappa_names[:p]))])(values)[0]
-            return values
+            return dict(self.parameters)
         values = {} if self.d is None else {"beta": self.d / 2.0}
         values.update((f"a{i + 1}", float(a))
                       for i, a in enumerate(self.alpha or ()))
@@ -328,7 +320,7 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
         report.series_value = float(bundle.evaluate(
             assignment, coeffs, spec.order))
         *alpha, beta = FloatMap([-k for k in kappa[1:]]
-                                + [ParamLinear.param("beta")])(assignment)
+                                + [exponents[0].beta])(assignment)
         qspec = QuadratureSpec(exponents=list(zip(*amat.rows[1:])),
                                coefficients=coeffs, alpha=alpha, beta=beta,
                                target_tolerance=spec.tolerance * 1e-2)

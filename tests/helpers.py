@@ -126,7 +126,8 @@ def _solve_face(rows, nface: int):
 def fake_exponents_reference(amat, kappa, pairs):
     """gkz.fake_exponents pair by pair: each pair's system [A_face | kappa
     less the root's part] built afresh and solved by its own elimination,
-    len(face) pivots per pair; the same warnings and errors."""
+    len(face) pivots per pair, and beta as the pair's own -sum(gamma); the
+    same warnings and errors."""
     if len(kappa) != amat.nrows:
         raise ValueError("kappa length must match the number of A rows")
     names = list(dict.fromkeys(n for k in kappa for n in k.nums))
@@ -151,7 +152,8 @@ def fake_exponents_reference(amat, kappa, pairs):
             row = rows[r]
             components[face[col]] = ParamLinear.from_integers(
                 dict(zip(names, row[len(face):-1])), row[-1], row[col] * den)
-        out.append(FakeExponent(tuple(components), pair))
+        out.append(FakeExponent(tuple(components), pair,
+                                -sum(components, ParamLinear.const(0))))
     return out
 
 

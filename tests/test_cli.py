@@ -288,6 +288,19 @@ def test_an_undeformed_codim0_spec_verifies(capsys, name, want):
     assert report["series_value"] == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("name, code, message", [
+    ("doubled_rows_amatrix", 0, ""),
+    ("massless_bubble_outside", cli.EXIT_NONCONVERGENT,
+     "error: the Beta integral B(-0.9, 1.4) over z1 diverges\n")])
+def test_spec_files_exit_as_ci_expects(capsys, name, code, message):
+    """tests/<name>_spec.json, which CI also runs: an A with no row of ones
+    verifies, and the undeformed massless bubble at alpha = (0.5, 0.5),
+    outside its convergence polytope, is refused by the oracle."""
+    path = os.path.join(os.path.dirname(__file__), f"{name}_spec.json")
+    got, _, err = _run(capsys, "verify", "--spec", path)
+    assert (got, err) == (code, message)
+
+
 @pytest.mark.parametrize("c2, code", [(1.6, cli.EXIT_DIVERGENT),
                                       (2, cli.EXIT_DIVERGENT), (3, 0)])
 def test_quadratic_verifies_only_inside_its_radius(tmp_path, capsys, c2,

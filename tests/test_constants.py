@@ -14,8 +14,9 @@ from feyngkz import pipeline, series as series_module
 from feyngkz.constants import (SolutionBundle, deformation_limit_probe,
                                gamma_constant)
 from feyngkz.errors import (DimensionMismatch, DivergentArgument,
-                            FeynGKZError, NonPositiveCoefficient,
-                            PoleError, UnassignedParameter)
+                            FeynGKZError, NonConvergent,
+                            NonPositiveCoefficient, PoleError,
+                            UnassignedParameter)
 from feyngkz.fixtures import fixtures
 from feyngkz.gammafn import GammaFactor, log_gamma_signed
 from feyngkz.gkz import AMatrix
@@ -110,23 +111,22 @@ def test_gamma_factor_vanishes_where_a_denominator_has_a_pole():
     assert GammaFactor().evaluate({}) == 1.0    # the empty product, exactly
 
 
-def _unsummed_2f1_single():
-    """2f1-single with A's rows reordered: no leading rows sum to (1, ...,
-    1), so no beta is derived from them."""
+def test_reordered_rows_keep_the_bundle_value():
+    """2f1-single with A's rows reordered (2, 0, 1) is the same system, and
+    beta = -sum(gamma) = beta1 + beta2 in any row order, so the bundle sums
+    to 2f1-single's value bit for bit.  The oracle reads its integrand from
+    rows 1.., g = (c1 + c2) z1 + (c3 + c4) z2: those rows and (1, ..., 1)
+    do not span A's row (0, 1, 0, 1).  g's Newton polytope is a segment, so
+    the integral diverges and verify refuses."""
     spec = fixtures()["2f1-single"]
+    want = pipeline.run(spec, verify=True).series_value
     spec.amatrix = AMatrix([spec.amatrix.rows[i] for i in (2, 0, 1)])
     spec.kappa_names = [spec.kappa_names[i] for i in (2, 0, 1)]
-    assert spec.amatrix.cayley_rows == 0 and "beta" not in spec.assignment()
-    return spec
-
-
-def test_unassigned_gamma_parameter_raises_typed_error():
-    """The constants divide by Gamma(beta), which an A-matrix spec assigns
-    only as the sum over its leading rows summing to (1, ..., 1)."""
-    spec = _unsummed_2f1_single()
     bundle = pipeline.run(spec).bundle
-    with pytest.raises(UnassignedParameter, match="'beta'"):
-        bundle.constant_values(spec.assignment())
+    got = bundle.evaluate(spec.assignment(), spec.coefficients, spec.order)
+    assert float(got).hex() == want.hex()
+    with pytest.raises(NonConvergent, match="diverges"):
+        pipeline.run(spec, verify=True)
 
 
 def test_prescription_reproduces_oracle_gauss():
@@ -284,16 +284,13 @@ def test_bundle_raises_like_its_series():
     assignment = spec.assignment()
     # the first series' argument c2 c3 / (c1 c4) is 1/2 at small, 4 at large
     small, large = [1.0, 1.0, 1.0, 2.0], [1.0, 2.0, 2.0, 1.0]
-    unsummed = _unsummed_2f1_single()
     cases = [
         (rep.bundle, assignment, [[1.0, 1.0], [1.0, 2.0]], DimensionMismatch),
         (rep.bundle, assignment, [small, [1.0, 0.0, 1.0, 2.0]],
          NonPositiveCoefficient),
         (rep.bundle, assignment, [small, [1.0, math.inf, 1.0, 2.0]],
          NonPositiveCoefficient),
-        (rep.bundle, {"beta": 1.9, "a2": 0.7}, [small], UnassignedParameter),
-        (pipeline.run(unsummed).bundle, unsummed.assignment(), [small],
-         UnassignedParameter)]
+        (rep.bundle, {"beta": 1.9, "a2": 0.7}, [small], UnassignedParameter)]
     for first, second in ((rep.series[0], flipped), (flipped, rep.series[0])):
         bundle = _signed_bundle([first, second])
         cases += [(bundle, assignment, [small], DivergentArgument),

@@ -126,14 +126,18 @@ def _cayley3():
         return pipeline.ProblemSpec.from_dict(json.load(handle))
 
 
+def _denominators(report):
+    return {str(d) for k in report.bundle.constants for d in k.denominator}
+
+
 def test_three_factor_amatrix_spec_verifies_as_its_cayley_integral():
     """A's three leading rows sum to (1, ..., 1), so it configures g = c1 +
     c2 z + x1 (c3 + c4 z) + x2 (c5 + c6 z), whose integral with alpha =
-    (b2, b3, alpha) and beta = b1 + b2 + b3 the series sum matches."""
+    (b2, b3, alpha) and beta = -sum(gamma) = b1 + b2 + b3 the series sum
+    matches."""
     spec = _cayley3()
-    assert spec.amatrix.cayley_rows == 3
-    assert spec.assignment()["beta"] == 0.6 + 0.5 + 0.45
     report = pipeline.run(spec, verify=True)
+    assert _denominators(report) == {"b1 + b2 + b3"}
     assert report.oracle.target_met and report.relative_deviation <= 1e-12
 
 
@@ -173,33 +177,55 @@ _2F1_SINGLE_A = [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]]
 _2F1_DOUBLE_A = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1]]
 
 
-@pytest.mark.parametrize("amatrix, kappa", [
-    (_2F1_SINGLE_A, ["beta", "beta2", "alpha"]),
-    (_2F1_SINGLE_A, ["beta1", "beta", "alpha"]),
-    (_2F1_SINGLE_A, ["beta1", "beta2", "beta"]),
-    (_2F1_DOUBLE_A, ["a1", "beta", "a2"])])
-def test_kappa_names_beta_only_as_the_single_leading_row(amatrix, kappa):
-    """beta is derived as the sum over A's leading rows, so a kappa name
-    beta anywhere else is refused rather than overwritten."""
-    with pytest.raises(DimensionMismatch, match="'beta'"):
-        pipeline.ProblemSpec.from_dict({"amatrix": amatrix, "kappa": kappa})
+@pytest.mark.parametrize("amatrix, kappa, denominator", [
+    (_2F1_SINGLE_A, ["beta", "beta2", "alpha"], "beta + beta2"),
+    (_2F1_SINGLE_A, ["beta1", "beta", "alpha"], "beta + beta1"),
+    (_2F1_SINGLE_A, ["beta1", "beta2", "beta"], "beta1 + beta2"),
+    (_2F1_DOUBLE_A, ["a1", "beta", "a2"], "a1")],
+    ids=["2f1-single-row-0", "2f1-single-row-1", "2f1-single-row-2",
+         "2f1-double-row-1"])
+def test_kappa_may_name_beta_in_any_row(amatrix, kappa, denominator):
+    """beta is -sum(gamma), a form in kappa's names, so a kappa name beta is
+    one name among the others, wherever its row."""
+    spec = pipeline.ProblemSpec.from_dict({"amatrix": amatrix, "kappa": kappa})
+    assert _denominators(pipeline.run(spec)) == {denominator}
 
 
 def test_the_single_leading_row_may_be_named_beta():
     spec = pipeline.ProblemSpec.from_dict({
         "amatrix": _2F1_DOUBLE_A, "kappa": ["beta", "a1", "a2"],
         "parameters": {"beta": 1.9, "a1": 0.3, "a2": 0.7}})
-    assert spec.amatrix.cayley_rows == 1
     assert spec.assignment() == {"beta": 1.9, "a1": 0.3, "a2": 0.7}
+    assert _denominators(pipeline.run(spec)) == {"beta"}
 
 
 def test_amatrix_spec_missing_a_parameter_is_typed():
     spec = fixtures()["2f1-single"]
     del spec.parameters["beta2"]
     with pytest.raises(UnassignedParameter, match="'beta2'"):
-        spec.assignment()
-    with pytest.raises(UnassignedParameter, match="'beta2'"):
         pipeline.run(spec, verify=True)
+
+
+DOUBLED_ROWS = os.path.join(os.path.dirname(__file__),
+                            "doubled_rows_amatrix_spec.json")
+
+
+def test_an_amatrix_without_a_ones_row_verifies_as_its_polynomial():
+    """A = [[2, 1, 0], [0, 1, 2]] has (1, 1, 1) = (1/2, 1/2) A but no row of
+    ones, so beta = -sum(gamma) = (p + q)/2: the spec is the integral of g =
+    c1 + c2 z + c3 z^2 at alpha = q and d = p + q."""
+    with open(DOUBLED_ROWS) as handle:
+        spec = pipeline.ProblemSpec.from_dict(json.load(handle))
+    report = pipeline.run(spec, verify=True)
+    assert _denominators(report) == {"1/2*p + 1/2*q"}
+    assert report.oracle.target_met and report.relative_deviation <= 1e-12
+    polynomial = pipeline.ProblemSpec.from_dict({
+        "polynomial": [{"exponents": [0]}, {"exponents": [1]},
+                       {"exponents": [2]}],
+        "deformation": "none", "weight": spec.weight, "alpha": [0.7],
+        "d": 3.8, "coefficients": spec.coefficients})
+    want = pipeline.run(polynomial, verify=True).series_value
+    assert report.series_value == pytest.approx(want, rel=1e-14)
 
 
 def test_non_finite_series_value_raises(monkeypatch):

@@ -746,8 +746,6 @@ def test_evaluate_points_matches_per_point_evaluate():
                     want, want_tail = series.evaluate(assignment, point, order)
                     assert value == pytest.approx(want, rel=1e-13), (name, order)
                     assert tail == pytest.approx(want_tail, rel=1e-13, abs=0)
-            if spec.amatrix is not None:
-                continue    # its constants need Gamma(beta), not assigned
             points = _points(rep.series[0], rng)
             totals = rep.bundle.evaluate_points(assignment, points, order)
             for point, total in zip(points, totals):
@@ -1062,7 +1060,8 @@ def test_classification_matches_per_series_reference_on_random_lattices():
             gamma = tuple(_random_component(rng, i) for i in range(nvars))
             want = _reference_key(gamma, lattice, weight)
             kinds.add(want[0])
-            exponent = FakeExponent(gamma, StandardPair((0,) * nvars, ()))
+            exponent = FakeExponent(gamma, StandardPair((0,) * nvars, ()),
+                                    -sum(gamma, ParamLinear.const(0)))
             shared = series_module.CanonicalSeries(exponent, lattice, weight,
                                                    shapes)
             alone = series_module.CanonicalSeries(exponent, lattice, weight)
