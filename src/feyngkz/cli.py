@@ -107,7 +107,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     spec = _load_spec(args)
     report = pipeline.run(spec, verify=True)
-    payload = report.to_dict("series_value", "oracle", "relative_deviation")
+    payload = report.to_dict("series_value", "series_error", "oracle",
+                             "relative_deviation")
     ok = bool(report.oracle.target_met
               and report.relative_deviation < spec.tolerance)
     payload.update(tolerance=spec.tolerance, verified=ok)

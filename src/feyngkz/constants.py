@@ -1,15 +1,16 @@
 """Integration constants for a basis of canonical series.
 
 Each constant is the Gamma-series prescription of a regular triangulation
-(SST, ch. 3), read off its exponent's pair (a, sigma), vol(sigma) and beta.
-Constants are never fitted to the quadrature oracle: pipelines cross-check
-the weighted sum of series against it, which a fitted one would defeat.
+(SST, ch. 3), read off its exponent's pair (a, sigma), |det C_sigma| and
+beta.  Constants are never fitted to the quadrature oracle: pipelines
+cross-check the weighted sum of series against it, which a fitted one would
+defeat.
 
 A bundle (``series.SolutionBundle``, re-exported here) is evaluated as one
-sum, at one coefficient point (``evaluate``) or at many
-(``evaluate_points``, as in the deformation-limit probe): the constants are
-evaluated once per call, and all the series' terms are stacked, so one
-factor table per call serves every series.
+sum, ``evaluate_points``, giving (values, tails) at many coefficient points,
+as in the deformation-limit probe; ``evaluate`` is its value at one point.
+The constants are evaluated once per call, and all the series' terms are
+stacked, so one factor table per call serves every series.
 """
 
 from __future__ import annotations
@@ -27,9 +28,13 @@ from .series import SolutionBundle
 
 def gamma_constant(gamma: FakeExponent, volume: int = 1) -> GammaFactor:
     """K = prod_{j in sigma} Gamma(-gamma_j) * prod_{j not in sigma}
-    (-1)^{a_j} / a_j!  /  (vol(sigma) * Gamma(-sum_j gamma_j)) for the
-    exponent of the top-dimensional pair (a, sigma), off sigma the root's
-    a_j.  On a unimodular facet (vol 1, root 0) the factor is int 1."""
+    (-1)^{a_j} / a_j!  /  (volume * Gamma(-sum_j gamma_j)) for the exponent
+    of the top-dimensional pair (a, sigma), off sigma the root's a_j, where
+    volume is |det C_sigma| = vol(sigma) * iota: the integral is written in
+    C's coordinates, and vol(sigma), the pairs the walk finds on sigma, is
+    relative to A's column lattice, of index iota in C's terms
+    (``AMatrix.index``).  On a unimodular facet (volume 1, root 0) the
+    factor is int 1."""
     face, root = gamma.pair.face, gamma.pair.root
     factor = 1 if volume == 1 and not any(root) else Fraction(
         (-1) ** sum(root), volume * math.prod(map(math.factorial, root)))
@@ -68,5 +73,5 @@ def deformation_limit_probe(bundle: SolutionBundle,
     epsilons are evaluated in one ``evaluate_points`` call."""
     points = np.tile(np.asarray(base_coeffs, dtype=float), (len(epsilons), 1))
     points[:, deformed_index] = epsilons
-    values = bundle.evaluate_points(assignment, points, order)
+    values, _ = bundle.evaluate_points(assignment, points, order)
     return ProbeReport(list(epsilons), values.tolist(), target)

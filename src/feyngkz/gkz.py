@@ -22,12 +22,12 @@ from operator import mul, neg
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DeformationFailed, UnderdeterminedPair
-# perfbench's tracer wraps gkz.interreduce and gkz.integer_rank, so they stay
-# imported here
+# perfbench's tracer wraps gkz.interreduce, gkz.integer_rank and
+# gkz.kernel_basis, so they stay imported here
 from .groebner import (Binomial, TermOrder, buchberger, grevlex_key,
                        interreduce, mono_divides, orient,
                        saturate_all_variables)
-from .intlinalg import eliminate, integer_rank, kernel_basis
+from .intlinalg import eliminate, integer_rank, kernel_basis, row_hermite
 from .kpoly import KPoly, coeff_const
 from .params import ParamLinear
 
@@ -38,20 +38,42 @@ Mono = Tuple[int, ...]
 
 @dataclass
 class AMatrix:
-    """Integer configuration matrix; columns index the coefficients c_j."""
+    """Integer configuration matrix; columns index the coefficients c_j.
+
+    ``index`` is iota = [Z^m : Z.C], the index of the column lattice of C,
+    A with row 0 set to (1, ..., 1): the configuration whose integral the
+    series sum, and whose rows 1.. the oracle integrates.  At full row rank,
+    (1, ..., 1) = y^T A makes C = T A with det T = y_0, so iota = |y_0| times
+    A's own index, the product of the pivots; where y_0 = 0, C has rank < m
+    and iota is A's own (the oracle refuses such a C).  Below full row rank
+    it is None."""
 
     rows: List[List[int]]
 
     def __post_init__(self):
         if len({len(r) for r in self.rows}) != 1:
             raise ValueError("ragged A matrix")
-        # one lattice reduction per A: the rank, the lattice and I_A read it
-        self.kernel = kernel_basis(self.rows)
-        self.rank = self.ncols - len(self.kernel)
+        # one lattice reduction per A, of its columns (U A^T = H): the rank,
+        # the lattice, I_A and the index read it
+        hermite, unimod = row_hermite([list(col) for col in zip(*self.rows)])
+        self.rank = sum(map(any, hermite))
+        self.kernel = [tuple(u) for u in unimod[self.rank:]]
         # the row space over Q is the orthogonal complement of the kernel, so
         # (1,...,1) lies in it iff every kernel vector sums to 0
         if any(sum(u) for u in self.kernel):
             raise ValueError("(1,...,1) not in the row span of A")
+        self.index = None
+        if self.rank == self.nrows:
+            det = math.prod(hermite[i][i] for i in range(self.rank))
+            self.index = det
+            if self.rows[0].count(1) < self.ncols:      # else C = A, y = e_0
+                # H y = U (1, ..., 1) by back-substitution on H's upper
+                # triangle, in the integers z = det(H) y
+                z = [0] * self.rank
+                for i in reversed(range(self.rank)):
+                    z[i] = (det * sum(unimod[i]) - sum(map(
+                        mul, hermite[i][i + 1:], z[i + 1:]))) // hermite[i][i]
+                self.index = abs(z[0]) or det
 
     @property
     def nrows(self) -> int:

@@ -203,6 +203,7 @@ class ResultReport:
     bundle: SolutionBundle
     coefficient_values: Optional[List[float]] = None
     series_value: Optional[float] = None
+    series_error: Optional[float] = None   # the last shell's tail
     oracle: Optional[QuadratureResult] = None
     relative_deviation: Optional[float] = None
 
@@ -240,6 +241,7 @@ class ResultReport:
         optional = {
             "coefficients": lambda: self.coefficient_values,
             "series_value": lambda: self.series_value,
+            "series_error": lambda: self.series_error,
             "oracle": lambda: self.oracle and self.oracle.to_dict(),
             "relative_deviation": lambda: self.relative_deviation}
         if keys:
@@ -303,8 +305,9 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
     series = [CanonicalSeries(e, lattice, weight, shapes) for e in exponents]
     forms = [s.classify() for s in series]
     volumes = Counter(p.face for p in pairs)
-    bundle = SolutionBundle(series, [gamma_constant(e, volumes[e.pair.face])
-                                     for e in exponents])
+    bundle = SolutionBundle(series, [
+        gamma_constant(e, volumes[e.pair.face] * amat.index)
+        for e in exponents])
 
     report = ResultReport(
         spec=spec, polynomial=poly, symanzik_u=symanzik_u,
@@ -317,8 +320,9 @@ def run(spec: ProblemSpec, verify: bool = False) -> ResultReport:
         assignment = spec.assignment()
         coeffs = coefficient_values(spec, columns, poly)
         report.coefficient_values = coeffs
-        report.series_value = float(bundle.evaluate(
-            assignment, coeffs, spec.order))
+        (value,), (tail,) = bundle.evaluate_points(assignment, [coeffs],
+                                                   spec.order)
+        report.series_value, report.series_error = float(value), float(tail)
         *alpha, beta = FloatMap([-k for k in kappa[1:]]
                                 + [exponents[0].beta])(assignment)
         qspec = QuadratureSpec(exponents=list(zip(*amat.rows[1:])),

@@ -13,8 +13,9 @@ raw) from the shapes of its lattice, which ``LatticeShapes`` searches once
 for every series on that lattice; each exponent picks its shape by which of
 its components are zero.
 
-``SolutionBundle`` is the one evaluator of sum_i K_i phi_i; a single series
-is evaluated as a bundle of one, with K = 1.
+``SolutionBundle.evaluate_points`` is the one sum of sum_i K_i phi_i, and
+returns each point's value and last-shell tail; every other evaluation entry
+is one call of it, a single series as a bundle of one, with K = 1.
 """
 
 from __future__ import annotations
@@ -285,7 +286,8 @@ class CanonicalSeries:
                  coeffs: Sequence[float], order: int) -> Tuple[float, float]:
         """(value, tail_estimate) of the truncated series at one point of
         positive coefficients: ``evaluate_points`` at that point alone."""
-        values, tails = self.evaluate_points(assignment, [coeffs], order)
+        values, tails = self._bundle.evaluate_points(assignment, [coeffs],
+                                                     order)
         return float(values[0]), float(tails[0])
 
     def evaluate_points(self, assignment: Mapping[str, float],
@@ -293,7 +295,7 @@ class CanonicalSeries:
                         order: int) -> Tuple[np.ndarray, np.ndarray]:
         """(values, tail_estimates), one per point: this series as a bundle
         of one, whose constant is the empty Gamma product 1."""
-        return self._bundle._sum(assignment, points, order)
+        return self._bundle.evaluate_points(assignment, points, order)
 
 
 @dataclass
@@ -314,14 +316,8 @@ class SolutionBundle:
 
     def evaluate(self, assignment: Mapping[str, float],
                  coeffs: Sequence[float], order: int = 40) -> float:
-        return float(self.evaluate_points(assignment, [coeffs], order)[0])
-
-    def evaluate_points(self, assignment: Mapping[str, float],
-                        points: Sequence[Sequence[float]],
-                        order: int = 40) -> np.ndarray:
-        """Sum K_i phi_i at every coefficient point: the constants first,
-        then every series' terms in one sum."""
-        return self._sum(assignment, points, order)[0]
+        """sum_i K_i phi_i at one point: ``evaluate_points``' value there."""
+        return float(self.evaluate_points(assignment, [coeffs], order)[0][0])
 
     @cached_property
     def _gamma_map(self) -> FloatMap:
@@ -348,12 +344,13 @@ class SolutionBundle:
                 np.array(floor).reshape(len(self.series), -1), order)
         return plan
 
-    def _sum(self, assignment: Mapping[str, float],
-             points: Sequence[Sequence[float]],
-             order: int) -> Tuple[np.ndarray, np.ndarray]:
+    def evaluate_points(self, assignment: Mapping[str, float],
+                        points: Sequence[Sequence[float]],
+                        order: int = 40) -> Tuple[np.ndarray, np.ndarray]:
         """(values, tail_estimates) of sum_i K_i phi_i, one per point of
-        positive coefficients; a term's factors, a plan row each, are summed
-        in order along the terms.  Raises DimensionMismatch for a parameter
+        positive coefficients, a tail summing |K_i term| over the last
+        shell; a term's factors, a plan row each, are summed in order along
+        the terms.  Raises DimensionMismatch for a parameter
         not finite, the constants' errors, DimensionMismatch unless a point
         has one coefficient per component, NonPositiveCoefficient for one <= 0
         or not finite, UnassignedParameter, DimensionMismatch for a term box

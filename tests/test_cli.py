@@ -301,6 +301,29 @@ def test_spec_files_exit_as_ci_expects(capsys, name, code, message):
     assert (got, err) == (code, message)
 
 
+def test_even_powers_spec_verifies(capsys):
+    """tests/even_powers_spec.json, which CI also runs: c1 + c2 z^2 + c3 z^4,
+    whose exponents span a sublattice of index 2, verifies (it was twice
+    the integral while the index stayed out of the constants)."""
+    path = os.path.join(os.path.dirname(__file__), "even_powers_spec.json")
+    code, out, err = _run(capsys, "verify", "--spec", path)
+    assert (code, err) == (0, "") and "verified: True" in out.splitlines()
+
+
+def test_verify_reports_the_series_error(capsys):
+    """As CI checks: verify --json on 2f1-double carries series_error, the
+    last shell's tail, below tolerance * |series_value|; the text output
+    has its line after the value's."""
+    code, out, _ = _run(capsys, "verify", "--fixture", "2f1-double", "--json")
+    report = json.loads(out)
+    assert code == 0
+    assert 0 < report["series_error"] < (report["tolerance"]
+                                         * abs(report["series_value"]))
+    lines = _run(capsys, "verify", "--fixture", "2f1-double")[1].splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["series_value",
+                                                          "series_error"]
+
+
 @pytest.mark.parametrize("c2, code", [(1.6, cli.EXIT_DIVERGENT),
                                       (2, cli.EXIT_DIVERGENT), (3, 0)])
 def test_quadratic_verifies_only_inside_its_radius(tmp_path, capsys, c2,

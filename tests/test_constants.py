@@ -129,6 +129,75 @@ def test_reordered_rows_keep_the_bundle_value():
         pipeline.run(spec, verify=True)
 
 
+EVEN_POWERS = os.path.join(os.path.dirname(__file__), "even_powers_spec.json")
+
+
+def _even_powers(**changes):
+    with open(EVEN_POWERS) as handle:
+        return pipeline.ProblemSpec.from_dict({**json.load(handle), **changes})
+
+
+def _substituted(spec, k):
+    """The spec with z1 -> z1^k: each monomial's z1 power and alpha_1 times
+    k.  From w = z1^k, its integral is the spec's over k."""
+    data = spec.to_dict()
+    for term in data["polynomial"]:
+        term["exponents"][0] *= k
+    data["alpha"] = [k * data["alpha"][0], *data["alpha"][1:]]
+    return pipeline.ProblemSpec.from_dict(data)
+
+
+_QUADRATIC = _even_powers(polynomial=[{"exponents": [k]} for k in range(3)],
+                          alpha=[0.7])
+
+
+@pytest.mark.parametrize("spec, k", [
+    (_QUADRATIC, 2), (_QUADRATIC, 3), (fixtures()["2f1-double"], 2)],
+    ids=["z^2", "z^3", "2f1-double-z1^2"])
+def test_substitution_divides_the_series_value_by_k(spec, k):
+    """I(z1 -> z1^k) = I / k, with no oracle call: the exponents span a
+    sublattice of index k, which enters each constant's |det C_sigma| =
+    vol(sigma) * iota; with vol(sigma) alone the value was I, k times too
+    large.  The z^2 case is tests/even_powers_spec.json."""
+    want = pipeline.run(spec).bundle.evaluate(
+        spec.assignment(), spec.coefficients, spec.order)
+    scaled = _substituted(spec, k)
+    rep = pipeline.run(scaled)
+    assert rep.amatrix.index == k
+    got = rep.bundle.evaluate(scaled.assignment(), scaled.coefficients,
+                              scaled.order)
+    assert got * k == pytest.approx(want, rel=1e-14)
+    if spec is _QUADRATIC and k == 2:
+        assert scaled == _even_powers()
+
+
+@pytest.mark.parametrize("spec", [
+    _even_powers(), _substituted(_QUADRATIC, 3),
+    _substituted(fixtures()["2f1-double"], 2),
+    pipeline.ProblemSpec.from_dict({
+        "amatrix": [[1, 1, 1], [0, 2, 4]], "kappa": ["beta", "a1"],
+        "parameters": {"beta": 1.9, "a1": 1.4}, "weight": [0, 0, 1],
+        "coefficients": [1.0, 3.0, 0.5]})],
+    ids=["even-powers", "z^3", "2f1-double-z1^2", "amatrix-0,2,4"])
+def test_a_sublattice_spec_meets_the_oracle(spec):
+    """Exponents of lattice index 2 or 3, as polynomials and as the A-matrix
+    spec [[1, 1, 1], [0, 2, 4]]: sum K_i phi_i meets the oracle to 1e-12."""
+    rep = pipeline.run(spec, verify=True)
+    assert rep.amatrix.index > 1
+    assert rep.oracle.target_met and rep.relative_deviation <= 1e-12
+
+
+def test_every_fixture_spans_its_whole_lattice():
+    """iota = 1 on all 10 fixtures, on the doubled-rows spec (A's own index
+    is 2, C's is 1) and on 2f1-single with its rows reordered (C has rank
+    < m, and A's index is 1), so none of their constants changed."""
+    amatrices = [pipeline.run(spec).amatrix for spec in fixtures().values()]
+    rows = fixtures()["2f1-single"].amatrix.rows
+    amatrices += [AMatrix([[2, 1, 0], [0, 1, 2]]),
+                  AMatrix([rows[i] for i in (2, 0, 1)])]
+    assert [amat.index for amat in amatrices] == [1] * 12
+
+
 def test_prescription_reproduces_oracle_gauss():
     """Full check of sum K_i phi_i = integral on the Gauss system."""
     spec = fixtures()["2f1-double"]
@@ -225,7 +294,7 @@ def _same_outcome(bundle, assignment, points, order):
             bundle.evaluate_points(assignment, points, order)
         assert str(got.value) == str(err)
         return err
-    values = bundle.evaluate_points(assignment, points, order)
+    values, _ = bundle.evaluate_points(assignment, points, order)
     assert values.tolist() == pytest.approx(want, rel=1e-13)
     assert bundle.evaluate(assignment, points[0], order) == pytest.approx(
         want[0], rel=1e-13)

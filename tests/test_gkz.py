@@ -1,6 +1,8 @@
 """Configuration matrices, toric ideals, initial ideals, exponent vectors."""
 
 import json
+import math
+import operator
 import os
 import random
 import warnings
@@ -17,7 +19,7 @@ from feyngkz.gkz import (AMatrix, StandardPair, deform, fake_exponents,
                          standard_pairs, toric_ideal, toric_matrix)
 from feyngkz.groebner import (TermOrder, buchberger, grevlex_key,
                               mono_divides)
-from feyngkz.intlinalg import integer_rank, kernel_basis
+from feyngkz.intlinalg import integer_rank, row_hermite
 from feyngkz.params import ParamLinear
 from helpers import normal_form, s_polynomial
 
@@ -419,8 +421,8 @@ def test_run_reduces_each_a_matrix_once(monkeypatch):
     polynomial alone; a deformed polynomial adds only its own A, and an
     A-matrix spec brings its A already reduced."""
     calls = []
-    monkeypatch.setattr(gkz, "kernel_basis",
-                        lambda rows: calls.append(rows) or kernel_basis(rows))
+    monkeypatch.setattr(gkz, "row_hermite",
+                        lambda rows: calls.append(rows) or row_hermite(rows))
     counts = {}
     for name, spec in fixtures().items():
         calls.clear()
@@ -533,3 +535,40 @@ def test_amatrix_rank_and_ones_check_agree_with_integer_rank():
     with pytest.raises(ValueError, match="row span"):
         AMatrix(cayley_dropped_row)
     assert 20 < rejected < len(matrices) - 20
+
+
+def _index(rows):
+    """([Z^m : Z.rows], rank) by a direct reduction of the columns: the
+    product of the pivots, and their count."""
+    hermite, _ = row_hermite([list(col) for col in zip(*rows)])
+    rank = sum(map(any, hermite))
+    return math.prod(hermite[i][i] for i in range(rank)), rank
+
+
+def test_amatrix_index_is_that_of_its_cayley_configuration():
+    """AMatrix.index, read from A's one reduction, is [Z^m : Z.C] for C = A
+    with row 0 set to (1, ..., 1), by a direct reduction of C, on seeded As
+    M.B (B's row 0 the ones, so they lie in A's row span); where C has rank
+    < m it is A's own index, and below full row rank it is None."""
+    rng = random.Random(38)
+    checked = deficient = 0
+    while checked < 400:
+        m, n = rng.randint(1, 4), rng.randint(2, 6)
+        base = [[1] * n] + [[rng.randint(-2, 2) for _ in range(n)]
+                            for _ in range(m - 1)]
+        mix = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+        rows = [[sum(map(operator.mul, r, col)) for col in zip(*base)]
+                for r in mix]
+        try:
+            amat = AMatrix(rows)
+        except ValueError:
+            continue
+        if amat.rank < m:
+            assert amat.index is None
+            continue
+        index, rank = _index([[1] * n] + rows[1:])
+        if rank < m:
+            index, deficient = _index(rows)[0], deficient + 1
+        assert amat.index == index, rows
+        checked += 1
+    assert 10 < deficient < checked - 10

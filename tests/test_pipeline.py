@@ -229,10 +229,38 @@ def test_an_amatrix_without_a_ones_row_verifies_as_its_polynomial():
 
 
 def test_non_finite_series_value_raises(monkeypatch):
-    monkeypatch.setattr(SolutionBundle, "evaluate",
-                        lambda self, *args: math.nan)
+    monkeypatch.setattr(SolutionBundle, "evaluate_points", lambda self, *args:
+                        ([math.nan], [0.0]))
     with pytest.raises(NonFiniteValue, match="series"):
         pipeline.run(fixtures()["2f1-double"], verify=True)
+
+
+def test_series_error_is_the_tail_of_the_call_that_gives_the_value():
+    """run(verify=True) keeps the last-shell tail of the one
+    evaluate_points call that gives series_value, bit for bit, and reports
+    it; run() leaves both None and reports neither."""
+    spec = fixtures()["2f1-double"]
+    plain = pipeline.run(spec)
+    assert plain.series_value is None and plain.series_error is None
+    assert "series_error" not in plain.to_dict()
+    report = pipeline.run(spec, verify=True)
+    values, tails = report.bundle.evaluate_points(
+        spec.assignment(), [spec.coefficients], spec.order)
+    assert report.series_value.hex() == float(values[0]).hex()
+    assert report.series_error.hex() == float(tails[0]).hex()
+    assert report.to_dict()["series_error"] == report.series_error
+    assert 0 < report.series_error < 1e-11 * report.series_value
+
+
+def test_series_error_exceeds_a_truncated_values_error():
+    """2f1-single at order 2 is 2.9% off the oracle: verify fails, and the
+    tail, 1.65 against a value of 2.57, says why."""
+    spec = fixtures()["2f1-single"]
+    spec.order = 2
+    report = pipeline.run(spec, verify=True)
+    assert report.oracle.target_met and report.relative_deviation > 0.02
+    assert report.series_error > abs(report.series_value
+                                     - report.oracle.value)
 
 
 def test_spec_dict_round_trip_every_fixture():

@@ -586,7 +586,8 @@ def test_bundle_values_match_the_golden_record():
         assignment = {key: float.fromhex(value)
                       for key, value in case["assignment"].items()}
         points = [[float.fromhex(x) for x in point] for point in case["points"]]
-        values, tails = bundle._sum(assignment, points, case["order"])
+        values, tails = bundle.evaluate_points(assignment, points,
+                                               case["order"])
         assert [float(v).hex() for v in values] == case["values"], case
         assert [float(t).hex() for t in tails] == case["tails"], case
 
@@ -632,9 +633,9 @@ def test_an_order_0_plan_reads_no_half_row():
 
 
 def _term_major_sum(bundle, assignment, points, order):
-    """_sum's (values, tails) with each term's factor indices as a row, one
-    row per term, and its logs and signs reduced across that short last
-    axis: the formula of a term-major index."""
+    """evaluate_points' (values, tails) with each term's factor indices as
+    a row, one row per term, and its logs and signs reduced across that
+    short last axis: the formula of a term-major index."""
     shifts, shell, owner, layout, flat = bundle._terms(order)
     by_term = np.ascontiguousarray(flat.T)
     gamma = np.array(bundle._gamma_map(assignment)).reshape(
@@ -676,7 +677,7 @@ def test_sum_equals_the_term_major_reduction_bit_for_bit():
         assert rep.series[0].nvars < 8, name
         for order in (10, 40):
             points = _points(rep.series[0], rng, 3)
-            got = rep.bundle._sum(spec.assignment(), points, order)
+            got = rep.bundle.evaluate_points(spec.assignment(), points, order)
             want = _term_major_sum(rep.bundle, spec.assignment(), points, order)
             for g, w in zip(got, want):
                 assert [float(x).hex() for x in g] == [
@@ -693,7 +694,7 @@ def test_nine_factor_sum_matches_the_term_major_reduction():
         alpha=[0.3, 0.4, 0.5], d=4, deformation="none")
     bundle = pipeline.run(spec).bundle
     point = [0.7 ** x for x in (-7, -6, -4, 38, 38, 39, 33, 32, 24)]
-    got = bundle._sum(spec.assignment(), [point], 8)
+    got = bundle.evaluate_points(spec.assignment(), [point], 8)
     want = _term_major_sum(bundle, spec.assignment(), [point], 8)
     assert bundle._terms(8)[-1].shape[0] == 9
     for g, x in zip(got, want):
@@ -747,10 +748,25 @@ def test_evaluate_points_matches_per_point_evaluate():
                     assert value == pytest.approx(want, rel=1e-13), (name, order)
                     assert tail == pytest.approx(want_tail, rel=1e-13, abs=0)
             points = _points(rep.series[0], rng)
-            totals = rep.bundle.evaluate_points(assignment, points, order)
+            totals, _ = rep.bundle.evaluate_points(assignment, points, order)
             for point, total in zip(points, totals):
                 want = rep.bundle.evaluate(assignment, point, order)
                 assert total == pytest.approx(want, rel=1e-13), (name, order)
+
+
+def test_a_bundle_of_one_has_its_series_tail():
+    """On every fixture, each series summed as a bundle of one with K = 1
+    gives CanonicalSeries.evaluate's value and tail, bit for bit."""
+    for name, spec in fixtures().items():
+        for series in pipeline.run(spec).series:
+            coeffs = _convergent_coeffs(series)
+            bundle = SolutionBundle([series], [GammaFactor()])
+            values, tails = bundle.evaluate_points(spec.assignment(),
+                                                   [coeffs], spec.order)
+            value, tail = series.evaluate(spec.assignment(), coeffs,
+                                          spec.order)
+            assert (float(values[0]).hex(), float(tails[0]).hex()) == (
+                value.hex(), tail.hex()), name
 
 
 def test_evaluate_points_raises_if_any_point_diverges():
