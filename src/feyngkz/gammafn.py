@@ -44,9 +44,11 @@ class GammaFactor:
     def _arguments(self) -> FloatMap:
         return FloatMap(self.numerator + self.denominator)
 
-    def evaluate(self, assignment: Mapping[str, float]) -> float:
+    def evaluate(self, assignment: Mapping[str, float], values=None) -> float:
+        """The value at the assignment, or at these values of its arguments."""
+        values = self._arguments(assignment) if values is None else values
         log_total, sign, n = 0.0, 1.0, len(self.numerator)
-        for k, x in enumerate(self._arguments(assignment)):
+        for k, x in enumerate(values):
             if k >= n and as_nonpositive_int(x) is not None:
                 return 0.0  # 1/Gamma vanishes at the poles
             lg, s = log_gamma_signed(x)

@@ -8,6 +8,7 @@ a ResultReport whose ``to_dict`` is JSON-ready.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -157,7 +158,7 @@ class ProblemSpec:
                     "parameters": self.parameters,
                     "coefficients": self.coefficients}
         out.update((k, v) for k, v in optional.items() if v is not None)
-        return out
+        return copy.deepcopy(out)   # shares nothing with the spec
 
     # -- derived quantities ------------------------------------------------
 

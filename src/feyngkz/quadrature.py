@@ -10,14 +10,16 @@ integrand is positive, so by Tonelli I converges iff every Beta step and the
 remainder do; no other check decides divergence.  The remainder is summed on
 the chart z = e^x with a sinh substitution per axis, by one tensor trapezoid
 rule for 1-4 variables whose passes sum at most _PASS_NODE_LIMIT nodes each,
-over a box that a decay probe sizes.  Nothing left means a closed form.
+over a box that a decay probe sizes; a pass at step h also sums its nodes of
+even index, the rule at 2h, for its error.  Nothing left means a closed form.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -43,8 +45,7 @@ class QuadratureSpec:
     target_tolerance: float = 1e-8
 
     def __post_init__(self):
-        self.ndim = len(self.alpha)
-        if any(len(e) != self.ndim for e in self.exponents):
+        if any(len(e) != len(self.alpha) for e in self.exponents):
             raise DimensionMismatch("exponent/alpha dimension mismatch")
         if len(self.exponents) != len(self.coefficients):
             raise DimensionMismatch("one coefficient per exponent required")
@@ -68,9 +69,9 @@ class QuadratureResult:
 
 
 class Factor(NamedTuple):
-    """sum_t exp(logc_t) z^expmat_t, raised to the power -beta."""
-    expmat: np.ndarray
-    logc: np.ndarray
+    """sum_t exp(logc_t) z^expmat_t to the power -beta, in Python numbers."""
+    expmat: Tuple[Tuple[int, ...], ...]
+    logc: Tuple[float, ...]
     beta: float
 
 
@@ -78,68 +79,75 @@ class Factor(NamedTuple):
 class Integrand:
     """exp(log_prefactor) z^alpha prod_k g_k^-beta_k; step_margin is the
     least min(a, b - a)/b over the Beta steps that produced it (1 before
-    any)."""
-    alpha: np.ndarray
+    any); alpha is a tuple of floats."""
+    alpha: Tuple[float, ...]
     factors: List[Factor]
     log_prefactor: float = 0.0
     step_margin: float = 1.0
 
     @classmethod
     def from_spec(cls, spec: QuadratureSpec) -> "Integrand":
-        return cls(np.asarray(spec.alpha, dtype=float), []).times(
-            np.reshape(spec.exponents, (-1, spec.ndim)),
-            np.log(spec.coefficients), spec.beta)
+        return cls(tuple(map(float, spec.alpha)), []).times(
+            tuple(map(tuple, spec.exponents)),
+            tuple(np.log(spec.coefficients).tolist()), spec.beta)
 
     @property
     def ndim(self) -> int:
         return len(self.alpha)
 
-    def log_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+    def log_grid(self, axes: Sequence[Sequence[float]]) -> np.ndarray:
         """log f on the tensor grid of per-axis chart nodes x (z = e^x), each
-        e.x broadcast from the axes and each factor folded by logaddexp."""
-        grid = np.ix_(*axes)
-        out = sum(a * x for a, x in zip(self.alpha, grid)) + self.log_prefactor
+        e.x broadcast from the axes, with x itself where e = 1 and no 0 added
+        (the floats of sum() from 0), and each factor folded by logaddexp."""
+        grid = [np.reshape(x, (-1,) + (1,) * (len(axes) - 1 - i))
+                for i, x in enumerate(axes)]
+        out = functools.reduce(operator.add, [
+            a * x for a, x in zip(self.alpha, grid)]) + self.log_prefactor
         for expmat, logc, beta in self.factors:
-            terms = (sum((e * x for e, x in zip(row, grid) if e), 0) + c
-                     for row, c in zip(expmat, logc))
+            terms = (functools.reduce(operator.add, [
+                x if e == 1 else e * x for e, x in zip(row, grid) if e] or [0])
+                + c for row, c in zip(expmat, logc))
             out = out - beta * functools.reduce(np.logaddexp, terms)
         return out
 
-    def times(self, expmat: np.ndarray, logc: np.ndarray,
+    def times(self, expmat: Sequence[Tuple[int, ...]], logc: Tuple[float, ...],
               beta: float) -> "Integrand":
         """This integrand times g^-beta, g divided by its monomial content;
         a single-term g only moves alpha and the prefactor."""
-        content = expmat.min(axis=0)
-        alpha = self.alpha - beta * content
+        content = [min(column) for column in zip(*expmat)]
+        alpha = tuple(a - beta * c for a, c in zip(self.alpha, content))
         if len(logc) == 1:
-            return replace(self, alpha=alpha, log_prefactor=self.log_prefactor
-                           - beta * float(logc[0]))
-        return replace(self, alpha=alpha, factors=self.factors + [
-            Factor(expmat - content, logc, beta)])
+            return Integrand(alpha, self.factors, self.log_prefactor
+                             - beta * logc[0], self.step_margin)
+        rows = tuple(tuple(e - c for e, c in zip(r, content)) for r in expmat)
+        return Integrand(alpha, self.factors + [Factor(rows, logc, beta)],
+                         self.log_prefactor, self.step_margin)
 
 
 def reduce_linear(f: Integrand) -> Integrand:
     """Integrate out a variable that appears in exactly one factor g, with
     degree 1 there, and repeat until there is none."""
-    for i in range(f.ndim):
-        holders = [g for g in f.factors if g.expmat[:, i].any()]
-        if len(holders) != 1 or holders[0].expmat[:, i].max() > 1:
-            continue
-        g, a = holders[0], float(f.alpha[i])
+    while True:
+        tops = [[max(column) for column in zip(*g.expmat)] for g in f.factors]
+        for i in range(f.ndim):
+            holders = [k for k, top in enumerate(tops) if top[i]]
+            if len(holders) == 1 and tops[holders[0]][i] == 1:
+                break
+        else:
+            return f
+        g, a = f.factors[holders[0]], f.alpha[i]
         if not 0.0 < a < g.beta:
             raise NonConvergent(f"the Beta integral B({a:.6g}, "
                                 f"{g.beta - a:.6g}) over z{i + 1} diverges")
-        keep, x = np.arange(f.ndim) != i, g.expmat[:, i] == 1
-        rest = Integrand(f.alpha[keep],
-                         [Factor(h.expmat[:, keep], h.logc, h.beta)
-                          for h in f.factors if h is not g],
-                         f.log_prefactor + math.lgamma(a)
-                         + math.lgamma(g.beta - a) - math.lgamma(g.beta),
-                         min(f.step_margin, a / g.beta, 1.0 - a / g.beta))
-        return reduce_linear(
-            rest.times(g.expmat[x][:, keep], g.logc[x], a).times(
-                g.expmat[~x][:, keep], g.logc[~x], g.beta - a))
-    return f
+        split = ([], [])    # g's terms of degree 0 and 1 in z_i, less z_i
+        for row, c in zip(g.expmat, g.logc):
+            split[row[i]].append((row[:i] + row[i + 1:], c))
+        rest = Integrand(f.alpha[:i] + f.alpha[i + 1:], [Factor(tuple(
+            row[:i] + row[i + 1:] for row in h.expmat), h.logc, h.beta)
+            for h in f.factors if h is not g], f.log_prefactor + math.lgamma(a)
+            + math.lgamma(g.beta - a) - math.lgamma(g.beta),
+            min(f.step_margin, a / g.beta, 1.0 - a / g.beta))
+        f = rest.times(*zip(*split[1]), a).times(*zip(*split[0]), g.beta - a)
 
 
 def convergence_margin(f: Integrand) -> float:
@@ -163,17 +171,17 @@ def convergence_margin(f: Integrand) -> float:
     if f.ndim == 0:
         return f.step_margin
     if f.ndim == 1:
-        top = sum(g.beta * float(g.expmat.max()) for g in f.factors)
-        a = float(f.alpha[0])
+        top = sum(g.beta * float(max(g.expmat)[0]) for g in f.factors)
+        a = f.alpha[0]
         return min(f.step_margin, a / top, 1.0 - a / top) if top > 0 else -1.0
-    if not f.factors or integer_rank(np.vstack(
-            [g.expmat - g.expmat[0] for g in f.factors]).tolist()) < f.ndim:
+    if not f.factors or integer_rank([[a - b for a, b in zip(r, g.expmat[0])]
+            for g in f.factors for r in g.expmat]) < f.ndim:
         return -1.0
     # lambda_kt = mu_kt + delta with every mu_kt >= 0, and the free delta
     # split as delta_plus - delta_minus; each entry is its float's exact value
     owner = [k for k, g in enumerate(f.factors) for _ in g.logc]
     scaled = [[Fraction(float(g.beta)) * e for e in row]
-              for g in f.factors for row in g.expmat.tolist()]
+              for g in f.factors for row in g.expmat]
     rows = [list(col) for col in zip(*scaled)]
     rows += [[int(j == k) for j in owner] for k in range(len(f.factors))]
     delta = lp_maximum([0] * len(owner) + [1, -1],
@@ -183,15 +191,6 @@ def convergence_margin(f: Integrand) -> float:
     if delta is None:
         return -1.0
     return min(f.step_margin, float(delta))
-
-
-def _check_convergent(f: Integrand) -> float:
-    margin = convergence_margin(f)
-    if margin <= 1e-9:
-        raise NonConvergent(
-            "alpha lies outside the interior of sum_k beta_k Newt(g_k), or a "
-            f"beta_k <= 0 (margin {margin:.3g}); the integral diverges")
-    return margin
 
 
 def _axis_truncations(f: Integrand) -> Tuple[List[float], bool]:
@@ -227,39 +226,44 @@ def _pass_nodes(vmaxes: Sequence[float], step: float) -> int:
 
 
 def _tensor_pass(f: Integrand, vmaxes: Sequence[float],
-                 step: float) -> Tuple[float, int]:
-    """Trapezoid sum over the whole grid, in chunks of whole first-axis
-    slices: about _NODE_BUDGET nodes, and never less than one slice."""
+                 step: float) -> Tuple[float, float, int]:
+    """Trapezoid sums over the whole grid and over its nodes of even index on
+    every axis (the rule at twice the step), and its node count; in chunks
+    of whole first-axis slices, about _NODE_BUDGET nodes and at least one."""
     axes = [np.arange(-v, v + 0.5 * step, step) for v in vmaxes]
-    x, logw = [np.sinh(u) for u in axes], [np.log(np.cosh(u)) for u in axes]
+    x, logw = [np.sinh(u) for u in axes], [np.log(np.cosh(u)).reshape(
+        (-1,) + (1,) * (len(axes) - 1 - i)) for i, u in enumerate(axes)]
     nodes = math.prod(map(len, axes))
-    rows, total = max(1, _NODE_BUDGET * len(axes[0]) // nodes), 0.0
+    rows, fine, coarse = max(1, _NODE_BUDGET * len(axes[0]) // nodes), 0.0, 0.0
     for s in range(0, len(axes[0]), rows):
         chunk = slice(s, s + rows)
-        total += float(np.exp(f.log_grid([x[0][chunk]] + x[1:]) + sum(
-            np.ix_(logw[0][chunk], *logw[1:]))).sum())
-    return total * step ** f.ndim, nodes
+        values = np.exp(f.log_grid([x[0][chunk]] + x[1:])
+                        + sum(logw[1:], logw[0][chunk]))
+        fine += float(values.sum())
+        coarse += float(values[(slice(s % 2, None, 2),)
+                               + (slice(None, None, 2),) * (f.ndim - 1)].sum())
+    return fine * step ** f.ndim, coarse * (2 * step) ** f.ndim, nodes
 
 
 def tanh_sinh_tensor(f: Integrand, target: float,
                      margin: float) -> QuadratureResult:
-    """Tensor-product double-exponential rule, halving the step until two
-    passes agree to the relative target, the step falls below 0.02, or the
-    next pass would sum more than _PASS_NODE_LIMIT nodes; target_met then
-    says whether the box was sized and the last two passes agreed.  The first
-    step is 0.2, doubled while its half would not fit (in 4-D, or in 3-D
-    with a box extended past the probe radii)."""
+    """Tensor-product double-exponential rule, halving the step until a
+    pass's sums at the step and at twice it agree to the relative target, the
+    step is 0.02 or less, or the next pass would sum more than
+    _PASS_NODE_LIMIT nodes; target_met then says whether the box was sized
+    and they agreed.  The first step is 0.1, doubled while its pass would not
+    fit (in 4-D, or in 3-D with a box extended past the probe radii)."""
     vmaxes, sized = _axis_truncations(f)
-    step = 0.2
-    while _pass_nodes(vmaxes, step / 2) > _PASS_NODE_LIMIT:
+    step = 0.1
+    while _pass_nodes(vmaxes, step) > _PASS_NODE_LIMIT:
         step *= 2
-    value = _tensor_pass(f, vmaxes, step)[0]
-    while step > 0.02 and _pass_nodes(vmaxes, step / 2) <= _PASS_NODE_LIMIT:
-        step /= 2
-        refined, nodes = _tensor_pass(f, vmaxes, step)
-        error, value = abs(refined - value), refined
-        if error <= target * abs(value):
+    while True:
+        value, coarse, nodes = _tensor_pass(f, vmaxes, step)
+        error = abs(value - coarse)
+        if (error <= target * abs(value) or step <= 0.02
+                or _pass_nodes(vmaxes, step / 2) > _PASS_NODE_LIMIT):
             break
+        step /= 2
     return QuadratureResult(value, error, "tanh-sinh-tensor", nodes, sized
                             and error <= target * abs(value), f.ndim, margin)
 
@@ -269,7 +273,11 @@ def quadrature(spec: QuadratureSpec) -> QuadratureResult:
     if f.ndim > 4:
         raise DimensionMismatch("quadrature oracle supports up to 4 variables "
                                 f"left after the Beta steps, got {f.ndim}")
-    margin = _check_convergent(f)   # exact, on what the reduction left
+    margin = convergence_margin(f)  # exact, on what the reduction left
+    if margin <= 1e-9:
+        raise NonConvergent(
+            "alpha lies outside the interior of sum_k beta_k Newt(g_k), or a "
+            f"beta_k <= 0 (margin {margin:.3g}); the integral diverges")
     if f.ndim == 0:
         return QuadratureResult(math.exp(f.log_prefactor), 0.0,
                                 "closed-form", 0, True, 0, margin)

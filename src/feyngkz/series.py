@@ -312,12 +312,21 @@ class SolutionBundle:
                          compare=False)           # order -> terms
 
     def constant_values(self, assignment: Mapping[str, float]) -> List[float]:
-        return [k.evaluate(assignment) for k in self.constants]
+        """Each K_i, at its slice of one map of every Gamma argument."""
+        values = self._constant_map[0](assignment)
+        return [k.evaluate(assignment, values[part])
+                for k, part in zip(self.constants, self._constant_map[1])]
 
     def evaluate(self, assignment: Mapping[str, float],
                  coeffs: Sequence[float], order: int = 40) -> float:
         """sum_i K_i phi_i at one point: ``evaluate_points``' value there."""
         return float(self.evaluate_points(assignment, [coeffs], order)[0][0])
+
+    @cached_property
+    def _constant_map(self) -> Tuple[FloatMap, List[slice]]:
+        args = [k.numerator + k.denominator for k in self.constants]
+        ends = list(itertools.accumulate(map(len, args), initial=0))
+        return FloatMap(sum(args, [])), list(map(slice, ends, ends[1:]))
 
     @cached_property
     def _gamma_map(self) -> FloatMap:

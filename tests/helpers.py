@@ -10,13 +10,17 @@ division of binomials on exponent tuples (``normal_form``,
 test now skips where it can; ``fake_exponents_reference``, one
 elimination per pair, which the basis-exchange walk replaced; and
 ``closed_form_margins``, the rank-1 and Appell F4 region rules that the
-bundle's one Horn margin replaced.  Graphs are passed as plain
+bundle's one Horn margin replaced; and ``two_pass_reference``, the tensor
+rule as two passes per step on a log f broadcast by ``np.ix_`` from NumPy
+arrays, which one pass per step replaced.  Graphs are passed as plain
 ``GraphSpec.to_dict`` data, so the Symanzik reference reads them without
 the package.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import itertools
 import math
 import warnings
@@ -184,6 +188,80 @@ def facet_pairs_reference(gens, nvars: int, rank: int):
         pairs.extend(StandardPair(a, face) for a in roots)
     pairs.sort(key=lambda p: (p.face, p.root))
     return pairs
+
+
+def two_pass_reference(f, target: float):
+    """(value, error, nodes, target_met) of the tensor rule as it summed
+    before one pass served two steps: each step's trapezoid sum is its own
+    pass over arange(-v, v + h/2, h), the first two at 0.2 and 0.1 (doubled
+    while the second would pass _PASS_NODE_LIMIT), then halving until two
+    passes agree to the relative target, the step is 0.02 or less, or the
+    next pass would not fit; log f, for the decay probe too, comes from
+    NumPy arrays broadcast by np.ix_.  The module's limits are read at call
+    time."""
+    q = importlib.import_module("feyngkz.quadrature")
+    alpha = np.asarray(f.alpha, dtype=float)
+    factors = [(np.reshape(g.expmat, (len(g.logc), -1)), np.asarray(g.logc),
+                g.beta) for g in f.factors]
+
+    def log_grid(axes):
+        grid = np.ix_(*axes)
+        out = sum(a * x for a, x in zip(alpha, grid)) + f.log_prefactor
+        for expmat, logc, beta in factors:
+            terms = (sum((e * x for e, x in zip(row, grid) if e), 0) + c
+                     for row, c in zip(expmat, logc))
+            out = out - beta * functools.reduce(np.logaddexp, terms)
+        return out
+
+    radii, sized, n = [], True, len(q._PROBE_RADII)
+    r0, r1 = q._PROBE_RADII[-2:]
+    for axis in range(len(alpha)):
+        axes = [[0.0]] * len(alpha)
+        axes[axis] = np.concatenate(
+            ([0.0], q._PROBE_RADII, np.negative(q._PROBE_RADII)))
+        values = log_grid(axes).ravel()
+        log_f0, reach = values[0], 0.0
+        for row in (values[1:n + 1], values[n + 1:]):
+            dropped = np.flatnonzero(row <= log_f0 - q._DECAY_DROP)
+            if len(dropped):
+                radius = q._PROBE_RADII[dropped[0]]
+            elif row[-1] < row[-2]:
+                radius = r1 + (r1 - r0) * (row[-1] - log_f0 + q._DECAY_DROP) / (
+                    row[-2] - row[-1])
+            else:
+                radius, sized = r1, False
+            reach = max(reach, float(radius))
+        radii.append(reach)
+    vmaxes = [math.asinh(r) + 0.4 for r in radii]
+
+    def grid_axes(step):
+        return [np.arange(-v, v + 0.5 * step, step) for v in vmaxes]
+
+    def tensor_pass(step):
+        axes = grid_axes(step)
+        x, logw = [np.sinh(u) for u in axes], [np.log(np.cosh(u)) for u in axes]
+        nodes = math.prod(map(len, axes))
+        rows, total = max(1, q._NODE_BUDGET * len(axes[0]) // nodes), 0.0
+        for s in range(0, len(axes[0]), rows):
+            chunk = slice(s, s + rows)
+            total += float(np.exp(log_grid([x[0][chunk]] + x[1:]) + sum(
+                np.ix_(logw[0][chunk], *logw[1:]))).sum())
+        return total * step ** len(alpha), nodes
+
+    def fits(step):
+        return math.prod(map(len, grid_axes(step))) <= q._PASS_NODE_LIMIT
+
+    step = 0.2
+    while not fits(step / 2):
+        step *= 2
+    value = tensor_pass(step)[0]
+    while step > 0.02 and fits(step / 2):
+        step /= 2
+        refined, nodes = tensor_pass(step)
+        error, value = abs(refined - value), refined
+        if error <= target * abs(value):
+            break
+    return value, error, nodes, sized and error <= target * abs(value)
 
 
 def random_configuration(rng, codim: int):

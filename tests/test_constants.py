@@ -332,6 +332,24 @@ def test_bundle_prunes_and_raises_poles_like_its_series():
         assert _same_outcome(bundle, generic, points, order) is None
 
 
+def test_bundle_constants_equal_each_constants_own_value():
+    """One map of every constant's Gamma arguments gives each K_i bit for
+    bit as the constant alone does, on every fixture, and keeps the pole
+    rules: a denominator at a pole zeroes its constant only, a numerator at
+    one raises."""
+    for name, spec in fixtures().items():
+        bundle, assignment = pipeline.run(spec).bundle, spec.assignment()
+        assert bundle.constant_values(assignment) == [
+            k.evaluate(assignment) for k in bundle.constants], name
+    x, y = ParamLinear.param("x"), ParamLinear.param("y")
+    series = pipeline.run(fixtures()["2f1-double"]).series
+    bundle = SolutionBundle(series, [GammaFactor([x], [y]),
+                                     GammaFactor([x + y], [x], 2)])
+    assert bundle.constant_values({"x": 0.5, "y": -1.0}) == [
+        0.0, 2 * math.exp(math.lgamma(-0.5) - math.lgamma(0.5)) * -1.0]
+    with pytest.raises(PoleError, match="Gamma pole at 0"):
+        bundle.constant_values({"x": 0.5, "y": -0.5})
+
 def test_bundle_evaluates_its_constants_before_checking_the_points():
     spec = fixtures()["2f1-double"]
     series = pipeline.run(spec).series

@@ -273,6 +273,39 @@ def test_spec_dict_round_trip_every_fixture():
                 == pipeline.run(spec).to_dict()), name
 
 
+
+def _edit_everywhere(node):
+    """Change every list and dict inside a spec document, nested ones
+    first; tuples and scalars stay."""
+    children = node.values() if isinstance(node, dict) else node
+    for child in list(children):
+        if isinstance(child, (list, dict)):
+            _edit_everywhere(child)
+    if isinstance(node, dict):
+        node["edited"] = True
+    else:
+        node.append("edited")
+
+
+def test_editing_a_spec_document_leaves_the_spec():
+    """to_dict hands out copies: editing every list and dict of the
+    document, the alpha, coefficients, parameters and A rows among them,
+    leaves the spec's next to_dict as it was, and the round trip exact."""
+    path = os.path.join(os.path.dirname(__file__), "cayley3_spec.json")
+    with open(path) as handle:
+        specs = [*fixtures().values(),
+                 pipeline.ProblemSpec.from_dict(json.load(handle))]
+    for spec in specs:
+        before = json.dumps(spec.to_dict())
+        document = spec.to_dict()
+        _edit_everywhere(document)
+        assert json.dumps(spec.to_dict()) == before, spec.name
+        assert pipeline.ProblemSpec.from_dict(spec.to_dict()) == spec
+    keys = {key for spec in specs for key in spec.to_dict()}
+    assert {"alpha", "coefficients", "parameters", "amatrix",
+            "kappa"} <= keys
+
+
 MISSPELT = os.path.join(os.path.dirname(__file__), "misspelt_spec.json")
 
 

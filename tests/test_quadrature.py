@@ -421,15 +421,16 @@ def _linprog_margin(f):
     the Newton polytopes is not full-dimensional or the solver finds no
     optimum."""
     linprog = pytest.importorskip("scipy.optimize").linprog
+    expmats = [np.array(g.expmat) for g in f.factors]
     if not f.factors or integer_rank(np.vstack(
-            [g.expmat - g.expmat[0] for g in f.factors]).tolist()) < f.ndim:
+            [e - e[0] for e in expmats]).tolist()) < f.ndim:
         return -1.0
     owner = np.repeat(np.arange(len(f.factors)),
                       [len(g.logc) for g in f.factors])
     nterms = len(owner)
     a_eq = np.zeros((f.ndim + len(f.factors), nterms + 1))
     a_eq[:f.ndim, :nterms] = np.vstack(
-        [g.beta * g.expmat for g in f.factors]).T
+        [g.beta * e for g, e in zip(f.factors, expmats)]).T
     a_eq[f.ndim + owner, np.arange(nterms)] = 1.0
     result = linprog(np.append(np.zeros(nterms), -1.0),
                      A_ub=np.hstack([-np.eye(nterms), np.ones((nterms, 1))]),
@@ -527,10 +528,10 @@ def test_non_finite_coefficient_raises_typed_error():
 def _reference_log(f, point):
     """log f at one chart point in plain floats, with a max-shifted
     log-sum-exp per factor."""
-    out = sum(a * x for a, x in zip(f.alpha.tolist(), point)) + f.log_prefactor
+    out = sum(a * x for a, x in zip(f.alpha, point)) + f.log_prefactor
     for g in f.factors:
         terms = [sum(e * x for e, x in zip(row, point)) + c
-                 for row, c in zip(g.expmat.tolist(), g.logc.tolist())]
+                 for row, c in zip(g.expmat, g.logc)]
         top = max(terms)
         out -= g.beta * (top + math.log(sum(math.exp(t - top) for t in terms)))
     return out
@@ -547,11 +548,11 @@ def test_log_grid_matches_pointwise_reference():
         for _ in range(rng.randint(1, 3)):
             terms = rng.randint(1, 6)
             factors.append(Factor(
-                np.array([[rng.randint(0, 2) for _ in range(ndim)]
-                          for _ in range(terms)]),
-                np.array([rng.uniform(-5.0, 5.0) for _ in range(terms)]),
+                tuple(tuple(rng.randint(0, 2) for _ in range(ndim))
+                      for _ in range(terms)),
+                tuple(rng.uniform(-5.0, 5.0) for _ in range(terms)),
                 rng.uniform(0.2, 2.5)))
-        f = Integrand(np.array([rng.uniform(0.05, 4.0) for _ in range(ndim)]),
+        f = Integrand(tuple(rng.uniform(0.05, 4.0) for _ in range(ndim)),
                       factors, rng.uniform(-3.0, 3.0))
         axes = [np.array(sorted({-2000.0, 0.0, 2000.0} | {
             rng.uniform(-2000.0, 2000.0) * rng.choice((1e-3, 1.0))
@@ -570,14 +571,125 @@ def test_log_grid_matches_pointwise_reference():
 ])
 def test_tensor_pass_chunk_boundaries(monkeypatch, exponents, alpha):
     """With _NODE_BUDGET at 1 every chunk is one first-axis slice; the pass
-    sums the same nodes as with the default budget."""
+    sums the same nodes as with the default budget, on the whole grid and on
+    its nodes of even index, whose parity on the first axis is global."""
     f = Integrand.from_spec(_spec(exponents, [1.0, 2.0, 0.5, 1.5][
         :len(exponents)], alpha, 2.0))
     assert reduce_linear(f).ndim == len(alpha)
     vmaxes, sized = quadrature_module._axis_truncations(f)
     assert sized
-    value, nodes = quadrature_module._tensor_pass(f, vmaxes, 0.2)
+    value, coarse, nodes = quadrature_module._tensor_pass(f, vmaxes, 0.2)
     monkeypatch.setattr(quadrature_module, "_NODE_BUDGET", 1)
-    sliced, sliced_nodes = quadrature_module._tensor_pass(f, vmaxes, 0.2)
+    sliced, sliced_coarse, sliced_nodes = quadrature_module._tensor_pass(
+        f, vmaxes, 0.2)
     assert sliced_nodes == nodes
     assert abs(sliced - value) <= 1e-14 * abs(value)
+    assert abs(sliced_coarse - coarse) <= 1e-14 * abs(coarse)
+    assert abs(coarse - value) <= 1e-3 * abs(value)
+
+
+def _fixture(name, **changes):
+    spec = fixtures()[name]
+    for attr, value in changes.items():
+        setattr(spec, attr, value)
+    return spec
+
+
+def _spec_file(name):
+    path = pathlib.Path(__file__).parent / name
+    return pipeline.ProblemSpec.from_dict(json.loads(path.read_text()))
+
+
+_CAYLEY5 = ([tuple(int(j // 2 == k) for k in range(1, 5)) + (j % 2,)
+             for j in range(10)],
+            [1.0, 0.3, 1.0, 0.4, 1.0, 0.5, 1.0, 0.35, 1.0, 0.45])
+# What the tier-1 suite verifies: problem specs through run(verify=True),
+# oracle specs directly, each with the module settings it runs under.
+_VERIFIED = {
+    "2f1-double": lambda: _fixture("2f1-double"),
+    "2f1-single": lambda: _fixture("2f1-single"),
+    "one-mass-bubble interior": lambda: _fixture(
+        "one-mass-bubble", weight=(0, 0, 0, 1), alpha=[1.2, 1.3]),
+    "box interior": lambda: _fixture("box", alpha=[0.7, 0.6, 0.65, 0.75]),
+    "triangle-3scale interior": lambda: _fixture(
+        "triangle-3scale", alpha=[0.8, 0.9, 1.0]),
+    "sunset-1mass interior": lambda: _fixture(
+        "sunset-1mass", alpha=[1.23, 2.11, 1.37],
+        coefficients=[1.6, 1.0, 1.0, 1.0, 1.0]),
+    "cayley3": lambda: _spec_file("cayley3_spec.json"),
+    "doubled rows": lambda: _spec_file("doubled_rows_amatrix_spec.json"),
+    "even powers": lambda: _spec_file("even_powers_spec.json"),
+    "trinomial": lambda: _spec_file("trinomial_spec.json"),
+    "box interior spec": lambda: _spec_file("box_interior_spec.json"),
+    "4-D tensor": lambda: _spec(
+        [tuple(2 * e for e in bits)
+         for bits in itertools.product((0, 1), repeat=4)],
+        [1.0] * 16, [3.0] * 4, 3.0, tol=1e-6),
+    "node limit": lambda: (_spec([(0, 0), (1, 0), (0, 1), (0, 2), (2, 0)],
+                                 [1.0] * 5, [0.7, 0.6], 1.9),
+                           {"_PASS_NODE_LIMIT": 10_000}),
+    "beyond the probe radii": lambda: _spec([(0,), (2,)], [1.0, 1.0],
+                                            [1.99], 1.0),
+    "far peak": lambda: _spec([(0, 0), (0, 2), (2, 0), (2, 2)],
+                              [1e-40, 1e-40, 1.0, 1.0], [0.5, 0.7], 1.0,
+                              tol=1e-8),
+    "unsized box": lambda: (_spec([(0,), (2,)], [1e-12, 1.0], [1.99], 1.0),
+                            {"_PROBE_RADII": 1.5 ** np.arange(7)}),
+    "five Cayley factors": lambda: _spec(
+        *_CAYLEY5, [0.5, 0.45, 0.55, 0.4, 0.7], 2.5, 1e-12),
+    "torus covariance": lambda: _spec(
+        [(1, 0), (0, 1), (1, 1), (0, 2)], [1.4, 0.8, 1.68, 0.64],
+        [1.2, 1.3], 1.9),
+}
+
+
+@pytest.mark.parametrize("name", _VERIFIED)
+def test_one_pass_per_step_matches_two_passes_bit_for_bit(monkeypatch, name):
+    """Every oracle the suite verifies has the value, node count and
+    target_met of the two-pass rule: the final pass sums the same grid in the
+    same order, and the coarser sum read from its even nodes stops the
+    halving at the same step.  Only the error estimate may differ."""
+    calls = []
+    real = quadrature_module.tanh_sinh_tensor
+    monkeypatch.setattr(quadrature_module, "tanh_sinh_tensor",
+                        lambda f, target, margin: calls.append(
+                            (f, target, real(f, target, margin))) or calls[-1][2])
+    spec = _VERIFIED[name]()
+    spec, settings = spec if isinstance(spec, tuple) else (spec, {})
+    for setting, value in settings.items():
+        monkeypatch.setattr(quadrature_module, setting, value)
+    if isinstance(spec, QuadratureSpec):
+        quadrature(spec)
+    else:
+        assert pipeline.run(spec, verify=True).oracle.target_met
+    assert len(calls) == 1
+    f, target, result = calls[0]
+    value, error, nodes, met = helpers.two_pass_reference(f, target)
+    assert (result.value.hex(), result.nodes, result.target_met) == (
+        value.hex(), nodes, met)
+
+
+def test_one_pass_per_step_agrees_with_two_passes_on_random_integrands(
+        monkeypatch):
+    """120 seeded random integrands left with 1-4 variables, under a limit
+    of 200k nodes a pass: each rule's value lies within the other's error,
+    and where both stop at the same step the values are equal."""
+    monkeypatch.setattr(quadrature_module, "_PASS_NODE_LIMIT", 200_000)
+    rng = random.Random(43)
+    compared, equal, dims = 0, 0, set()
+    while compared < 120:
+        spec = _random_spec(rng, dims=(1, 2, 3, 4), max_terms=6)
+        spec.target_tolerance = 1e-8
+        try:
+            result = quadrature(spec)
+        except NonConvergent:
+            continue
+        if not result.dims:
+            continue
+        f = reduce_linear(Integrand.from_spec(spec))
+        value, error, nodes, _ = helpers.two_pass_reference(f, 1e-8)
+        assert abs(result.value - value) <= min(result.error, error), spec
+        compared += 1
+        equal += (result.value, result.nodes) == (value, nodes)
+        dims.add(result.dims)
+    assert dims == {1, 2, 3, 4} and equal >= 110
